@@ -16,7 +16,9 @@
 //! committed in cost order, each committing a gang of the matched GPU plus
 //! the fastest remaining free GPUs (same kind preferred).
 
-use crate::common::{continue_on_gang, job_done, ready_by_job, repair_gangs, Reservations};
+use crate::common::{
+    continue_on_gang, fastest_idle, ready_by_job, release_completed, repair_gangs, Reservations,
+};
 use hare_sim::{Policy, SimView};
 use hare_solver::min_cost_matching;
 use std::collections::BTreeSet;
@@ -65,15 +67,10 @@ impl Policy for SchedAllox {
     fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
         let p = &view.workload.problem;
         self.ensure_len(p.jobs.len());
-        for job in 0..self.placed.len() {
-            if self.placed[job].is_some() && job_done(view, job) {
-                let gang = self.placed[job].take().expect("is_some checked above");
-                self.reservations.release(&gang);
-            }
-        }
+        release_completed(view, &mut self.placed, &mut self.reservations);
         // AlloX is heterogeneity-aware: repairs draw the fastest free GPU.
         repair_gangs(
-            crate::common::fastest_idle(view, usize::MAX),
+            fastest_idle(view),
             &self.down,
             &mut self.placed,
             &mut self.reservations,

@@ -15,9 +15,9 @@ pub fn ready_by_job(view: &SimView<'_>) -> BTreeMap<usize, Vec<usize>> {
     map
 }
 
-/// The `n` fastest idle GPUs (by generic FP32 speedup, ties by index) —
+/// The idle GPUs, fastest first (by generic FP32 speedup, ties by index) —
 /// Gavel's "assign jobs to fastest available GPUs".
-pub fn fastest_idle(view: &SimView<'_>, n: usize) -> Vec<usize> {
+pub fn fastest_idle(view: &SimView<'_>) -> Vec<usize> {
     let mut idle: Vec<usize> = view.idle_gpus.to_vec();
     idle.sort_by(|&a, &b| {
         let sa = view.workload.cluster.gpus()[a].kind.generic_speedup();
@@ -26,19 +26,7 @@ pub fn fastest_idle(view: &SimView<'_>, n: usize) -> Vec<usize> {
         // scheduler mid-run; it just sorts deterministically to one end.
         sb.total_cmp(&sa).then(a.cmp(&b))
     });
-    idle.truncate(n);
     idle
-}
-
-/// Remaining serial work of a job in seconds if every remaining task ran on
-/// GPU `gpu` back-to-back (AlloX's per-machine job length).
-pub fn serial_remaining_secs(view: &SimView<'_>, job: usize, gpu: usize) -> f64 {
-    let p = &view.workload.problem;
-    let info = &p.jobs[job];
-    let remaining_rounds = info.rounds - view.synced_rounds[job];
-    let per_task = info.train[gpu].as_secs_f64();
-    let sync = info.sync[gpu].as_secs_f64();
-    remaining_rounds as f64 * (info.sync_scale as f64 * per_task + sync)
 }
 
 /// Best-case seconds of one round of a job (fastest-GPU task time + its
@@ -58,23 +46,6 @@ pub fn best_round_secs(view: &SimView<'_>, job: usize) -> f64 {
 pub fn mean_round_secs(view: &SimView<'_>, job: usize) -> f64 {
     let info = &view.workload.problem.jobs[job];
     info.train.iter().map(|t| t.as_secs_f64()).sum::<f64>() / info.train.len() as f64
-}
-
-/// Remaining best-case time of a job: remaining rounds × (fastest-GPU task
-/// time + its sync), assuming full parallelism — SRTF's ranking key.
-pub fn best_remaining_secs(view: &SimView<'_>, job: usize) -> f64 {
-    let info = &view.workload.problem.jobs[job];
-    let remaining_rounds = info.rounds - view.synced_rounds[job];
-    remaining_rounds as f64 * best_round_secs(view, job)
-}
-
-/// Remaining time under the homogeneity assumption: the *mean* task time
-/// across GPUs (a heterogeneity-oblivious scheduler believes all GPUs are
-/// this fast).
-pub fn mean_remaining_secs(view: &SimView<'_>, job: usize) -> f64 {
-    let info = &view.workload.problem.jobs[job];
-    let remaining_rounds = info.rounds - view.synced_rounds[job];
-    remaining_rounds as f64 * mean_round_secs(view, job)
 }
 
 /// True when the job has fully completed.
@@ -120,21 +91,17 @@ impl Reservations {
 }
 
 /// Release the reservations of every placed job that has completed.
-/// Returns the GPUs freed.
 pub fn release_completed(
     view: &SimView<'_>,
     placed: &mut [Option<Vec<usize>>],
     reservations: &mut Reservations,
-) -> Vec<usize> {
-    let mut freed = Vec::new();
+) {
     for (job, slot) in placed.iter_mut().enumerate() {
         if slot.is_some() && job_done(view, job) {
             let gang = slot.take().expect("is_some checked above");
             reservations.release(&gang);
-            freed.extend(gang);
         }
     }
-    freed
 }
 
 /// Repair dedicated gangs broken by GPU failures: every gang member in

@@ -44,7 +44,7 @@ impl Policy for GavelFifo {
         release_completed(view, &mut self.placed, &mut self.reservations);
         // The speed-sorted idle list depends only on `view`, which is
         // fixed for the whole call: sort once, filter per use below.
-        let fast_all = fastest_idle(view, usize::MAX);
+        let fast_all = fastest_idle(view);
         if !self.down.is_empty() {
             repair_gangs(
                 fast_all.clone(),

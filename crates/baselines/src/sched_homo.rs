@@ -22,9 +22,9 @@ pub struct SchedHomo {
     reservations: Reservations,
     /// GPUs currently down (fault injection).
     down: BTreeSet<usize>,
-    /// Cached per-job mean round seconds (static over a run) — the GPU
-    /// average behind [`crate::common::mean_remaining_secs`], hoisted out
-    /// of the admission sort's comparator.
+    /// Cached per-job mean round seconds (static over a run), so the
+    /// admission key — remaining rounds × this / weight — averages over
+    /// the GPUs once per job instead of inside the sort's comparator.
     round_mean: Vec<f64>,
 }
 
@@ -75,8 +75,8 @@ impl Policy for SchedHomo {
 
         // Admit waiting jobs by weighted remaining *mean* work (oblivious
         // to which GPUs are actually fast), smallest normalized first. The
-        // key is `mean_remaining_secs / weight`, computed once per job from
-        // the cached static round mean rather than inside the comparator.
+        // key — remaining rounds × the cached round mean / weight — is
+        // computed once per job rather than inside the comparator.
         let mut waiting: Vec<(f64, usize)> = ready
             .keys()
             .copied()

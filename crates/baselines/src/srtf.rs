@@ -23,9 +23,9 @@ pub struct Srtf {
     reservations: Reservations,
     /// GPUs currently down (fault injection).
     down: BTreeSet<usize>,
-    /// Cached per-job best-case round seconds (static over a run) — the
-    /// GPU fold behind [`crate::common::best_remaining_secs`], hoisted out
-    /// of the admission sort's comparator.
+    /// Cached per-job best-case round seconds (static over a run), so the
+    /// admission key — remaining rounds × this — folds over the GPUs once
+    /// per job instead of inside the sort's comparator.
     round_best: Vec<f64>,
 }
 
@@ -76,9 +76,9 @@ impl Policy for Srtf {
 
         // Admit waiting jobs, shortest remaining first, onto the fastest
         // free GPUs. No head-of-line blocking: a smaller job may slip past
-        // one that cannot fit. The key is `best_remaining_secs`, computed
-        // once per job from the cached static round time rather than inside
-        // the comparator.
+        // one that cannot fit. The key — remaining rounds × the cached
+        // best-case round time — is computed once per job rather than
+        // inside the comparator.
         let mut waiting: Vec<(f64, usize)> = ready
             .keys()
             .copied()

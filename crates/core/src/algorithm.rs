@@ -88,7 +88,8 @@ pub struct HareOutput {
     pub h: Vec<f64>,
     /// The order π in which tasks were dispatched.
     pub pi: Vec<TaskIdx>,
-    /// Certified lower bound on the optimal Σ wₙCₙ from the relaxation.
+    /// Certified lower bound on the optimal Σ wₙCₙ
+    /// (`hare_solver::certified_lower_bound`).
     pub lower_bound: f64,
 }
 
@@ -108,31 +109,33 @@ impl HareScheduler {
         trace: Option<&hare_solver::SolveTrace>,
     ) -> HareOutput {
         p.validate().expect("invalid problem");
-        let priorities = self.priorities(p, trace);
+        let inst = p.to_instance();
+        let priorities = self.priorities(p, &inst, trace);
         let (schedule, pi) = list_schedule(p, &priorities, self.assignment);
-        // The certified bound is independent of x̂ — compute it directly.
-        let lower_bound = hare_solver::certified_lower_bound(&p.to_instance());
         HareOutput {
             schedule,
             h: priorities,
             pi,
-            lower_bound,
+            // Independent of x̂, so the relaxation does not compute it.
+            lower_bound: hare_solver::certified_lower_bound(&inst),
         }
     }
 
-    /// The priority vector driving π.
-    fn priorities(&self, p: &SchedProblem, trace: Option<&hare_solver::SolveTrace>) -> Vec<f64> {
+    /// The priority vector driving π; `inst` is `p` as a solver instance.
+    fn priorities(
+        &self,
+        p: &SchedProblem,
+        inst: &hare_solver::Instance,
+        trace: Option<&hare_solver::SolveTrace>,
+    ) -> Vec<f64> {
         match self.order {
-            PriorityOrder::Midpoint => {
-                let sol = relax::solve_traced(&p.to_instance(), &self.relax, trace);
-                sol.h
-            }
+            PriorityOrder::Midpoint => relax::solve_traced(inst, &self.relax, trace).h,
             PriorityOrder::Arrival => p
                 .tasks
                 .iter()
                 .map(|t| p.jobs[t.job].arrival.as_secs_f64() + t.round as f64 * 1e-6)
                 .collect(),
-            PriorityOrder::Smith => smith_priorities(p),
+            PriorityOrder::Smith => smith_priorities(p, inst),
         }
     }
 }
@@ -140,9 +143,8 @@ impl HareScheduler {
 /// Smith-ratio priorities `arrival + pᵢ^min/wₙ + round·10⁻⁶` — the
 /// heterogeneity-aware greedy order (WSPT-shaped), shared by the
 /// [`PriorityOrder::Smith`] ablation and the anytime pipeline's Greedy
-/// rung (`crate::anytime`).
-pub(crate) fn smith_priorities(p: &SchedProblem) -> Vec<f64> {
-    let inst = p.to_instance();
+/// rung (`crate::anytime`). `inst` is `p` as a solver instance.
+pub(crate) fn smith_priorities(p: &SchedProblem, inst: &hare_solver::Instance) -> Vec<f64> {
     (0..p.n_tasks())
         .map(|i| {
             let t = &p.tasks[i];

@@ -206,7 +206,7 @@ pub fn anytime_schedule(
 /// [`anytime_schedule`] with solver-phase spans recorded into `trace` on
 /// its deterministic work-unit clock: the Exact and Relaxation rungs emit
 /// their own fine-grained spans (`"bb_root"`, `"lp_round"`, ...) through
-/// the traced solver entry points, and every other attempt — skipped,
+/// the solvers' `trace` argument, and every other attempt — skipped,
 /// exhausted, or one of the flat-cost rungs — gets one span named after
 /// its rung (detail: 0 = completed, 1 = skipped, 2 = exhausted).
 pub fn anytime_schedule_traced(
@@ -222,7 +222,7 @@ pub fn anytime_schedule_traced(
     let mut attempts: Vec<RungAttempt> = Vec::with_capacity(Rung::ALL.len());
     let mut candidates: Vec<Candidate> = Vec::with_capacity(Rung::ALL.len());
     let mut stats = SolveStats::default();
-    let greedy = smith_priorities(p);
+    let greedy = smith_priorities(p, &inst);
 
     // Rung 1: exact branch-and-bound (node_cap axis).
     let exact_limit = opts.exact_task_limit.min(bb::MAX_TASKS);
@@ -236,7 +236,7 @@ pub fn anytime_schedule_traced(
             work: 0,
         });
     } else {
-        match bb::solve_exact_budgeted_traced(&inst, budget, cancel, trace) {
+        match bb::solve_exact_budgeted(&inst, budget, cancel, trace) {
             Some(sol) => {
                 // The exact start times are folded back into the ladder's
                 // common currency — midpoint priorities — so dispatch
@@ -261,7 +261,7 @@ pub fn anytime_schedule_traced(
     }
 
     // Rung 2: the relaxation (pivot_cap axis).
-    match relax::solve_budgeted_traced(&inst, &opts.relax, budget, cancel, trace) {
+    match relax::solve_budgeted(&inst, &opts.relax, budget, cancel, trace) {
         Some(sol) => {
             stats = sol.stats;
             let work = match sol.mode {

@@ -76,17 +76,10 @@ pub fn certify(p: &SchedProblem, out: &HareOutput) -> TheoryReport {
         satisfied as f64 / checks as f64
     };
 
-    // Lemma 3: idle time before each task on its GPU vs αH_i.
+    // Lemma 3: idle time before each task on its GPU vs αH_i. The lemma
+    // bounds the *total* idle before task j on its machine.
     let mut max_idle_over_h = 0.0f64;
     for seq in out.schedule.gpu_sequences(p) {
-        let mut prev_release = 0.0f64;
-        for &i in &seq {
-            let start = out.schedule.start[i].as_secs_f64();
-            let idle_before = start - prev_release; // cumulative handled per task
-            let _ = idle_before;
-            prev_release = out.schedule.gpu_release(p, i).as_secs_f64();
-        }
-        // Lemma 3 bounds the *total* idle before task j on its machine.
         let mut cum_idle = 0.0f64;
         let mut release = 0.0f64;
         for &i in &seq {

@@ -8,9 +8,10 @@
 //! reachable this way (left-shifting within machines normalizes any
 //! schedule to an active one).
 //!
-//! The search is parallel: root-level branches — each (ready task,
-//! machine) pair surviving symmetry breaking — are split across scoped
-//! threads. Every thread runs an independent DFS over its branches and
+//! Root-level branches — each (ready task, machine) pair surviving
+//! symmetry breaking — are searched independently: split across scoped
+//! threads under an unlimited budget, in order on one thread under a
+//! finite one, so a node cap aborts at a reproducible point. Every branch
 //! publishes incumbents to a shared atomic bound (non-negative `f64`
 //! objectives compare correctly as `u64` bit patterns, so the bound is a
 //! lock-free `fetch_min`). Two symmetry rules shrink the tree:
@@ -31,8 +32,8 @@
 //!
 //! The tests and benches use this as ground truth: Algorithm 1's value is
 //! compared against the exact optimum to certify the α(2+α) approximation
-//! bound of Theorem 4, and the relaxation's `lower_bound` is checked to sit
-//! below the optimum.
+//! bound of Theorem 4, and [`crate::relax::certified_lower_bound`] is
+//! checked to sit below the optimum.
 
 use crate::budget::{CancelToken, SolveBudget};
 use crate::instance::Instance;
@@ -62,120 +63,26 @@ pub struct ExactSolution {
 /// Solve exactly. Exponential — intended for ≤ ~14 tasks and ≤ 4 machines;
 /// panics above a hard safety limit of [`MAX_TASKS`] tasks.
 pub fn solve_exact(inst: &Instance) -> ExactSolution {
-    solve_exact_traced(inst, None)
+    solve_exact_budgeted(inst, &SolveBudget::UNLIMITED, &CancelToken::new(), None)
+        .expect("an unlimited, uncancelled search cannot abort")
 }
 
-/// [`solve_exact`] recording one `"bb_root"` span per root branch into
-/// `trace` (work = nodes explored, detail = branch index). Spans are
-/// recorded after the parallel join, in branch-index order, so the span
-/// *sequence* is deterministic; per-branch node counts may still vary
-/// run-to-run with bound-propagation timing (as documented on
-/// [`ExactSolution::nodes`]). The budgeted search is fully deterministic.
-pub fn solve_exact_traced(inst: &Instance, trace: Option<&SolveTrace>) -> ExactSolution {
-    inst.validate().expect("invalid instance");
-    assert!(
-        inst.n_tasks() <= MAX_TASKS,
-        "branch-and-bound limited to {MAX_TASKS} tasks; got {}",
-        inst.n_tasks()
-    );
-
-    let sym = Symmetry::analyze(inst);
-    let global = AtomicU64::new(f64::INFINITY.to_bits());
-    let root = Search::fresh(inst, &sym, &global);
-    let branches = root.root_branches();
-    assert!(!branches.is_empty(), "instance has no schedulable task");
-
-    let n_threads = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(branches.len());
-
-    // Each root branch is searched independently (fresh local incumbent;
-    // cross-branch pruning flows through the shared atomic bound), so the
-    // per-branch results do not depend on which thread ran them. Branches
-    // are striped round-robin so long and short root subtrees mix.
-    let mut per_branch: Vec<(usize, BranchResult)> = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_threads);
-        for tid in 0..n_threads {
-            let sym = &sym;
-            let global = &global;
-            let branches = &branches;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                for bi in (tid..branches.len()).step_by(n_threads) {
-                    let (task, machine) = branches[bi];
-                    let mut s = Search::fresh(inst, sym, global);
-                    s.apply_and_dfs(task, machine);
-                    out.push((
-                        bi,
-                        BranchResult {
-                            objective: s.best,
-                            start: s.best_start,
-                            machine: s.best_machine,
-                            nodes: s.nodes,
-                        },
-                    ));
-                }
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("search thread panicked"))
-            .collect()
-    });
-    per_branch.sort_by_key(|&(bi, _)| bi);
-
-    if let Some(tr) = trace {
-        for (bi, r) in &per_branch {
-            tr.record("bb_root", r.nodes, *bi as u64);
-        }
-    }
-
-    // Deterministic reduction: minimum objective, ties to the smallest
-    // root-branch index (the sort above fixes the visit order).
-    let mut nodes = 1; // the root itself
-    let mut winner: Option<&BranchResult> = None;
-    for (_, r) in &per_branch {
-        nodes += r.nodes;
-        if winner.is_none_or(|w| r.objective < w.objective) {
-            winner = Some(r);
-        }
-    }
-    let winner = winner.expect("at least one branch");
-    assert!(
-        winner.objective.is_finite(),
-        "search must find at least one schedule"
-    );
-    ExactSolution {
-        start: winner.start.clone(),
-        machine: winner.machine.clone(),
-        objective: winner.objective,
-        nodes,
-    }
-}
-
-/// [`solve_exact`] under a [`SolveBudget`] and [`CancelToken`]: aborts
-/// with `None` once `budget.node_cap` search nodes have been explored, or
-/// at the first (periodic) check finding the deadline passed or the token
-/// cancelled.
+/// [`solve_exact`] under a [`SolveBudget`] and [`CancelToken`], recording
+/// one `"bb_root"` span per completed root branch into `trace` (work =
+/// nodes explored, detail = branch index), in branch-index order.
 ///
-/// Unlike [`solve_exact`] the budgeted search is **sequential**: under a
-/// finite budget the abort point must be deterministic, and a parallel
-/// search's node totals depend on bound-propagation timing across threads.
-/// An unlimited budget delegates to the parallel [`solve_exact`] verbatim.
+/// Aborts with `None` once `budget.node_cap` search nodes have been
+/// explored, or at the first (periodic) check finding the deadline passed
+/// or the token cancelled; the spans of the branches that completed stay
+/// in `trace`.
+///
+/// The budget sets the thread count. Unlimited, the root branches are
+/// split across `available_parallelism` threads: the schedule is
+/// deterministic, but node counts (per span and in
+/// [`ExactSolution::nodes`]) vary with bound-propagation timing. Finite,
+/// the search runs on one thread, so the abort point and every counter
+/// are reproducible.
 pub fn solve_exact_budgeted(
-    inst: &Instance,
-    budget: &SolveBudget,
-    cancel: &CancelToken,
-) -> Option<ExactSolution> {
-    solve_exact_budgeted_traced(inst, budget, cancel, None)
-}
-
-/// [`solve_exact_budgeted`] recording one `"bb_root"` span per explored
-/// root branch into `trace` (work = nodes, detail = branch order). An
-/// aborted search keeps the spans of the branches that did complete.
-pub fn solve_exact_budgeted_traced(
     inst: &Instance,
     budget: &SolveBudget,
     cancel: &CancelToken,
@@ -184,9 +91,6 @@ pub fn solve_exact_budgeted_traced(
     if cancel.is_cancelled() || budget.deadline_passed() {
         return None;
     }
-    if budget.is_unlimited() {
-        return Some(solve_exact_traced(inst, trace));
-    }
     inst.validate().expect("invalid instance");
     assert!(
         inst.n_tasks() <= MAX_TASKS,
@@ -196,34 +100,97 @@ pub fn solve_exact_budgeted_traced(
 
     let sym = Symmetry::analyze(inst);
     let global = AtomicU64::new(f64::INFINITY.to_bits());
-    let branches = Search::fresh(inst, &sym, &global).root_branches();
+    let branches = Search::fresh(inst, &sym, &global, budget, cancel).root_branches();
     assert!(!branches.is_empty(), "instance has no schedulable task");
+    let n_threads = if budget.is_unlimited() {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        1
+    }
+    .min(branches.len());
 
-    let mut nodes = 1u64; // the root itself
-    let mut best: Option<(f64, Vec<f64>, Vec<usize>)> = None;
-    for (bi, (task, machine)) in branches.into_iter().enumerate() {
-        let mut s = Search::fresh(inst, &sym, &global);
-        s.node_cap = budget.node_cap.saturating_sub(nodes);
-        s.budget = Some(budget);
-        s.cancel = Some(cancel);
-        s.apply_and_dfs(task, machine);
-        nodes = nodes.saturating_add(s.nodes);
-        if s.aborted {
-            return None;
+    // Each root branch is searched independently (fresh local incumbent;
+    // cross-branch pruning flows through the shared atomic bound), so the
+    // per-branch results do not depend on which thread ran them. Branches
+    // are striped round-robin so long and short root subtrees mix. A
+    // stripe ends at its first aborted branch, reported as `None`; the
+    // node cap counts the root and the stripe's earlier branches.
+    let stripe = |tid: usize| {
+        let mut out = Vec::new();
+        let mut spent = 1u64; // the root itself
+        for bi in (tid..branches.len()).step_by(n_threads) {
+            let (task, machine) = branches[bi];
+            let mut s = Search::fresh(inst, &sym, &global, budget, cancel);
+            s.node_cap = budget.node_cap.saturating_sub(spent);
+            s.apply_and_dfs(task, machine);
+            spent = spent.saturating_add(s.nodes);
+            if s.aborted {
+                out.push((bi, None));
+                break;
+            }
+            out.push((
+                bi,
+                Some(BranchResult {
+                    objective: s.best,
+                    start: s.best_start,
+                    machine: s.best_machine,
+                    nodes: s.nodes,
+                }),
+            ));
         }
-        if let Some(tr) = trace {
-            tr.record("bb_root", s.nodes, bi as u64);
-        }
-        // Ties keep the earlier branch, matching solve_exact's reduction.
-        if s.best.is_finite() && best.as_ref().is_none_or(|&(b, _, _)| s.best < b) {
-            best = Some((s.best, s.best_start, s.best_machine));
+        out
+    };
+    // One stripe runs inline: finite budgets serve latency-bound callers
+    // (the serve loop's exact rung), where a thread spawn per plan shows.
+    let mut per_branch: Vec<(usize, Option<BranchResult>)> = if n_threads == 1 {
+        stripe(0)
+    } else {
+        let stripe = &stripe;
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..n_threads)
+                .map(|tid| scope.spawn(move || stripe(tid)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("search thread panicked"))
+                .collect()
+        })
+    };
+    per_branch.sort_by_key(|&(bi, _)| bi);
+
+    if let Some(tr) = trace {
+        for (bi, r) in &per_branch {
+            if let Some(r) = r {
+                tr.record("bb_root", r.nodes, *bi as u64);
+            }
         }
     }
-    let (objective, start, machine) = best.expect("search must find at least one schedule");
+    let results: Vec<BranchResult> = per_branch
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect::<Option<_>>()?;
+
+    // Deterministic reduction: minimum objective, ties to the smallest
+    // root-branch index (the sort above fixes the visit order).
+    let mut nodes = 1; // the root itself
+    let mut winner: Option<BranchResult> = None;
+    for r in results {
+        nodes += r.nodes;
+        if winner.as_ref().is_none_or(|w| r.objective < w.objective) {
+            winner = Some(r);
+        }
+    }
+    let winner = winner.expect("at least one branch");
+    assert!(
+        winner.objective.is_finite(),
+        "search must find at least one schedule"
+    );
     Some(ExactSolution {
-        start,
-        machine,
-        objective,
+        start: winner.start,
+        machine: winner.machine,
+        objective: winner.objective,
         nodes,
     })
 }
@@ -296,18 +263,24 @@ struct Search<'a> {
     best_start: Vec<f64>,
     best_machine: Vec<usize>,
     nodes: u64,
-    /// Node budget for this search (remaining from the caller's
-    /// [`SolveBudget::node_cap`]); `u64::MAX` in the unbudgeted search.
+    /// Node budget for this search: what remains of the caller's
+    /// [`SolveBudget::node_cap`] after the nodes its stripe already spent.
     node_cap: u64,
-    /// Wall-clock/cancel sources, polled periodically ([`solve_exact_budgeted`]).
-    budget: Option<&'a SolveBudget>,
-    cancel: Option<&'a CancelToken>,
+    /// Deadline and cancellation sources, polled periodically.
+    budget: &'a SolveBudget,
+    cancel: &'a CancelToken,
     /// Set when the budget tripped; the search result is then meaningless.
     aborted: bool,
 }
 
 impl<'a> Search<'a> {
-    fn fresh(inst: &'a Instance, sym: &'a Symmetry, global: &'a AtomicU64) -> Search<'a> {
+    fn fresh(
+        inst: &'a Instance,
+        sym: &'a Symmetry,
+        global: &'a AtomicU64,
+        budget: &'a SolveBudget,
+        cancel: &'a CancelToken,
+    ) -> Search<'a> {
         let t = inst.n_tasks();
         Search {
             inst,
@@ -323,8 +296,8 @@ impl<'a> Search<'a> {
             best_machine: vec![usize::MAX; t],
             nodes: 0,
             node_cap: u64::MAX,
-            budget: None,
-            cancel: None,
+            budget,
+            cancel,
             aborted: false,
         }
     }
@@ -336,19 +309,12 @@ impl<'a> Search<'a> {
         if self.nodes > self.node_cap {
             return true;
         }
-        if self.nodes.is_multiple_of(512) {
-            if self.cancel.is_some_and(|c| c.is_cancelled()) {
-                return true;
-            }
-            if self.budget.is_some_and(|b| b.deadline_passed()) {
-                return true;
-            }
-        }
-        false
+        self.nodes.is_multiple_of(512)
+            && (self.cancel.is_cancelled() || self.budget.deadline_passed())
     }
 
     /// Enumerate the root's (task, machine) branches after symmetry
-    /// breaking — the unit of work the parallel driver distributes.
+    /// breaking — the unit of work striped across threads.
     fn root_branches(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for i in 0..self.inst.n_tasks() {
@@ -547,28 +513,28 @@ mod tests {
 
         // A handful of nodes is nowhere near enough for Fig. 1.
         assert_eq!(
-            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 5), &token),
+            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 5), &token, None),
             None
         );
         // A pre-cancelled token aborts before any search.
         let cancelled = CancelToken::new();
         cancelled.cancel();
         assert_eq!(
-            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &cancelled),
+            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &cancelled, None),
             None
         );
 
         // Generous finite cap: same optimum as the parallel search (the
         // node counter may differ — sequential vs parallel propagation).
         let exact = solve_exact(&inst);
-        let budgeted = solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &token)
+        let budgeted = solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &token, None)
             .expect("cap is plenty");
         assert_eq!(budgeted.objective, exact.objective);
         assert_eq!(budgeted.start, exact.start);
         assert_eq!(budgeted.machine, exact.machine);
 
-        // Unlimited budget delegates to solve_exact verbatim.
-        let unlimited = solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, &token)
+        // An unlimited budget is the search solve_exact runs.
+        let unlimited = solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, &token, None)
             .expect("unlimited cannot abort");
         assert_eq!(unlimited.objective, exact.objective);
     }
@@ -578,17 +544,42 @@ mod tests {
         let inst = fig1_instance();
         let token = CancelToken::new();
         let budget = SolveBudget::capped(0, 1 << 40);
-        let a = solve_exact_budgeted(&inst, &budget, &token).expect("cap is plenty");
+        let a = solve_exact_budgeted(&inst, &budget, &token, None).expect("cap is plenty");
         for _ in 0..3 {
-            let b = solve_exact_budgeted(&inst, &budget, &token).expect("cap is plenty");
+            let b = solve_exact_budgeted(&inst, &budget, &token, None).expect("cap is plenty");
             // Sequential search: even the node counter is reproducible.
             assert_eq!(a, b);
         }
         // And the abort point is too: the largest insufficient cap yields
         // None every time.
         let short = SolveBudget::capped(0, a.nodes - 1);
-        assert_eq!(solve_exact_budgeted(&inst, &short, &token), None);
-        assert_eq!(solve_exact_budgeted(&inst, &short, &token), None);
+        assert_eq!(solve_exact_budgeted(&inst, &short, &token, None), None);
+        assert_eq!(solve_exact_budgeted(&inst, &short, &token, None), None);
+    }
+
+    #[test]
+    fn aborted_search_keeps_a_strict_prefix_of_the_generous_spans() {
+        let inst = fig1_instance();
+        let token = CancelToken::new();
+        let run = |node_cap: u64| {
+            let trace = SolveTrace::new();
+            let budget = SolveBudget::capped(0, node_cap);
+            let sol = solve_exact_budgeted(&inst, &budget, &token, Some(&trace));
+            (sol, trace.drain())
+        };
+        let (sol, full) = run(1 << 40);
+        let sol = sol.expect("cap is plenty");
+        // One span per root branch, in branch order.
+        assert!(full.len() > 1, "Fig. 1 has several root branches");
+        for (k, span) in full.iter().enumerate() {
+            assert_eq!((span.phase, span.detail), ("bb_root", k as u64));
+        }
+        for cap in [1, sol.nodes / 2, sol.nodes - 1] {
+            let (aborted, kept) = run(cap);
+            assert_eq!(aborted, None, "cap {cap}");
+            assert!(kept.len() < full.len(), "cap {cap}: prefix must be strict");
+            assert_eq!(kept[..], full[..kept.len()], "cap {cap}");
+        }
     }
 
     #[test]

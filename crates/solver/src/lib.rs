@@ -29,16 +29,13 @@ pub mod matching;
 pub mod relax;
 pub mod trace;
 
-pub use bb::{
-    solve_exact, solve_exact_budgeted, solve_exact_budgeted_traced, solve_exact_traced,
-    ExactSolution,
-};
+pub use bb::{solve_exact, solve_exact_budgeted, ExactSolution};
 pub use budget::{CancelToken, SolveBudget};
 pub use instance::{fig1_instance, Instance, InstanceBuilder, JobMeta, ProblemError, TaskMeta};
 pub use lp::{Cmp, Constraint, LinearProgram, LpOutcome, RevisedSimplex};
 pub use matching::{min_cost_matching, Matching};
 pub use relax::{
-    certified_lower_bound, combinatorial_work, midpoints, min_max, solve_budgeted,
-    solve_budgeted_traced, solve_traced, RelaxMode, RelaxOptions, RelaxSolution, SolveStats,
+    certified_lower_bound, combinatorial_work, midpoints, min_max, solve_budgeted, solve_traced,
+    RelaxMode, RelaxOptions, RelaxSolution, SolveStats,
 };
 pub use trace::{SolveSpan, SolveTrace};

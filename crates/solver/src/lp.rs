@@ -25,6 +25,7 @@
 
 use crate::budget::{CancelToken, SolveBudget};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Constraint sense.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -194,15 +195,6 @@ pub struct RevisedSimplex {
     pivots: u64,
     pivots_since_refactor: u64,
     refactorizations: u64,
-    /// Total-pivot budget for [`RevisedSimplex::solve_capped`]
-    /// (`u64::MAX` = uncapped).
-    pivot_cap: u64,
-    /// Wall-clock deadline for [`RevisedSimplex::solve_under`], checked
-    /// once per pivot (`None` = no deadline).
-    deadline: Option<std::time::Instant>,
-    /// Cooperative cancellation for [`RevisedSimplex::solve_under`],
-    /// polled once per pivot.
-    cancel: Option<CancelToken>,
 }
 
 impl RevisedSimplex {
@@ -221,9 +213,6 @@ impl RevisedSimplex {
             pivots: 0,
             pivots_since_refactor: 0,
             refactorizations: 0,
-            pivot_cap: u64::MAX,
-            deadline: None,
-            cancel: None,
         };
         for c in &lp.constraints {
             s.push_row(c);
@@ -387,59 +376,37 @@ impl RevisedSimplex {
     /// (skipped when none), then Phase II on the real objective. Warm when
     /// called after [`add_constraint`](Self::add_constraint).
     pub fn solve(&mut self) -> LpOutcome {
-        self.pivot_cap = u64::MAX;
-        self.solve_impl().expect("uncapped solve cannot abort")
+        self.solve_impl(u64::MAX, None, None)
+            .expect("uncapped solve cannot abort")
     }
 
-    /// [`RevisedSimplex::solve`] under a *total*-pivot budget: returns
-    /// `None` when the budget is exhausted before optimality (cycling, or
-    /// a pathological cut sequence) — the caller's cue to fall back to the
-    /// dense ground-truth solver on the accumulated program. The simplex
-    /// state is left mid-flight and should be rebuilt before reuse.
-    pub fn solve_capped(&mut self, max_pivots: u64) -> Option<LpOutcome> {
-        self.pivot_cap = max_pivots;
-        let out = self.solve_impl();
-        self.pivot_cap = u64::MAX;
-        out
-    }
-
-    /// [`RevisedSimplex::solve`] under a full [`SolveBudget`] plus a
-    /// [`CancelToken`], all checked cooperatively before every pivot.
-    /// `max_pivots` is an absolute *total*-pivot budget with the same
-    /// convention as [`RevisedSimplex::solve_capped`] (compare against
-    /// [`RevisedSimplex::pivots`]); the budget's own `pivot_cap` is *not*
-    /// consulted here — the caller (the cut loop) apportions it across
-    /// re-solves. Returns `None` on abort, leaving the simplex mid-flight.
+    /// [`RevisedSimplex::solve`] under an absolute pivot cap plus a
+    /// [`SolveBudget`]'s deadline and a [`CancelToken`], all checked
+    /// cooperatively before every pivot. `max_pivots` caps the *total*
+    /// [`RevisedSimplex::pivots`] of this object; the budget's own
+    /// `pivot_cap` is *not* consulted here — the caller (the cut loop)
+    /// apportions it across re-solves. Returns `None` on abort (the cap
+    /// exhausted by cycling or a pathological cut sequence, the deadline,
+    /// or cancellation), leaving the simplex mid-flight.
     pub fn solve_under(
         &mut self,
         max_pivots: u64,
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> Option<LpOutcome> {
-        self.pivot_cap = max_pivots;
-        self.deadline = budget.deadline;
-        self.cancel = Some(cancel.clone());
-        let out = self.solve_impl();
-        self.pivot_cap = u64::MAX;
-        self.deadline = None;
-        self.cancel = None;
-        out
+        self.solve_impl(max_pivots, budget.deadline, Some(cancel))
     }
 
-    /// Cooperative abort check: cancellation requested or the wall-clock
-    /// deadline passed. Both are `None` outside `solve_under`, so plain
-    /// solves never pay the `Instant::now()` call.
-    fn interrupted(&self) -> bool {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return true;
-            }
-        }
-        self.deadline
-            .is_some_and(|d| std::time::Instant::now() >= d)
-    }
-
-    fn solve_impl(&mut self) -> Option<LpOutcome> {
+    /// The pivot loop behind both entry points: it aborts with `None`
+    /// before a pivot once [`RevisedSimplex::pivots`] reaches `max_pivots`,
+    /// `cancel` fires or `deadline` passes. A `None` deadline never reads
+    /// the clock.
+    fn solve_impl(
+        &mut self,
+        max_pivots: u64,
+        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
+    ) -> Option<LpOutcome> {
         // Phase I only if some artificial is basic at a positive value.
         let needs_phase1 = self
             .basis
@@ -455,7 +422,7 @@ impl RevisedSimplex {
                     _ => 0.0,
                 })
                 .collect();
-            match self.optimize(&cost, true) {
+            match self.optimize(&cost, true, max_pivots, deadline, cancel) {
                 SimplexEnd::Optimal(v) if v > 1e-7 => return Some(LpOutcome::Infeasible),
                 SimplexEnd::Optimal(_) => {}
                 SimplexEnd::Unbounded => unreachable!("phase 1 bounded below by 0"),
@@ -466,7 +433,7 @@ impl RevisedSimplex {
 
         let mut cost = vec![0.0; self.cols.len()];
         cost[..self.n_struct].copy_from_slice(&self.objective);
-        match self.optimize(&cost, false) {
+        match self.optimize(&cost, false, max_pivots, deadline, cancel) {
             SimplexEnd::Optimal(_) => {
                 let x = self.structural_values();
                 let objective = x.iter().zip(&self.objective).map(|(xi, ci)| xi * ci).sum();
@@ -478,8 +445,16 @@ impl RevisedSimplex {
     }
 
     /// Primal simplex with Bland's rule. `allow_artificial` admits
-    /// artificial columns into pricing (Phase I only).
-    fn optimize(&mut self, cost: &[f64], allow_artificial: bool) -> SimplexEnd {
+    /// artificial columns into pricing (Phase I only); the stop arguments
+    /// are [`RevisedSimplex::solve_impl`]'s.
+    fn optimize(
+        &mut self,
+        cost: &[f64],
+        allow_artificial: bool,
+        max_pivots: u64,
+        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
+    ) -> SimplexEnd {
         let m = self.rhs.len();
         if m == 0 {
             // Unconstrained: optimum 0 unless some objective coefficient is
@@ -551,7 +526,10 @@ impl RevisedSimplex {
             }
             match leave {
                 Some(r) => {
-                    if self.pivots >= self.pivot_cap || self.interrupted() {
+                    if self.pivots >= max_pivots
+                        || cancel.is_some_and(CancelToken::is_cancelled)
+                        || deadline.is_some_and(|d| Instant::now() >= d)
+                    {
                         return SimplexEnd::Aborted;
                     }
                     let refactors = self.refactorizations;
@@ -1133,15 +1111,17 @@ mod tests {
         lp.constrain(vec![(3, 1.0), (1, -1.0)], Cmp::Ge, 5.0);
         lp.constrain(vec![(0, 3.0), (1, 5.0)], Cmp::Ge, 7.5);
 
-        // Zero budget: the solve cannot pivot at all.
+        let (unlimited, token) = (SolveBudget::UNLIMITED, CancelToken::new());
+        // Zero cap: the solve cannot pivot at all.
         let mut s = RevisedSimplex::new(&lp);
-        assert_eq!(s.solve_capped(0), None);
+        assert_eq!(s.solve_under(0, &unlimited, &token), None);
         // The fallback path: the dense solver handles the same program.
         assert_opt(&lp.solve_dense(), 12.5, None);
-        // A generous budget behaves exactly like the uncapped solve, and
-        // the cap does not linger.
+        // A generous cap behaves exactly like the uncapped solve.
         let mut s = RevisedSimplex::new(&lp);
-        let capped = s.solve_capped(1_000_000).expect("budget is plenty");
+        let capped = s
+            .solve_under(1_000_000, &unlimited, &token)
+            .expect("cap is plenty");
         assert_opt(&capped, 12.5, None);
         let mut u = RevisedSimplex::new(&lp);
         assert_eq!(u.solve(), capped);

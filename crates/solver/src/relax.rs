@@ -21,9 +21,10 @@
 //!   mirroring Lemma 2 — O(passes · n log n), used for the 10⁴-task
 //!   simulator experiments where a dense simplex would not scale.
 //!
-//! Both modes also report [`RelaxSolution::lower_bound`], a certified lower
-//! bound on the optimal Σ wₙCₙ combining a per-job critical-path bound with
-//! the preemptive fast-single-machine (WSPT) bound; `hare-core`'s tests
+//! [`certified_lower_bound`] is a certified lower bound on the optimal
+//! Σ wₙCₙ combining a per-job critical-path bound with the preemptive
+//! fast-single-machine (WSPT) bound. Algorithm 1 does not read it, so no
+//! solve computes it: `hare-core` computes it once per plan, and its tests
 //! check Algorithm 1 against it and against exact branch-and-bound optima.
 
 use crate::budget::{CancelToken, SolveBudget};
@@ -101,8 +102,6 @@ pub struct RelaxSolution {
     pub x_hat: Vec<f64>,
     /// Midpoint priority `Hᵢ = maxₘ (x̂ᵢ + ½T^c_{i,m})` per task.
     pub h: Vec<f64>,
-    /// Certified lower bound on the optimal Σ wₙCₙ of `Hare_Sched`.
-    pub lower_bound: f64,
     /// Mode used.
     pub mode: RelaxMode,
     /// Work counters (pivots/cuts) from the solve.
@@ -122,56 +121,40 @@ pub fn solve_traced(
     opts: &RelaxOptions,
     trace: Option<&SolveTrace>,
 ) -> RelaxSolution {
-    inst.validate().expect("invalid instance");
-    let (x_hat, mode, stats) = if inst.n_tasks() <= opts.lp_task_limit {
-        lp_mode(inst, opts, trace)
-    } else {
-        if let Some(tr) = trace {
-            tr.record("combinatorial", combinatorial_work(inst, opts), 0);
-        }
-        (
-            combinatorial_mode(inst, opts),
-            RelaxMode::Combinatorial,
-            SolveStats::default(),
-        )
-    };
-    let h = midpoints(inst, &x_hat);
-    RelaxSolution {
-        lower_bound: certified_lower_bound(inst),
-        x_hat,
-        h,
-        mode,
-        stats,
-    }
+    solve_budgeted(
+        inst,
+        opts,
+        &SolveBudget::UNLIMITED,
+        &CancelToken::new(),
+        trace,
+    )
+    .expect("an unlimited, uncancelled solve cannot abort")
 }
 
-/// Solve the relaxation under a [`SolveBudget`] and [`CancelToken`].
+/// Solve the relaxation under a [`SolveBudget`] and [`CancelToken`],
+/// recording per-phase work spans into `trace` (see [`solve_traced`]).
 ///
 /// `None` means the budget ran out (or cancellation / the deadline fired)
-/// before a solution existed. Unlike [`solve`], a budget-capped LP abort
-/// does **not** fall back to the dense solver — a budgeted caller wants
-/// bounded latency, and the degradation ladder in `hare-core` supplies the
-/// next-best plan instead. An unlimited budget delegates to [`solve`]
-/// verbatim, so its result is bit-for-bit identical to the unbudgeted path.
+/// before a solution existed; the spans of the rounds that did complete
+/// stay in `trace`, which shows where the budget ran out.
 ///
-/// Budget accounting, in simplex-pivot units against `budget.pivot_cap`:
-/// LP mode spends real pivots across the initial solve and every cut
-/// re-solve combined; combinatorial mode charges the flat, deterministic
-/// [`combinatorial_work`] cost up front.
+/// Budget accounting is in simplex-pivot units, and the budget decides
+/// the one branch of the LP cut loop that differs:
+///
+/// * **unlimited** (what [`solve`] runs): each LP solve gets a per-solve
+///   safety cap far above anything a healthy round needs; a solve that
+///   hits it (cycling, or a pathological cut sequence) is redone by the
+///   dense ground-truth solver and recorded as an `"lp_dense_fallback"`
+///   span;
+/// * **finite**: `budget.pivot_cap` is a *total* allowance across the
+///   initial solve and every cut re-solve — including the pivots of the
+///   simplex objects a cold loop rebuilt — with no dense fallback: a
+///   budgeted caller wants bounded latency, and the degradation ladder in
+///   `hare-core` supplies the next-best plan instead.
+///
+/// Combinatorial mode charges the flat, deterministic
+/// [`combinatorial_work`] cost against `budget.pivot_cap` up front.
 pub fn solve_budgeted(
-    inst: &Instance,
-    opts: &RelaxOptions,
-    budget: &SolveBudget,
-    cancel: &CancelToken,
-) -> Option<RelaxSolution> {
-    solve_budgeted_traced(inst, opts, budget, cancel, None)
-}
-
-/// [`solve_budgeted`] with per-phase work spans recorded into `trace`
-/// (see [`solve_traced`]). An aborted solve leaves the spans of the
-/// rounds that did complete — useful for diagnosing where a budget ran
-/// out.
-pub fn solve_budgeted_traced(
     inst: &Instance,
     opts: &RelaxOptions,
     budget: &SolveBudget,
@@ -181,18 +164,16 @@ pub fn solve_budgeted_traced(
     if cancel.is_cancelled() || budget.deadline_passed() {
         return None;
     }
-    if budget.is_unlimited() {
-        return Some(solve_traced(inst, opts, trace));
-    }
     inst.validate().expect("invalid instance");
     let (x_hat, mode, stats) = if inst.n_tasks() <= opts.lp_task_limit {
-        budgeted_lp_mode(inst, opts, budget, cancel, trace)?
+        lp_mode(inst, opts, budget, cancel, trace)?
     } else {
-        if combinatorial_work(inst, opts) > budget.pivot_cap {
+        let work = combinatorial_work(inst, opts);
+        if work > budget.pivot_cap {
             return None;
         }
         if let Some(tr) = trace {
-            tr.record("combinatorial", combinatorial_work(inst, opts), 0);
+            tr.record("combinatorial", work, 0);
         }
         (
             combinatorial_mode(inst, opts),
@@ -202,7 +183,6 @@ pub fn solve_budgeted_traced(
     };
     let h = midpoints(inst, &x_hat);
     Some(RelaxSolution {
-        lower_bound: certified_lower_bound(inst),
         x_hat,
         h,
         mode,
@@ -319,111 +299,17 @@ fn separate_cut(inst: &Instance, x_hat: &[f64]) -> Option<(Vec<(usize, f64)>, f6
     Some((terms, rhs))
 }
 
+/// Per-solve pivot cap of the cut loop under an unlimited budget: far
+/// above anything a healthy cut round needs, so it only trips on cycling
+/// or a pathological cut sequence — in which case the accumulated program
+/// is handed to the dense ground-truth solver and the revised simplex is
+/// rebuilt fresh.
+const SOLVE_PIVOT_CAP: u64 = 20_000;
+
+/// The Queyranne cut loop under `budget` (see [`solve_budgeted`]): solve
+/// the base program, then add the most violated cut and re-solve until
+/// separation finds none or `opts.max_cut_rounds` cuts were added.
 fn lp_mode(
-    inst: &Instance,
-    opts: &RelaxOptions,
-    trace: Option<&SolveTrace>,
-) -> (Vec<f64>, RelaxMode, SolveStats) {
-    let t = inst.n_tasks();
-    let mut lp = base_program(inst);
-
-    // One span per LP solve: work = pivots spent on the round (productive
-    // or discarded), phase marks whether the dense fallback fired.
-    let record_round = |stats: &SolveStats, before: (u64, usize), cut: usize| {
-        if let Some(tr) = trace {
-            let spent = stats.revised_pivots + stats.discarded_pivots - before.0;
-            let phase = if stats.dense_fallbacks > before.1 {
-                "lp_dense_fallback"
-            } else {
-                "lp_round"
-            };
-            tr.record(phase, spent, cut as u64);
-        }
-    };
-    let snapshot = |stats: &SolveStats| {
-        (
-            stats.revised_pivots + stats.discarded_pivots,
-            stats.dense_fallbacks,
-        )
-    };
-
-    // Per-solve pivot budget: far above anything a healthy cut round
-    // needs, so it only trips on cycling or a pathological cut sequence —
-    // in which case the accumulated program is handed to the dense
-    // ground-truth solver and the revised simplex is rebuilt fresh.
-    const PIVOT_BUDGET: u64 = 20_000;
-    fn solve_or_dense(
-        simplex: &mut RevisedSimplex,
-        lp: &LinearProgram,
-        stats: &mut SolveStats,
-        t: usize,
-    ) -> Vec<f64> {
-        let before = simplex.pivots();
-        let budget = before.saturating_add(PIVOT_BUDGET);
-        let outcome = match simplex.solve_capped(budget) {
-            Some(outcome) => {
-                stats.revised_pivots += simplex.pivots() - before;
-                outcome
-            }
-            None => {
-                // The aborted attempt's pivots were wasted — the dense
-                // solver redoes the round from scratch.
-                stats.discarded_pivots += simplex.pivots() - before;
-                stats.dense_fallbacks += 1;
-                *simplex = RevisedSimplex::new(lp);
-                lp.solve_dense()
-            }
-        };
-        match outcome {
-            LpOutcome::Optimal { x, .. } => x[..t].to_vec(),
-            other => panic!("relaxation LP must be solvable, got {other:?}"),
-        }
-    }
-
-    // One incremental simplex for the whole cut loop: with `warm_start` each
-    // added cut re-optimizes from the previous basis (the expensive Phase I
-    // runs once, on the initial program, and never again). Every cut is
-    // *also* recorded in `lp`, so the dense fallback always sees the full
-    // accumulated program.
-    let mut simplex = RevisedSimplex::new(&lp);
-    let mut stats = SolveStats {
-        lp_solves: 1,
-        ..SolveStats::default()
-    };
-    let mut before = snapshot(&stats);
-    let mut x_hat = solve_or_dense(&mut simplex, &lp, &mut stats, t);
-    record_round(&stats, before, 0);
-    let mut cuts = 0usize;
-
-    for _ in 0..opts.max_cut_rounds {
-        let Some((terms, rhs)) = separate_cut(inst, &x_hat) else {
-            break;
-        };
-        cuts += 1;
-        if opts.warm_start {
-            lp.constrain(terms.clone(), Cmp::Ge, rhs);
-            simplex.add_constraint(terms, Cmp::Ge, rhs);
-        } else {
-            // Cold re-solve: the discarded object's pivots were already
-            // attributed per solve above.
-            lp.constrain(terms, Cmp::Ge, rhs);
-            simplex = RevisedSimplex::new(&lp);
-        }
-        before = snapshot(&stats);
-        x_hat = solve_or_dense(&mut simplex, &lp, &mut stats, t);
-        record_round(&stats, before, cuts);
-        stats.lp_solves += 1;
-    }
-
-    stats.cuts = cuts;
-    (x_hat, RelaxMode::Lp { cuts }, stats)
-}
-
-/// LP mode under a finite budget: `budget.pivot_cap` is a *total* pivot
-/// allowance across the initial solve and every cut re-solve, with no
-/// dense fallback — exhausting it (or cancellation, or the deadline)
-/// aborts the whole solve with `None`.
-fn budgeted_lp_mode(
     inst: &Instance,
     opts: &RelaxOptions,
     budget: &SolveBudget,
@@ -431,52 +317,69 @@ fn budgeted_lp_mode(
     trace: Option<&SolveTrace>,
 ) -> Option<(Vec<f64>, RelaxMode, SolveStats)> {
     let t = inst.n_tasks();
+    let unlimited = budget.is_unlimited();
     let mut lp = base_program(inst);
-
-    let record_round = |stats: &SolveStats, before: u64, cut: usize| {
-        if let Some(tr) = trace {
-            tr.record("lp_round", stats.revised_pivots - before, cut as u64);
-        }
-    };
-
-    fn solve_once(
-        simplex: &mut RevisedSimplex,
-        stats: &mut SolveStats,
-        t: usize,
-        retired: u64,
-        budget: &SolveBudget,
-        cancel: &CancelToken,
-    ) -> Option<Vec<f64>> {
-        let before = simplex.pivots();
-        // `retired` pivots were spent on previously discarded simplex
-        // objects (cold mode rebuilds one per round); the remaining
-        // allowance is an absolute cap for the current object.
-        let cap = budget.pivot_cap.saturating_sub(retired);
-        let outcome = simplex.solve_under(cap, budget, cancel);
-        stats.revised_pivots += simplex.pivots() - before;
-        match outcome? {
-            LpOutcome::Optimal { x, .. } => Some(x[..t].to_vec()),
-            other => panic!("relaxation LP must be solvable, got {other:?}"),
-        }
-    }
-
+    // One incremental simplex for the whole cut loop: with `warm_start` each
+    // added cut re-optimizes from the previous basis (the expensive Phase I
+    // runs once, on the initial program, and never again). Every cut is
+    // *also* recorded in `lp`, so the dense fallback always sees the full
+    // accumulated program.
     let mut simplex = RevisedSimplex::new(&lp);
-    let mut stats = SolveStats {
-        lp_solves: 1,
-        ..SolveStats::default()
-    };
+    let mut stats = SolveStats::default();
+    // Pivots of the simplex objects the cold loop replaced, which a finite
+    // budget still counts.
     let mut retired: u64 = 0;
-    let mut before = stats.revised_pivots;
-    let mut x_hat = solve_once(&mut simplex, &mut stats, t, retired, budget, cancel)?;
-    record_round(&stats, before, 0);
     let mut cuts = 0usize;
-
-    for _ in 0..opts.max_cut_rounds {
+    let x_hat = loop {
+        let before = simplex.pivots();
+        let spent = stats.revised_pivots + stats.discarded_pivots;
+        let fallbacks = stats.dense_fallbacks;
+        // Both caps are absolute positions of this object's pivot counter.
+        let cap = if unlimited {
+            before.saturating_add(SOLVE_PIVOT_CAP)
+        } else {
+            budget.pivot_cap.saturating_sub(retired)
+        };
+        let outcome = match simplex.solve_under(cap, budget, cancel) {
+            Some(outcome) => {
+                stats.revised_pivots += simplex.pivots() - before;
+                outcome
+            }
+            // The aborted attempt's pivots were wasted — the dense solver
+            // redoes the round from scratch.
+            None if unlimited && !cancel.is_cancelled() => {
+                stats.discarded_pivots += simplex.pivots() - before;
+                stats.dense_fallbacks += 1;
+                simplex = RevisedSimplex::new(&lp);
+                lp.solve_dense()
+            }
+            None => return None,
+        };
+        let x_hat = match outcome {
+            LpOutcome::Optimal { x, .. } => x[..t].to_vec(),
+            other => panic!("relaxation LP must be solvable, got {other:?}"),
+        };
+        stats.lp_solves += 1;
+        // One span per LP solve: work = pivots spent on the round
+        // (productive or discarded), phase marks whether the dense
+        // fallback fired.
+        if let Some(tr) = trace {
+            let phase = if stats.dense_fallbacks > fallbacks {
+                "lp_dense_fallback"
+            } else {
+                "lp_round"
+            };
+            let work = stats.revised_pivots + stats.discarded_pivots - spent;
+            tr.record(phase, work, cuts as u64);
+        }
+        if cuts == opts.max_cut_rounds {
+            break x_hat;
+        }
         if cancel.is_cancelled() || budget.deadline_passed() {
             return None;
         }
         let Some((terms, rhs)) = separate_cut(inst, &x_hat) else {
-            break;
+            break x_hat;
         };
         cuts += 1;
         if opts.warm_start {
@@ -487,11 +390,7 @@ fn budgeted_lp_mode(
             retired = retired.saturating_add(simplex.pivots());
             simplex = RevisedSimplex::new(&lp);
         }
-        before = stats.revised_pivots;
-        x_hat = solve_once(&mut simplex, &mut stats, t, retired, budget, cancel)?;
-        record_round(&stats, before, cuts);
-        stats.lp_solves += 1;
-    }
+    };
 
     stats.cuts = cuts;
     Some((x_hat, RelaxMode::Lp { cuts }, stats))
@@ -593,19 +492,27 @@ fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
 ///    with identical completion times, and WSPT is optimal for
 ///    1|pmtn|ΣwC, so the WSPT value with job lengths Σᵢ pᵢ^min / M bounds
 ///    the optimum from below (releases relaxed to the common minimum).
+///
+/// One pass over the tasks, in index order, gathers both bounds' inputs.
 pub fn certified_lower_bound(inst: &Instance) -> f64 {
+    // Largest machine-minimum duration per (job, round), and fastest-
+    // machine work per job.
+    let mut round_max: Vec<Vec<f64>> = inst
+        .jobs
+        .iter()
+        .map(|job| vec![0.0; job.rounds as usize])
+        .collect();
+    let mut work = vec![0.0; inst.jobs.len()];
+    for (i, task) in inst.tasks.iter().enumerate() {
+        let slot = &mut round_max[task.job][task.round as usize];
+        *slot = slot.max(inst.ps_min(i));
+        work[task.job] += inst.p_min(i);
+    }
+
     // (1) critical path.
     let mut path_bound = 0.0;
-    for (j_idx, job) in inst.jobs.iter().enumerate() {
-        let mut c = job.release;
-        for r in 0..job.rounds {
-            let round_min = inst
-                .round_tasks(j_idx, r)
-                .into_iter()
-                .map(|i| inst.ps_min(i))
-                .fold(0.0, f64::max);
-            c += round_min;
-        }
+    for (job, rounds) in inst.jobs.iter().zip(&round_max) {
+        let c = rounds.iter().fold(job.release, |c, &round| c + round);
         path_bound += job.weight * c;
     }
 
@@ -615,17 +522,8 @@ pub fn certified_lower_bound(inst: &Instance) -> f64 {
     let mut lens: Vec<(f64, f64)> = inst
         .jobs
         .iter()
-        .enumerate()
-        .map(|(j_idx, job)| {
-            let work: f64 = inst
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.job == j_idx)
-                .map(|(i, _)| inst.p_min(i))
-                .sum();
-            (work / m, job.weight)
-        })
+        .zip(&work)
+        .map(|(job, &w)| (w / m, job.weight))
         .collect();
     // WSPT: descending weight/length.
     lens.sort_by(|a, b| (b.1 / b.0.max(1e-12)).total_cmp(&(a.1 / a.0.max(1e-12))));
@@ -808,9 +706,14 @@ mod tests {
             },
         ] {
             let plain = solve(&inst, &opts);
-            let budgeted =
-                solve_budgeted(&inst, &opts, &SolveBudget::UNLIMITED, &CancelToken::new())
-                    .expect("unlimited budget cannot abort");
+            let budgeted = solve_budgeted(
+                &inst,
+                &opts,
+                &SolveBudget::UNLIMITED,
+                &CancelToken::new(),
+                None,
+            )
+            .expect("unlimited budget cannot abort");
             assert_eq!(plain, budgeted);
         }
     }
@@ -825,7 +728,8 @@ mod tests {
                 &inst,
                 &opts,
                 &SolveBudget::capped(1, 0),
-                &CancelToken::new()
+                &CancelToken::new(),
+                None
             ),
             None
         );
@@ -837,7 +741,8 @@ mod tests {
                 &inst,
                 &opts,
                 &SolveBudget::capped(u64::MAX - 1, 0),
-                &cancelled
+                &cancelled,
+                None
             ),
             None
         );
@@ -854,11 +759,44 @@ mod tests {
             &opts,
             &SolveBudget::capped(1_000_000, 0),
             &CancelToken::new(),
+            None,
         )
         .expect("budget is plenty");
         // Same pivoting sequence — only the cap differs — so the solution
         // and work counters agree exactly.
         assert_eq!(plain, budgeted);
+    }
+
+    #[test]
+    fn unlimited_and_generous_budgets_record_identical_spans() {
+        // Contended unit tasks, so the cut loop runs several rounds.
+        let mut b = InstanceBuilder::new(1);
+        for _ in 0..8 {
+            let j = b.job(1.0, 0.0);
+            b.round(j, &[vec![1.0]]);
+        }
+        let inst = b.build();
+        for warm_start in [true, false] {
+            let opts = RelaxOptions {
+                warm_start,
+                ..RelaxOptions::default()
+            };
+            let (unlimited, finite) = (SolveTrace::new(), SolveTrace::new());
+            let plain = solve_traced(&inst, &opts, Some(&unlimited));
+            let budgeted = solve_budgeted(
+                &inst,
+                &opts,
+                &SolveBudget::capped(1_000_000, 0),
+                &CancelToken::new(),
+                Some(&finite),
+            )
+            .expect("budget is plenty");
+            assert_eq!(plain, budgeted, "warm_start {warm_start}");
+            assert!(plain.stats.cuts >= 1, "the cut loop must run");
+            let spans = unlimited.drain();
+            assert_eq!(spans.len(), plain.stats.lp_solves);
+            assert_eq!(spans, finite.drain(), "warm_start {warm_start}");
+        }
     }
 
     #[test]
@@ -876,11 +814,17 @@ mod tests {
         );
         let token = CancelToken::new();
         assert_eq!(
-            solve_budgeted(&inst, &opts, &SolveBudget::capped(work - 1, 0), &token),
+            solve_budgeted(
+                &inst,
+                &opts,
+                &SolveBudget::capped(work - 1, 0),
+                &token,
+                None
+            ),
             None,
             "under the charge: abort"
         );
-        let sol = solve_budgeted(&inst, &opts, &SolveBudget::capped(work, 0), &token)
+        let sol = solve_budgeted(&inst, &opts, &SolveBudget::capped(work, 0), &token, None)
             .expect("exactly the charge: runs");
         assert_eq!(sol.mode, RelaxMode::Combinatorial);
         assert_eq!(sol, solve(&inst, &opts));
@@ -906,7 +850,7 @@ mod tests {
         b.round(j2, &[vec![1.0, 4.0]]);
         let inst = b.build();
         let sol = solve(&inst, &RelaxOptions::default());
-        assert!(sol.lower_bound > 0.0);
+        assert!(certified_lower_bound(&inst) > 0.0);
         assert_eq!(sol.x_hat.len(), inst.n_tasks());
         assert_eq!(sol.h.len(), inst.n_tasks());
     }

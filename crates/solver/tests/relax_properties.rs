@@ -1,5 +1,6 @@
 //! Property tests on the relaxation solver: structural feasibility of x̂,
-//! lower-bound validity against greedy feasible schedules, and mode
+//! lower-bound validity against greedy feasible schedules, the one-pass
+//! lower bound against the rescanning formula it replaced, and mode
 //! agreement on shared invariants.
 
 use hare_solver::{certified_lower_bound, relax, Instance, JobMeta, RelaxOptions, TaskMeta};
@@ -72,6 +73,52 @@ fn greedy_feasible_objective(inst: &Instance) -> f64 {
         .sum()
 }
 
+/// The certified lower bound as it was computed before becoming one pass:
+/// every round and every job rescans all tasks. Kept as the bit-exact
+/// reference for [`certified_lower_bound`].
+fn rescanning_lower_bound(inst: &Instance) -> f64 {
+    let mut path_bound = 0.0;
+    for (j_idx, job) in inst.jobs.iter().enumerate() {
+        let mut c = job.release;
+        for r in 0..job.rounds {
+            let round_min = inst
+                .round_tasks(j_idx, r)
+                .into_iter()
+                .map(|i| inst.ps_min(i))
+                .fold(0.0, f64::max);
+            c += round_min;
+        }
+        path_bound += job.weight * c;
+    }
+
+    let m = inst.n_machines as f64;
+    let min_release = inst.jobs.iter().map(|j| j.release).fold(f64::MAX, f64::min);
+    let mut lens: Vec<(f64, f64)> = inst
+        .jobs
+        .iter()
+        .enumerate()
+        .map(|(j_idx, job)| {
+            let work: f64 = inst
+                .tasks
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.job == j_idx)
+                .map(|(i, _)| inst.p_min(i))
+                .sum();
+            (work / m, job.weight)
+        })
+        .collect();
+    lens.sort_by(|a, b| (b.1 / b.0.max(1e-12)).total_cmp(&(a.1 / a.0.max(1e-12))));
+    let mut clock = min_release.max(0.0);
+    let mut wspt = 0.0;
+    for (len, w) in lens {
+        clock += len;
+        wspt += w * clock;
+    }
+
+    path_bound.max(wspt)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -111,6 +158,20 @@ proptest! {
         let feasible = greedy_feasible_objective(&inst);
         prop_assert!(lb <= feasible + 1e-6, "LB {} above a feasible value {}", lb, feasible);
         prop_assert!(lb > 0.0);
+    }
+
+    #[test]
+    fn one_pass_lower_bound_matches_the_rescanning_formula(inst in instances()) {
+        // Tasks may come in any order; reversing them reorders every
+        // per-job sum, which both formulas take in task-index order.
+        let mut reversed = inst.clone();
+        reversed.tasks.reverse();
+        for inst in [inst, reversed] {
+            prop_assert_eq!(
+                certified_lower_bound(&inst).to_bits(),
+                rescanning_lower_bound(&inst).to_bits()
+            );
+        }
     }
 
     #[test]
