@@ -216,7 +216,7 @@ impl HareOnline {
             .map(|task| {
                 let g = global_job[task.job];
                 let global_round = view.synced_rounds[g] + task.round;
-                view.workload.round_range(g, global_round).start + task.slot as usize
+                p.round_range(g, global_round).start + task.slot as usize
             })
             .collect();
 

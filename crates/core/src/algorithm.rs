@@ -19,7 +19,7 @@
 
 use crate::problem::{GpuIdx, SchedProblem, TaskIdx};
 use crate::schedule::Schedule;
-use hare_cluster::SimTime;
+use hare_cluster::{SimDuration, SimTime};
 use hare_solver::relax::{self, RelaxOptions};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -194,14 +194,15 @@ pub(crate) fn list_schedule(
         }
     }
     let mut ready: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-    for (j, _) in p.jobs.iter().enumerate() {
-        for &i in &p.round_tasks(j, 0) {
+    for j in 0..p.jobs.len() {
+        for i in p.round_range(j, 0) {
             ready.push(Reverse(Key(priority[i], i)));
         }
     }
 
     while let Some(Reverse(Key(_, i))) = ready.pop() {
         let job = p.tasks[i].job;
+        let train = &p.jobs[job].train;
         let t_i = frontier[job]; // lines 7–11
 
         // Line 12: GPU choice.
@@ -209,16 +210,14 @@ pub(crate) fn list_schedule(
             AssignmentRule::EarliestAvailable => (0..p.n_gpus)
                 .min_by_key(|&m| (phi[m], m))
                 .expect("at least one GPU"),
-            AssignmentRule::EarliestFinish => (0..p.n_gpus)
-                .min_by_key(|&m| (phi[m].max(t_i) + p.train(i, m), m))
-                .expect("at least one GPU"),
+            AssignmentRule::EarliestFinish => earliest_finish(&phi, t_i, train),
         };
 
         // Lines 13–16.
         let start = t_i.max(phi[m]);
         schedule.start[i] = start;
         schedule.gpu[i] = m;
-        phi[m] = start + p.train(i, m); // sync overlaps the next task
+        phi[m] = start + train[m]; // sync overlaps the next task
         pi.push(i);
 
         // Round bookkeeping: when the round finishes scheduling, release
@@ -227,8 +226,7 @@ pub(crate) fn list_schedule(
         if remaining[job] == 0 {
             let r = current_round[job];
             let done = p
-                .round_tasks(job, r)
-                .into_iter()
+                .round_range(job, r)
                 .map(|k| schedule.task_completion(p, k))
                 .max()
                 .expect("every round has at least one task");
@@ -236,7 +234,7 @@ pub(crate) fn list_schedule(
             if r + 1 < p.jobs[job].rounds {
                 current_round[job] = r + 1;
                 remaining[job] = p.jobs[job].sync_scale;
-                for &k in &p.round_tasks(job, r + 1) {
+                for k in p.round_range(job, r + 1) {
                     ready.push(Reverse(Key(priority[k], k)));
                 }
             }
@@ -245,6 +243,22 @@ pub(crate) fn list_schedule(
 
     debug_assert_eq!(pi.len(), n, "all tasks scheduled");
     (schedule, pi)
+}
+
+/// The earliest-finish GPU choice: the first `m` minimising
+/// `max(φₘ, ready) + train[m]`, in one pass over the GPUs.
+fn earliest_finish(phi: &[SimTime], ready: SimTime, train: &[SimDuration]) -> GpuIdx {
+    assert_eq!(phi.len(), train.len(), "one availability per GPU");
+    let mut best = 0;
+    let mut best_finish = SimTime::MAX;
+    for (m, (&free, &t)) in phi.iter().zip(train).enumerate() {
+        let finish = free.max(ready) + t;
+        if finish < best_finish {
+            best = m;
+            best_finish = finish;
+        }
+    }
+    best
 }
 
 /// Run Algorithm 1 with default options (the paper's configuration).
@@ -269,13 +283,12 @@ pub fn relaxed_round_assign(
     phi: &mut [SimTime],
 ) -> Vec<(SimTime, GpuIdx)> {
     let k = p.jobs[job].sync_scale as usize;
+    let train = &p.jobs[job].train;
     let mut out = Vec::with_capacity(k);
     for _ in 0..k {
-        let m = (0..phi.len())
-            .min_by_key(|&m| (phi[m].max(ready) + p.jobs[job].train[m], m))
-            .expect("problems have at least one GPU");
+        let m = earliest_finish(phi, ready, train);
         let start = phi[m].max(ready);
-        phi[m] = start + p.jobs[job].train[m];
+        phi[m] = start + train[m];
         out.push((start, m));
     }
     out

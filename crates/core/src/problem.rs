@@ -9,8 +9,9 @@
 //! *job* here and every task of a job shares them.
 
 use hare_cluster::{SimDuration, SimTime};
-use hare_solver::{Instance, JobMeta, ProblemError, TaskMeta};
+use hare_solver::{Instance, JobMeta, ProblemError, Row, TaskMeta};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Index of a GPU in the problem (dense, matches `Cluster` GPU ids).
 pub type GpuIdx = usize;
@@ -56,6 +57,9 @@ pub struct SchedProblem {
     pub jobs: Vec<JobInfo>,
     /// All tasks `D`, grouped job-major then round-major (dense).
     pub tasks: Vec<TaskInfo>,
+    /// Index of each job's first task, so [`SchedProblem::round_range`] is
+    /// O(1). Derived from `jobs` in [`SchedProblem::new`].
+    first_task: Vec<TaskIdx>,
 }
 
 impl SchedProblem {
@@ -63,9 +67,11 @@ impl SchedProblem {
     pub fn new(n_gpus: usize, jobs: Vec<JobInfo>) -> Self {
         assert!(n_gpus > 0, "no GPUs");
         let mut tasks = Vec::new();
+        let mut first_task = Vec::with_capacity(jobs.len());
         for (j, job) in jobs.iter().enumerate() {
             assert_eq!(job.train.len(), n_gpus, "job {j}: train vector length");
             assert_eq!(job.sync.len(), n_gpus, "job {j}: sync vector length");
+            first_task.push(tasks.len());
             for r in 0..job.rounds {
                 for k in 0..job.sync_scale {
                     tasks.push(TaskInfo {
@@ -80,6 +86,7 @@ impl SchedProblem {
             n_gpus,
             jobs,
             tasks,
+            first_task,
         };
         p.validate().expect("invalid problem");
         p
@@ -124,11 +131,17 @@ impl SchedProblem {
                 );
             }
         }
-        let expected: usize = self
-            .jobs
-            .iter()
-            .map(|j| (j.rounds * j.sync_scale) as usize)
-            .sum();
+        // `tasks` and the first-task table are expanded from `jobs` in
+        // `new`; a job edited since then leaves them stale.
+        let mut expected = 0usize;
+        for (j, job) in self.jobs.iter().enumerate() {
+            if self.first_task.get(j) != Some(&expected) {
+                return Err(ProblemError::Inconsistent(format!(
+                    "job {j}: first task is not at expanded index {expected}"
+                )));
+            }
+            expected += (job.rounds * job.sync_scale) as usize;
+        }
         if self.tasks.len() != expected {
             return Err(ProblemError::Inconsistent(format!(
                 "task count {} != expanded {}",
@@ -159,19 +172,18 @@ impl SchedProblem {
         self.jobs[self.tasks[i].job].arrival
     }
 
+    /// Task-index range of one (job, round), in slot order. O(1): tasks
+    /// are dense and job/round-major, so the range starts `round` rounds
+    /// past the job's first task.
+    pub fn round_range(&self, job: JobIdx, round: u32) -> Range<TaskIdx> {
+        let scale = self.jobs[job].sync_scale as usize;
+        let start = self.first_task[job] + round as usize * scale;
+        start..start + scale
+    }
+
     /// Task indices of one (job, round), in slot order.
     pub fn round_tasks(&self, job: JobIdx, round: u32) -> Vec<TaskIdx> {
-        // Tasks are dense and job/round-major: compute the base offset.
-        let mut base = 0usize;
-        for (j, info) in self.jobs.iter().enumerate() {
-            if j == job {
-                base += (round * info.sync_scale) as usize;
-                let scale = info.sync_scale as usize;
-                return (base..base + scale).collect();
-            }
-            base += (info.rounds * info.sync_scale) as usize;
-        }
-        panic!("job {job} out of range");
+        self.round_range(job, round).collect()
     }
 
     /// The heterogeneity factor α (Lemma 3):
@@ -195,8 +207,10 @@ impl SchedProblem {
         alpha
     }
 
-    /// Convert to the solver's float instance (seconds).
+    /// Convert to the solver's float instance (seconds), with one time row
+    /// per job shared by all of its tasks.
     pub fn to_instance(&self) -> Instance {
+        let secs = |v: &[SimDuration]| v.iter().map(|d| d.as_secs_f64()).collect();
         Instance {
             n_machines: self.n_gpus,
             jobs: self
@@ -208,17 +222,18 @@ impl SchedProblem {
                     rounds: j.rounds,
                 })
                 .collect(),
+            rows: self
+                .jobs
+                .iter()
+                .map(|j| Row::new(secs(&j.train), secs(&j.sync)))
+                .collect(),
             tasks: self
                 .tasks
                 .iter()
-                .map(|t| {
-                    let job = &self.jobs[t.job];
-                    TaskMeta {
-                        job: t.job,
-                        round: t.round,
-                        p: job.train.iter().map(|d| d.as_secs_f64()).collect(),
-                        s: job.sync.iter().map(|d| d.as_secs_f64()).collect(),
-                    }
+                .map(|t| TaskMeta {
+                    job: t.job,
+                    round: t.round,
+                    row: t.job,
                 })
                 .collect(),
         }
@@ -292,7 +307,33 @@ mod tests {
         assert_eq!(inst.n_tasks(), p.n_tasks());
         assert_eq!(inst.jobs.len(), p.jobs.len());
         assert!((inst.alpha() - p.alpha()).abs() < 1e-9);
-        assert!((inst.tasks[0].p[0] - 1.0).abs() < 1e-12);
+        assert!((inst.row(0).p()[0] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn to_instance_stores_one_row_per_job() {
+        let mut jobs = SchedProblem::fig1().jobs;
+        jobs[1].sync = vec![SimDuration::from_millis(250); 3];
+        let p = SchedProblem::new(3, jobs);
+        let inst = p.to_instance();
+        assert_eq!(inst.rows.len(), p.jobs.len());
+        for (j, job) in p.jobs.iter().enumerate() {
+            let secs = |v: &[SimDuration]| v.iter().map(|d| d.as_secs_f64()).collect::<Vec<_>>();
+            assert_eq!(inst.rows[j].p(), secs(&job.train), "job {j}");
+            assert_eq!(inst.rows[j].s(), secs(&job.sync), "job {j}");
+        }
+        for (i, task) in p.tasks.iter().enumerate() {
+            assert_eq!(inst.tasks[i].row, task.job, "task {i}");
+        }
+    }
+
+    #[test]
+    fn edited_round_counts_are_rejected() {
+        // Same task total, but job 1's tasks no longer start at index 2.
+        let mut p = SchedProblem::fig1();
+        p.jobs[0].rounds = 2;
+        p.jobs[1].rounds = 1;
+        assert!(matches!(p.validate(), Err(ProblemError::Inconsistent(_))));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! quantities the evaluation reports (weighted JCT, makespan, per-GPU busy
 //! time and utilization).
 
-use crate::problem::{GpuIdx, JobIdx, SchedProblem, TaskIdx};
+use crate::problem::{GpuIdx, SchedProblem, TaskIdx};
 use crate::sync::SyncMode;
 use hare_cluster::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -41,33 +41,35 @@ impl Schedule {
         self.start[i] + p.train(i, self.gpu[i])
     }
 
-    /// Completion time `C_n` of a job: the latest task completion.
-    pub fn job_completion(&self, p: &SchedProblem, job: JobIdx) -> SimTime {
-        p.tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.job == job)
-            .map(|(i, _)| self.task_completion(p, i))
-            .max()
-            .expect("job has tasks")
+    /// Completion time `C_n` of every job (the latest completion of its
+    /// tasks), in one pass over the tasks.
+    pub fn job_completions(&self, p: &SchedProblem) -> Vec<SimTime> {
+        let mut done: Vec<Option<SimTime>> = vec![None; p.jobs.len()];
+        for (i, task) in p.tasks.iter().enumerate() {
+            let c = self.task_completion(p, i);
+            let slot = &mut done[task.job];
+            *slot = Some(slot.map_or(c, |d| d.max(c)));
+        }
+        done.into_iter()
+            .map(|c| c.expect("job has tasks"))
+            .collect()
     }
 
     /// The objective: Σ wₙ Cₙ in seconds.
     pub fn weighted_completion(&self, p: &SchedProblem) -> f64 {
         p.jobs
             .iter()
-            .enumerate()
-            .map(|(n, job)| job.weight * self.job_completion(p, n).as_secs_f64())
+            .zip(self.job_completions(p))
+            .map(|(job, c)| job.weight * c.as_secs_f64())
             .sum()
     }
 
     /// Per-job JCT (completion − arrival), the quantity Fig. 13's CDF plots.
     pub fn jcts(&self, p: &SchedProblem) -> Vec<SimDuration> {
-        (0..p.jobs.len())
-            .map(|n| {
-                self.job_completion(p, n)
-                    .saturating_since(p.jobs[n].arrival)
-            })
+        p.jobs
+            .iter()
+            .zip(self.job_completions(p))
+            .map(|(job, c)| c.saturating_since(job.arrival))
             .collect()
     }
 
@@ -82,8 +84,8 @@ impl Schedule {
 
     /// Latest completion over all jobs.
     pub fn makespan(&self, p: &SchedProblem) -> SimTime {
-        (0..p.jobs.len())
-            .map(|n| self.job_completion(p, n))
+        self.job_completions(p)
+            .into_iter()
             .max()
             .expect("non-empty problem")
     }
@@ -150,12 +152,11 @@ impl Schedule {
         for (j, job) in p.jobs.iter().enumerate() {
             for r in 1..job.rounds {
                 let prev_done = p
-                    .round_tasks(j, r - 1)
-                    .into_iter()
+                    .round_range(j, r - 1)
                     .map(|i| self.task_completion(p, i))
                     .max()
                     .expect("every round has at least one task");
-                for i in p.round_tasks(j, r) {
+                for i in p.round_range(j, r) {
                     if self.start[i] < prev_done {
                         return Err(format!(
                             "task {i} (job {j} round {r}): starts {} before round {} completes {}",
@@ -185,10 +186,10 @@ impl Schedule {
         if mode == SyncMode::Strict {
             for (j, job) in p.jobs.iter().enumerate() {
                 for r in 0..job.rounds {
-                    let tasks = p.round_tasks(j, r);
-                    let first = self.start[tasks[0]];
+                    let tasks = p.round_range(j, r);
+                    let first = self.start[tasks.start];
                     let mut gpus: Vec<GpuIdx> = Vec::with_capacity(tasks.len());
-                    for &i in &tasks {
+                    for i in tasks {
                         if self.start[i] != first {
                             return Err(format!("job {j} round {r}: strict gang start mismatch"));
                         }
@@ -249,9 +250,10 @@ mod tests {
     #[test]
     fn metrics_compute() {
         let (p, s) = fig1_optimal();
-        assert!((s.job_completion(&p, 0).as_secs_f64() - 1.5).abs() < 1e-9);
-        assert!((s.job_completion(&p, 1).as_secs_f64() - 4.0).abs() < 1e-9);
-        assert!((s.job_completion(&p, 2).as_secs_f64() - 3.0).abs() < 1e-9);
+        let done = s.job_completions(&p);
+        assert!((done[0].as_secs_f64() - 1.5).abs() < 1e-9);
+        assert!((done[1].as_secs_f64() - 4.0).abs() < 1e-9);
+        assert!((done[2].as_secs_f64() - 3.0).abs() < 1e-9);
         assert!((s.weighted_completion(&p) - 8.5).abs() < 1e-9);
         assert_eq!(s.makespan(&p).as_secs_f64(), 4.0);
         let busy = s.busy_time(&p);
@@ -317,7 +319,8 @@ mod tests {
             gpu: vec![0, 0],
         };
         assert!(s.validate(&p, SyncMode::Relaxed).is_ok());
-        assert!((s.job_completion(&p, 0).as_secs_f64() - 3.0).abs() < 1e-9);
-        assert!((s.job_completion(&p, 1).as_secs_f64() - 4.5).abs() < 1e-9);
+        let done = s.job_completions(&p);
+        assert!((done[0].as_secs_f64() - 3.0).abs() < 1e-9);
+        assert!((done[1].as_secs_f64() - 4.5).abs() < 1e-9);
     }
 }

@@ -11,8 +11,6 @@ use hare_cluster::{Cluster, SimDuration};
 use hare_core::{JobInfo, SchedProblem};
 use hare_workload::{JobSpec, ModelKind, ProfileDb};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
-use std::sync::OnceLock;
 
 /// A scheduling problem plus everything needed to *execute* it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -23,12 +21,6 @@ pub struct SimWorkload {
     pub problem: SchedProblem,
     /// Original job specs, index-aligned with `problem.jobs`.
     pub specs: Vec<JobSpec>,
-    /// Lazily-computed first-task index of each job (tasks are dense and
-    /// job-major), so [`SimWorkload::round_range`] is O(1) where
-    /// [`SchedProblem::round_tasks`] rescans every job. Excluded from
-    /// serialization — it is derived state, rebuilt on first use.
-    #[serde(skip)]
-    job_base: OnceLock<Vec<usize>>,
 }
 
 impl SimWorkload {
@@ -71,30 +63,7 @@ impl SimWorkload {
             cluster,
             problem,
             specs,
-            job_base: OnceLock::new(),
         }
-    }
-
-    /// First-task index of every job, computed once.
-    fn job_bases(&self) -> &[usize] {
-        self.job_base.get_or_init(|| {
-            let mut bases = Vec::with_capacity(self.problem.jobs.len());
-            let mut base = 0usize;
-            for j in &self.problem.jobs {
-                bases.push(base);
-                base += (j.rounds * j.sync_scale) as usize;
-            }
-            bases
-        })
-    }
-
-    /// Task-index range of one `(job, round)`, in slot order — the O(1)
-    /// equivalent of [`SchedProblem::round_tasks`], which the engine and
-    /// online scheduler call on every sync completion.
-    pub fn round_range(&self, job: usize, round: u32) -> Range<usize> {
-        let info = &self.problem.jobs[job];
-        let start = self.job_bases()[job] + (round * info.sync_scale) as usize;
-        start..start + info.sync_scale as usize
     }
 
     /// Model trained by a job.
@@ -206,13 +175,18 @@ mod tests {
 
     #[test]
     fn round_range_matches_round_tasks() {
+        // Checked against a filter of the task list, not against
+        // `round_tasks`, which is built from `round_range`.
         let w = workload();
-        for (job, info) in w.problem.jobs.iter().enumerate() {
+        let p = &w.problem;
+        for (job, info) in p.jobs.iter().enumerate() {
             for round in [0, info.rounds / 2, info.rounds - 1] {
-                let range = w.round_range(job, round);
+                let filtered: Vec<usize> = (0..p.n_tasks())
+                    .filter(|&i| p.tasks[i].job == job && p.tasks[i].round == round)
+                    .collect();
                 assert_eq!(
-                    range.collect::<Vec<_>>(),
-                    w.problem.round_tasks(job, round),
+                    p.round_range(job, round).collect::<Vec<_>>(),
+                    filtered,
                     "job {job} round {round}"
                 );
             }

@@ -415,7 +415,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 if let Some(ts) = &self.cfg.trace {
                     ts.instant(SimInstant::JobArrival { job }, None, self.now);
                 }
-                for i in w.round_range(job, 0) {
+                for i in w.problem.round_range(job, 0) {
                     debug_assert_eq!(self.task_state[i], TaskState::Pending);
                     self.task_state[i] = TaskState::Ready;
                     self.ready.insert(i);
@@ -647,7 +647,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                     }
                     self.store.evict_job(job);
                 } else {
-                    for i in w.round_range(job, round + 1) {
+                    for i in w.problem.round_range(job, round + 1) {
                         debug_assert_eq!(self.task_state[i], TaskState::Pending);
                         self.task_state[i] = TaskState::Ready;
                         self.ready.insert(i);
@@ -696,7 +696,7 @@ impl<'a, 'b> Engine<'a, 'b> {
         }
         let w = self.cfg.workload;
         let round = self.ps[job].current_round();
-        for task in w.round_range(job, round) {
+        for task in w.problem.round_range(job, round) {
             if self.task_state[task] != TaskState::Running
                 || self.speculated[task]
                 || self.running_copies[task] != 1
@@ -920,9 +920,7 @@ impl<'a, 'b> Engine<'a, 'b> {
 /// "simulator" column of the paper's Fig.-12 accuracy comparison.
 pub fn planned_report(workload: &SimWorkload, schedule: &Schedule, name: &str) -> SimReport {
     let p = &workload.problem;
-    let completion: Vec<SimTime> = (0..p.jobs.len())
-        .map(|n| schedule.job_completion(p, n))
-        .collect();
+    let completion = schedule.job_completions(p);
     let stats = crate::metrics::completion_stats(&completion, &p.jobs);
     let busy = schedule.busy_time(p);
     SimReport {

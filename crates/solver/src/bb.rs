@@ -17,11 +17,12 @@
 //! lock-free `fetch_min`). Two symmetry rules shrink the tree:
 //!
 //! * **identical machines** — machines whose processing/sync columns agree
-//!   on every task are interchangeable whenever their availability is also
-//!   equal, so only the lowest-indexed representative is branched;
-//! * **identical tasks** — tasks of the same job and round with identical
-//!   `p`/`s` vectors are interchangeable, so they are forced into index
-//!   order.
+//!   on every time row are interchangeable whenever their availability is
+//!   also equal, so only the lowest-indexed representative is branched;
+//! * **identical tasks** — tasks of the same job and round that share a
+//!   time row are interchangeable, so they are forced into index order.
+//!   [`crate::InstanceBuilder`] interns equal rows, so tasks with equal
+//!   `p`/`s` vectors share one.
 //!
 //! The result is deterministic regardless of thread count: the shared
 //! bound only prunes subtrees *strictly* worse than an incumbent (with
@@ -205,10 +206,10 @@ struct BranchResult {
 /// Precomputed symmetry structure of an instance.
 struct Symmetry {
     /// For each machine, the smallest machine index with identical `p`/`s`
-    /// columns across every task (its symmetry-class representative).
+    /// columns across every row (its symmetry-class representative).
     machine_class: Vec<usize>,
     /// For each task, the lower-indexed tasks of the same job and round
-    /// with identical `p`/`s` vectors (its interchangeable twins).
+    /// on the same row (its interchangeable twins).
     ident_pred: Vec<Vec<usize>>,
 }
 
@@ -219,9 +220,9 @@ impl Symmetry {
             .map(|a| {
                 (0..a)
                     .find(|&b| {
-                        inst.tasks
+                        inst.rows
                             .iter()
-                            .all(|t| t.p[a] == t.p[b] && t.s[a] == t.s[b])
+                            .all(|r| r.p()[a] == r.p()[b] && r.s()[a] == r.s()[b])
                     })
                     .unwrap_or(a)
             })
@@ -234,7 +235,7 @@ impl Symmetry {
                 (0..i)
                     .filter(|&k| {
                         let tk = &inst.tasks[k];
-                        tk.job == ti.job && tk.round == ti.round && tk.p == ti.p && tk.s == ti.s
+                        tk.job == ti.job && tk.round == ti.round && tk.row == ti.row
                     })
                     .collect()
             })
@@ -355,8 +356,8 @@ impl<'a> Search<'a> {
 
     fn place(&mut self, i: usize, m: usize, ready: f64) -> (f64, f64) {
         let start = self.machine_avail[m].max(ready);
-        let p = self.inst.tasks[i].p[m];
-        let s = self.inst.tasks[i].s[m];
+        let row = self.inst.row(i);
+        let (p, s) = (row.p()[m], row.s()[m]);
         let saved_avail = self.machine_avail[m];
         self.start[i] = start;
         self.machine[i] = m;
@@ -443,8 +444,8 @@ impl<'a> Search<'a> {
                 if !self.scheduled[k] {
                     return None;
                 }
-                let m = self.machine[k];
-                ready = ready.max(self.start[k] + other.p[m] + other.s[m]);
+                let (m, row) = (self.machine[k], self.inst.row(k));
+                ready = ready.max(self.start[k] + row.p()[m] + row.s()[m]);
             }
         }
         Some(ready)
@@ -456,8 +457,8 @@ impl<'a> Search<'a> {
             let mut c = job.release;
             for (k, task) in self.inst.tasks.iter().enumerate() {
                 if task.job == j {
-                    let m = self.machine[k];
-                    c = c.max(self.start[k] + task.p[m] + task.s[m]);
+                    let (m, row) = (self.machine[k], self.inst.row(k));
+                    c = c.max(self.start[k] + row.p()[m] + row.s()[m]);
                 }
             }
             obj += job.weight * c;
@@ -484,8 +485,8 @@ impl<'a> Search<'a> {
                 for (k, task) in self.inst.tasks.iter().enumerate() {
                     if task.job == j && task.round == r {
                         if self.scheduled[k] {
-                            let m = self.machine[k];
-                            done = done.max(self.start[k] + task.p[m] + task.s[m]);
+                            let (m, row) = (self.machine[k], self.inst.row(k));
+                            done = done.max(self.start[k] + row.p()[m] + row.s()[m]);
                         } else {
                             rem = rem.max(self.inst.ps_min(k));
                         }
@@ -728,6 +729,29 @@ mod tests {
             sol.objective
         );
         assert!((sol.objective - 24.5).abs() < 1e-9, "got {}", sol.objective);
+    }
+
+    #[test]
+    fn symmetry_breaking_node_counts_are_pinned() {
+        // A generous finite budget runs one inline stripe, so node counts
+        // are deterministic. Weaker symmetry breaking explores more.
+        let nodes = |inst: &Instance| {
+            let budget = SolveBudget::capped(u64::MAX - 1, u64::MAX - 1);
+            solve_exact_budgeted(inst, &budget, &CancelToken::new(), None)
+                .expect("cap is plenty")
+                .nodes
+        };
+        assert_eq!(nodes(&fig1_instance()), 716_404);
+        // solver_report's symmetric instance: 2 jobs × 7 one-task rounds
+        // on two identical machines.
+        let mut b = InstanceBuilder::new(2);
+        let j1 = b.job(2.0, 0.0);
+        let j2 = b.job(1.0, 0.0);
+        for _ in 0..7 {
+            b.round(j1, &[vec![1.0, 1.0]]);
+            b.round(j2, &[vec![1.5, 1.5]]);
+        }
+        assert_eq!(nodes(&b.build()), 490);
     }
 
     #[test]

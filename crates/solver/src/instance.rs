@@ -5,6 +5,13 @@
 //! synchronized rounds; tasks with per-machine training times `T^c` and
 //! synchronization times `T^s`. `hare-core` converts its typed problem into
 //! this form before calling the relaxation or the exact solver.
+//!
+//! The paper drops the round subscript from `T^c`/`T^s` (Fig. 11), so all
+//! tasks of a job share one time row. An [`Instance`] stores each distinct
+//! row once, as a [`Row`] that also caches its machine reductions
+//! (`p_min`, `p_max`, `ps_min`), and each task points at its row: memory
+//! scales with rows × machines, and the solvers read a task's reductions
+//! in O(1) instead of folding its row on every use.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,17 +70,73 @@ pub struct JobMeta {
     pub rounds: u32,
 }
 
+/// One per-machine time row: training times `T^c_{i,m}` and
+/// synchronization times `T^s_{i,m}`, shared by every task that points at
+/// it. Its machine reductions, read through [`Instance::p_min`],
+/// [`Instance::p_max`] and [`Instance::ps_min`], are computed once, in
+/// [`Row::new`]; the fields are private so they cannot go stale.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Row {
+    p: Vec<f64>,
+    s: Vec<f64>,
+    p_min: f64,
+    p_max: f64,
+    ps_min: f64,
+}
+
+impl Row {
+    /// A row from training times `p` and sync times `s` (one entry per
+    /// machine each).
+    pub fn new(p: Vec<f64>, s: Vec<f64>) -> Row {
+        let p_min = p.iter().cloned().fold(f64::MAX, f64::min);
+        let p_max = p.iter().cloned().fold(f64::MIN, f64::max);
+        let ps_min = p
+            .iter()
+            .zip(&s)
+            .map(|(&p, &s)| p + s)
+            .fold(f64::MAX, f64::min);
+        Row {
+            p,
+            s,
+            p_min,
+            p_max,
+            ps_min,
+        }
+    }
+
+    /// Training time on each machine (`T^c_{i,m}`).
+    pub fn p(&self) -> &[f64] {
+        &self.p
+    }
+
+    /// Synchronization time on each machine (`T^s_{i,m}`).
+    pub fn s(&self) -> &[f64] {
+        &self.s
+    }
+
+    /// What makes this row unusable on `n_machines` machines, if anything.
+    fn defect(&self, n_machines: usize) -> Option<&'static str> {
+        if self.p.len() != n_machines || self.s.len() != n_machines {
+            Some("wrong machine-vector length")
+        } else if self.p.iter().any(|&v| !(v > 0.0 && v.is_finite())) {
+            Some("non-positive training time")
+        } else if self.s.iter().any(|&v| !(v >= 0.0 && v.is_finite())) {
+            Some("negative sync time")
+        } else {
+            None
+        }
+    }
+}
+
 /// Per-task metadata.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaskMeta {
     /// Owning job (index into [`Instance::jobs`]).
     pub job: usize,
     /// Round within the job, `0..jobs[job].rounds`.
     pub round: u32,
-    /// Training time on each machine (`T^c_{i,m}`), length = machine count.
-    pub p: Vec<f64>,
-    /// Synchronization time on each machine (`T^s_{i,m}`).
-    pub s: Vec<f64>,
+    /// The task's time row (index into [`Instance::rows`]).
+    pub row: usize,
 }
 
 /// A task-level scheduling instance over unrelated machines.
@@ -83,6 +146,8 @@ pub struct Instance {
     pub n_machines: usize,
     /// Jobs.
     pub jobs: Vec<JobMeta>,
+    /// Distinct time rows; every row is used by at least one task.
+    pub rows: Vec<Row>,
     /// Tasks, any order; rounds are linked via (`job`, `round`).
     pub tasks: Vec<TaskMeta>,
 }
@@ -115,6 +180,14 @@ impl Instance {
         for (j, job) in self.jobs.iter().enumerate() {
             seen[j] = vec![0; job.rounds as usize];
         }
+        // Each row is checked once; a defect is reported against the
+        // first task that uses the row.
+        let defects: Vec<Option<&str>> = self
+            .rows
+            .iter()
+            .map(|row| row.defect(self.n_machines))
+            .collect();
+        let mut used = vec![false; self.rows.len()];
         for (t, task) in self.tasks.iter().enumerate() {
             if task.job >= self.jobs.len() {
                 return bad_task(t, format!("job {} out of range", task.job));
@@ -122,16 +195,19 @@ impl Instance {
             if task.round >= self.jobs[task.job].rounds {
                 return bad_task(t, format!("round {} out of range", task.round));
             }
-            if task.p.len() != self.n_machines || task.s.len() != self.n_machines {
-                return bad_task(t, "wrong machine-vector length".into());
+            let Some(&defect) = defects.get(task.row) else {
+                return bad_task(t, format!("row {} out of range", task.row));
+            };
+            if let Some(why) = defect {
+                return bad_task(t, why.into());
             }
-            if task.p.iter().any(|&v| !(v > 0.0 && v.is_finite())) {
-                return bad_task(t, "non-positive training time".into());
-            }
-            if task.s.iter().any(|&v| !(v >= 0.0 && v.is_finite())) {
-                return bad_task(t, "negative sync time".into());
-            }
+            used[task.row] = true;
             seen[task.job][task.round as usize] += 1;
+        }
+        if let Some(row) = used.iter().position(|&u| !u) {
+            return Err(ProblemError::Inconsistent(format!(
+                "row {row} is used by no task"
+            )));
         }
         for (j, rounds) in seen.iter().enumerate() {
             for (r, &count) in rounds.iter().enumerate() {
@@ -146,36 +222,35 @@ impl Instance {
         Ok(())
     }
 
+    /// The time row of task `t`.
+    pub fn row(&self, t: usize) -> &Row {
+        &self.rows[self.tasks[t].row]
+    }
+
     /// Fastest training time of task `t` across machines.
     pub fn p_min(&self, t: usize) -> f64 {
-        self.tasks[t].p.iter().cloned().fold(f64::MAX, f64::min)
+        self.row(t).p_min
     }
 
     /// Slowest training time of task `t` across machines.
     pub fn p_max(&self, t: usize) -> f64 {
-        self.tasks[t].p.iter().cloned().fold(f64::MIN, f64::max)
+        self.row(t).p_max
     }
 
     /// Fastest combined training+sync time of task `t` across machines.
     pub fn ps_min(&self, t: usize) -> f64 {
-        self.tasks[t]
-            .p
-            .iter()
-            .zip(&self.tasks[t].s)
-            .map(|(&p, &s)| p + s)
-            .fold(f64::MAX, f64::min)
+        self.row(t).ps_min
     }
 
     /// The heterogeneity factor α of Lemma 3:
-    /// `max_i { T^c_max/T^c_min , T^s_max/T^s_min }`.
+    /// `max_i { T^c_max/T^c_min , T^s_max/T^s_min }`, over the rows (every
+    /// row belongs to some task).
     pub fn alpha(&self) -> f64 {
         let mut alpha: f64 = 1.0;
-        for task in &self.tasks {
-            let pmax = task.p.iter().cloned().fold(f64::MIN, f64::max);
-            let pmin = task.p.iter().cloned().fold(f64::MAX, f64::min);
-            alpha = alpha.max(pmax / pmin);
-            let smax = task.s.iter().cloned().fold(f64::MIN, f64::max);
-            let smin = task.s.iter().cloned().fold(f64::MAX, f64::min);
+        for row in &self.rows {
+            alpha = alpha.max(row.p_max / row.p_min);
+            let smax = row.s.iter().cloned().fold(f64::MIN, f64::max);
+            let smin = row.s.iter().cloned().fold(f64::MAX, f64::min);
             if smin > 0.0 {
                 alpha = alpha.max(smax / smin);
             }
@@ -200,10 +275,12 @@ impl Instance {
 }
 
 /// Convenience builder for tests and examples: machines are implicit in the
-/// length of each task's time vectors.
+/// length of each task's time vectors, and tasks with equal time vectors
+/// share one [`Row`].
 pub struct InstanceBuilder {
     n_machines: usize,
     jobs: Vec<JobMeta>,
+    rows: Vec<Row>,
     tasks: Vec<TaskMeta>,
 }
 
@@ -213,6 +290,7 @@ impl InstanceBuilder {
         InstanceBuilder {
             n_machines,
             jobs: Vec::new(),
+            rows: Vec::new(),
             tasks: Vec::new(),
         }
     }
@@ -250,12 +328,14 @@ impl InstanceBuilder {
         for (p, s) in tasks_p.iter().zip(tasks_s) {
             assert_eq!(p.len(), self.n_machines);
             assert_eq!(s.len(), self.n_machines);
-            self.tasks.push(TaskMeta {
-                job,
-                round,
-                p: p.clone(),
-                s: s.clone(),
-            });
+            let row = match self.rows.iter().position(|r| r.p == *p && r.s == *s) {
+                Some(row) => row,
+                None => {
+                    self.rows.push(Row::new(p.clone(), s.clone()));
+                    self.rows.len() - 1
+                }
+            };
+            self.tasks.push(TaskMeta { job, round, row });
         }
         self
     }
@@ -265,6 +345,7 @@ impl InstanceBuilder {
         let inst = Instance {
             n_machines: self.n_machines,
             jobs: self.jobs,
+            rows: self.rows,
             tasks: self.tasks,
         };
         if let Err(e) = inst.validate() {
@@ -334,36 +415,84 @@ mod tests {
                 release: 0.0,
                 rounds: 2,
             }],
+            rows: vec![Row::new(vec![1.0], vec![0.0])],
             tasks: vec![TaskMeta {
                 job: 0,
                 round: 0,
-                p: vec![1.0],
-                s: vec![0.0],
+                row: 0,
             }],
         };
         let err = inst.validate().unwrap_err();
         assert!(err.to_string().contains("round 1"), "{err}");
     }
 
+    /// `inst` with task `t` moved onto its own copy of its row, edited by
+    /// `edit(p, s)`.
+    fn with_task_times(
+        mut inst: Instance,
+        t: usize,
+        edit: impl Fn(&mut [f64], &mut [f64]),
+    ) -> Instance {
+        let (mut p, mut s) = (inst.row(t).p().to_vec(), inst.row(t).s().to_vec());
+        edit(&mut p, &mut s);
+        inst.rows.push(Row::new(p, s));
+        inst.tasks[t].row = inst.rows.len() - 1;
+        inst
+    }
+
     #[test]
     fn validation_catches_bad_times() {
-        let mut inst = fig1_instance();
-        inst.tasks[0].p[1] = 0.0;
+        let inst = with_task_times(fig1_instance(), 0, |p, _| p[1] = 0.0);
         assert!(matches!(
             inst.validate(),
             Err(ProblemError::Task { task: 0, .. })
         ));
-        let mut inst2 = fig1_instance();
-        inst2.tasks[0].s[0] = -1.0;
+        let inst2 = with_task_times(fig1_instance(), 0, |_, s| s[0] = -1.0);
         assert!(inst2.validate().is_err());
-        let mut inst3 = fig1_instance();
-        inst3.tasks[1].p[0] = f64::NAN;
+        let inst3 = with_task_times(fig1_instance(), 1, |p, _| p[0] = f64::NAN);
         assert!(inst3.validate().is_err());
         let empty = Instance {
             n_machines: 0,
             jobs: vec![],
+            rows: vec![],
             tasks: vec![],
         };
         assert_eq!(empty.validate(), Err(ProblemError::NoMachines));
+    }
+
+    #[test]
+    fn a_bad_row_is_reported_at_its_first_task() {
+        // J3's four tasks share one row; breaking it names task 5, the
+        // first of them.
+        let mut inst = fig1_instance();
+        let row = inst.tasks[5].row;
+        assert!(inst.tasks[5..].iter().all(|t| t.row == row));
+        inst.rows[row] = Row::new(vec![0.5, 0.0, 1.5], vec![0.0; 3]);
+        assert!(matches!(
+            inst.validate(),
+            Err(ProblemError::Task { task: 5, .. })
+        ));
+        let mut dangling = fig1_instance();
+        dangling.tasks[2].row = dangling.rows.len();
+        assert!(matches!(
+            dangling.validate(),
+            Err(ProblemError::Task { task: 2, .. })
+        ));
+        let mut unused = fig1_instance();
+        unused.rows.push(Row::new(vec![1.0; 3], vec![0.0; 3]));
+        assert!(matches!(
+            unused.validate(),
+            Err(ProblemError::Inconsistent(_))
+        ));
+    }
+
+    #[test]
+    fn builder_interns_equal_rows() {
+        // Fig. 1 has three distinct time rows, one per job.
+        let inst = fig1_instance();
+        assert_eq!(inst.rows.len(), 3);
+        for (t, task) in inst.tasks.iter().enumerate() {
+            assert_eq!(task.row, task.job, "task {t}");
+        }
     }
 }

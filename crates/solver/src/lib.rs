@@ -31,7 +31,9 @@ pub mod trace;
 
 pub use bb::{solve_exact, solve_exact_budgeted, ExactSolution};
 pub use budget::{CancelToken, SolveBudget};
-pub use instance::{fig1_instance, Instance, InstanceBuilder, JobMeta, ProblemError, TaskMeta};
+pub use instance::{
+    fig1_instance, Instance, InstanceBuilder, JobMeta, ProblemError, Row, TaskMeta,
+};
 pub use lp::{Cmp, Constraint, LinearProgram, LpOutcome, RevisedSimplex};
 pub use matching::{min_cost_matching, Matching};
 pub use relax::{

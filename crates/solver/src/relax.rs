@@ -18,8 +18,10 @@
 //!   LP optimum is a certified lower bound on `Hare_Sched`.
 //! * **Combinatorial mode** (large instances): a fixed-point sweep that
 //!   alternates precedence propagation with an aggregated volume push
-//!   mirroring Lemma 2 — O(passes · n log n), used for the 10⁴-task
-//!   simulator experiments where a dense simplex would not scale.
+//!   mirroring Lemma 2 — O(passes · n log n) for n tasks, independent of
+//!   the machine count because every task reads its row's cached
+//!   reductions; used for the 10⁴-task simulator experiments where a dense
+//!   simplex would not scale.
 //!
 //! [`certified_lower_bound`] is a certified lower bound on the optimal
 //! Σ wₙCₙ combining a per-job critical-path bound with the preemptive
@@ -418,6 +420,7 @@ fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
     }
 
     let m = inst.n_machines as f64;
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(t);
     for _ in 0..opts.passes {
         // (4)+(7): forward precedence propagation with machine-minimum
         // durations (a relaxation of any concrete assignment).
@@ -442,16 +445,16 @@ fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
         // The sweep order carries a Smith-ratio (p/w) tilt: the weighted
         // LP optimum schedules high-weight-density jobs earlier on the
         // aggregated machine, and the tilt reproduces that ordering
-        // without solving the LP.
-        let mut order: Vec<usize> = (0..t).collect();
-        order.sort_by(|&a, &b| {
-            let key = |i: usize| {
-                x[i] + 0.5 * inst.p_min(i) + inst.p_min(i) / inst.jobs[inst.tasks[i].job].weight
-            };
-            key(a).total_cmp(&key(b))
-        });
+        // without solving the LP. Each key is computed once per pass;
+        // ties go to the lower task index.
+        order.clear();
+        order.extend(inst.tasks.iter().enumerate().map(|(i, task)| {
+            let p_min = inst.p_min(i);
+            (x[i] + 0.5 * p_min + p_min / inst.jobs[task.job].weight, i)
+        }));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut volume = 0.0;
-        for &i in &order {
+        for &(_, i) in &order {
             volume += inst.p_min(i);
             let lift = volume / (2.0 * m) - 0.5 * inst.p_max(i);
             if x[i] < lift {

@@ -10,7 +10,7 @@
 
 use hare_solver::{
     fig1_instance, relax, Cmp, Instance, InstanceBuilder, JobMeta, LinearProgram, LpOutcome,
-    RelaxOptions, TaskMeta,
+    RelaxOptions, Row, TaskMeta,
 };
 use proptest::prelude::*;
 
@@ -26,7 +26,7 @@ fn instances() -> impl Strategy<Value = Instance> {
             prop::collection::vec(prop::collection::vec(0.5f64..8.0, n_machines), total_tasks);
         times.prop_map(move |times| {
             let mut tasks = Vec::new();
-            let mut idx = 0;
+            let mut rows = Vec::new();
             let mut jobs = Vec::new();
             for (j, &(rounds, scale, weight, release)) in jobs_meta.iter().enumerate() {
                 jobs.push(JobMeta {
@@ -36,19 +36,20 @@ fn instances() -> impl Strategy<Value = Instance> {
                 });
                 for r in 0..rounds {
                     for _ in 0..scale {
+                        // Every task draws its own times, so gets its own row.
                         tasks.push(TaskMeta {
                             job: j,
                             round: r,
-                            p: times[idx].clone(),
-                            s: vec![0.1; n_machines],
+                            row: rows.len(),
                         });
-                        idx += 1;
+                        rows.push(Row::new(times[rows.len()].clone(), vec![0.1; n_machines]));
                     }
                 }
             }
             Instance {
                 n_machines,
                 jobs,
+                rows,
                 tasks,
             }
         })

@@ -1,9 +1,10 @@
 //! Property tests on the relaxation solver: structural feasibility of x̂,
 //! lower-bound validity against greedy feasible schedules, the one-pass
-//! lower bound against the rescanning formula it replaced, and mode
-//! agreement on shared invariants.
+//! lower bound against the rescanning formula it replaced, the rows'
+//! cached reductions against the folds they replaced, and mode agreement
+//! on shared invariants.
 
-use hare_solver::{certified_lower_bound, relax, Instance, JobMeta, RelaxOptions, TaskMeta};
+use hare_solver::{certified_lower_bound, relax, Instance, JobMeta, RelaxOptions, Row, TaskMeta};
 use proptest::prelude::*;
 
 fn instances() -> impl Strategy<Value = Instance> {
@@ -18,7 +19,7 @@ fn instances() -> impl Strategy<Value = Instance> {
             prop::collection::vec(prop::collection::vec(0.5f64..8.0, n_machines), total_tasks);
         times.prop_map(move |times| {
             let mut tasks = Vec::new();
-            let mut idx = 0;
+            let mut rows = Vec::new();
             let mut jobs = Vec::new();
             for (j, &(rounds, scale, weight, release)) in jobs_meta.iter().enumerate() {
                 jobs.push(JobMeta {
@@ -28,19 +29,20 @@ fn instances() -> impl Strategy<Value = Instance> {
                 });
                 for r in 0..rounds {
                     for _ in 0..scale {
+                        // Every task draws its own times, so gets its own row.
                         tasks.push(TaskMeta {
                             job: j,
                             round: r,
-                            p: times[idx].clone(),
-                            s: vec![0.1; n_machines],
+                            row: rows.len(),
                         });
-                        idx += 1;
+                        rows.push(Row::new(times[rows.len()].clone(), vec![0.1; n_machines]));
                     }
                 }
             }
             Instance {
                 n_machines,
                 jobs,
+                rows,
                 tasks,
             }
         })
@@ -59,8 +61,8 @@ fn greedy_feasible_objective(inst: &Instance) -> f64 {
             let mut round_done = clock;
             for t in inst.round_tasks(j, r) {
                 let start = clock;
-                clock = start + inst.tasks[t].p[0];
-                round_done = round_done.max(clock + inst.tasks[t].s[0]);
+                clock = start + inst.row(t).p()[0];
+                round_done = round_done.max(clock + inst.row(t).s()[0]);
             }
             clock = round_done;
         }
@@ -119,8 +121,55 @@ fn rescanning_lower_bound(inst: &Instance) -> f64 {
     path_bound.max(wspt)
 }
 
+/// Task `t`'s `(p_min, p_max, ps_min)`, folded over its row's machines:
+/// the reference for the values `Row::new` caches.
+fn folded_reductions(inst: &Instance, t: usize) -> (f64, f64, f64) {
+    let (p, s) = (inst.row(t).p(), inst.row(t).s());
+    (
+        p.iter().cloned().fold(f64::MAX, f64::min),
+        p.iter().cloned().fold(f64::MIN, f64::max),
+        p.iter()
+            .zip(s)
+            .map(|(&p, &s)| p + s)
+            .fold(f64::MAX, f64::min),
+    )
+}
+
+/// α folded over every task's row: the reference for `Instance::alpha`,
+/// which scans rows.
+fn folded_alpha(inst: &Instance) -> f64 {
+    let mut alpha: f64 = 1.0;
+    for t in 0..inst.n_tasks() {
+        let (p, s) = (inst.row(t).p(), inst.row(t).s());
+        let pmax = p.iter().cloned().fold(f64::MIN, f64::max);
+        let pmin = p.iter().cloned().fold(f64::MAX, f64::min);
+        alpha = alpha.max(pmax / pmin);
+        let smax = s.iter().cloned().fold(f64::MIN, f64::max);
+        let smin = s.iter().cloned().fold(f64::MAX, f64::min);
+        if smin > 0.0 {
+            alpha = alpha.max(smax / smin);
+        }
+    }
+    alpha
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn cached_reductions_equal_the_folds_they_replace(inst in instances()) {
+        let mut reversed = inst.clone();
+        reversed.tasks.reverse();
+        for inst in [inst, reversed] {
+            for t in 0..inst.n_tasks() {
+                let (p_min, p_max, ps_min) = folded_reductions(&inst, t);
+                prop_assert_eq!(inst.p_min(t).to_bits(), p_min.to_bits());
+                prop_assert_eq!(inst.p_max(t).to_bits(), p_max.to_bits());
+                prop_assert_eq!(inst.ps_min(t).to_bits(), ps_min.to_bits());
+            }
+            prop_assert_eq!(inst.alpha().to_bits(), folded_alpha(&inst).to_bits());
+        }
+    }
 
     #[test]
     fn relaxed_starts_respect_release_and_precedence(inst in instances()) {

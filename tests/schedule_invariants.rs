@@ -3,7 +3,8 @@
 //! Algorithm-1 schedule whose metrics are internally consistent.
 
 use hare::core::{
-    hare_schedule, AssignmentRule, HareScheduler, JobInfo, PriorityOrder, SchedProblem, SyncMode,
+    hare_schedule, AssignmentRule, HareScheduler, JobInfo, PriorityOrder, SchedProblem, Schedule,
+    SyncMode,
 };
 use hare_cluster::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -42,8 +43,44 @@ fn problems() -> impl Strategy<Value = SchedProblem> {
     })
 }
 
+/// Job completions by scanning every task for each job: the reference for
+/// the one-pass `Schedule::job_completions`.
+fn per_job_scan(s: &Schedule, p: &SchedProblem) -> Vec<SimTime> {
+    (0..p.jobs.len())
+        .map(|n| {
+            (0..p.n_tasks())
+                .filter(|&i| p.tasks[i].job == n)
+                .map(|i| s.start[i] + p.train(i, s.gpu[i]) + p.sync(i, s.gpu[i]))
+                .max()
+                .unwrap()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn job_completions_match_the_per_job_scan(p in problems()) {
+        for order in [PriorityOrder::Midpoint, PriorityOrder::Arrival] {
+            let s = HareScheduler { order, ..HareScheduler::default() }.schedule(&p).schedule;
+            let scan = per_job_scan(&s, &p);
+            prop_assert_eq!(&s.job_completions(&p), &scan);
+            let weighted: f64 = p.jobs.iter().zip(&scan)
+                .map(|(job, c)| job.weight * c.as_secs_f64())
+                .sum();
+            prop_assert_eq!(s.weighted_completion(&p).to_bits(), weighted.to_bits());
+            let jcts: Vec<SimDuration> = p.jobs.iter().zip(&scan)
+                .map(|(job, c)| c.saturating_since(job.arrival))
+                .collect();
+            prop_assert_eq!(&s.jcts(&p), &jcts);
+            let weighted_jct: f64 = p.jobs.iter().zip(&jcts)
+                .map(|(job, jct)| job.weight * jct.as_secs_f64())
+                .sum();
+            prop_assert_eq!(s.weighted_jct(&p).to_bits(), weighted_jct.to_bits());
+            prop_assert_eq!(s.makespan(&p), scan.into_iter().max().unwrap());
+        }
+    }
 
     #[test]
     fn algorithm1_always_emits_feasible_schedules(p in problems()) {
@@ -81,8 +118,8 @@ proptest! {
             "objective {} below certified bound {}", obj, out.lower_bound);
         // Makespan >= every job completion; weighted completion >= weighted jct.
         let makespan = out.schedule.makespan(&p);
-        for n in 0..p.jobs.len() {
-            prop_assert!(out.schedule.job_completion(&p, n) <= makespan);
+        for c in out.schedule.job_completions(&p) {
+            prop_assert!(c <= makespan);
         }
         prop_assert!(out.schedule.weighted_jct(&p) <= obj + 1e-9);
     }
