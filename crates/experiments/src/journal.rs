@@ -13,8 +13,9 @@
 //! line is the atomic unit, each record is flushed and fsynced before the
 //! cell is considered durable, and a torn final line (the process died
 //! mid-write) is ignored *and truncated away* on load, so a resumed
-//! run's appends start on a fresh line. Duplicate keys are legal; the
-//! last complete record wins.
+//! run's appends start on a fresh line. Loading goes through
+//! [`hare_sim::recovery::load_line_log`], the loader the serve WAL uses.
+//! Duplicate keys are legal; the last complete record wins.
 //!
 //! The format is deliberately dependency-free (no JSON library in the
 //! offline vendor set): one record per line,
@@ -24,12 +25,14 @@
 //! the hex of [`f64::to_bits`], so reloading is bit-exact — no decimal
 //! round-tripping. The free-form `note` carries preformatted report text
 //! (it must not contain tabs or newlines). A record whose CRC does not
-//! match is *in-place corruption*, not a torn append: everything from the
-//! first bad record on is untrusted, truncated away on open, and surfaced
-//! through [`Journal::dropped`]. CRC-less three-field records (the
-//! pre-checksum format) still load, so old journals resume cleanly.
+//! match, or a line that is not UTF-8, is *in-place corruption*, not a
+//! torn append: everything from the first bad record on is untrusted,
+//! truncated away on open, and surfaced through [`Journal::dropped`].
+//! CRC-less three-field records (the pre-checksum format) still load, so
+//! old journals resume cleanly.
 
 use hare_sim::crc32;
+use hare_sim::recovery::load_line_log;
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
@@ -57,50 +60,34 @@ enum Parsed<'a> {
 
 impl Journal {
     /// Open (or create) the journal at `path`, loading every complete
-    /// record. Torn trailing lines and malformed records are skipped; a
-    /// torn tail is truncated away so that a later [`record`] starts on
-    /// a fresh line, and a CRC mismatch truncates *from the first bad
-    /// record onward* (in-place corruption invalidates everything after
-    /// it). The number of records lost that way is [`dropped`].
+    /// record. Torn trailing lines and malformed legacy records are
+    /// skipped; a torn tail is truncated away so that a later [`record`]
+    /// starts on a fresh line, and a CRC mismatch or non-UTF-8 line
+    /// truncates *from the first bad record onward* (in-place corruption
+    /// invalidates everything after it). The number of records lost that
+    /// way is [`dropped`].
     ///
     /// [`record`]: Journal::record
     /// [`dropped`]: Journal::dropped
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Journal> {
         let path = path.into();
         let mut done = BTreeMap::new();
-        let mut dropped = 0usize;
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                // Only newline-terminated lines are complete records: a
-                // crash mid-append leaves a torn tail, which must not be
-                // trusted (it may hold a truncated value).
-                let complete_len = text.rfind('\n').map_or(0, |end| end + 1);
-                let mut keep = complete_len;
-                let mut offset = 0usize;
-                for line in text[..complete_len].split_inclusive('\n') {
-                    let start = offset;
-                    offset += line.len();
-                    match parse_record(line.trim_end_matches('\n')) {
-                        Parsed::Record(key, value, note) => {
-                            done.insert(key.to_string(), (value, note.to_string()));
-                        }
-                        Parsed::Skip => {}
-                        Parsed::Corrupt => {
-                            keep = start;
-                            dropped = text[keep..complete_len].lines().count();
-                            break;
-                        }
-                    }
+        // The writer only emits UTF-8, so other bytes are disk damage.
+        let loaded = load_line_log(&path, |line| {
+            match std::str::from_utf8(line).map_or(Parsed::Corrupt, parse_record) {
+                Parsed::Record(key, value, note) => {
+                    done.insert(key.to_string(), (value, note.to_string()));
+                    true
                 }
-                if keep < text.len() {
-                    let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-                    file.set_len(keep as u64)?;
-                    file.sync_data()?;
-                }
+                Parsed::Skip => true,
+                Parsed::Corrupt => false,
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        });
+        let dropped = match loaded {
+            Ok(dropped) => dropped,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
             Err(e) => return Err(e),
-        }
+        };
         Ok(Journal {
             path,
             done,
@@ -261,32 +248,49 @@ mod tests {
 
     #[test]
     fn crc_mismatch_truncates_from_the_first_bad_record() {
-        let path = tmp("crc");
-        let mut j = Journal::open(&path).unwrap();
-        j.record("a", 1.0, "keep").unwrap();
-        j.record("b", 2.0, "corrupt-me").unwrap();
-        j.record("c", 3.0, "doomed").unwrap();
-        drop(j);
-        // Flip one payload byte of record "b": its CRC no longer
-        // matches, so "b" AND the (intact) "c" after it must both go.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let pos = bytes
-            .windows("corrupt-me".len())
-            .position(|w| w == b"corrupt-me")
-            .unwrap();
-        bytes[pos] = b'X';
-        std::fs::write(&path, &bytes).unwrap();
+        // Overwrite the 'c' of record "b"'s note: 'X' fails its CRC, and
+        // 'c' with its high bit flipped leaves the line not even UTF-8.
+        // Either way "b" AND every (intact) record after it must go.
+        let cases = [
+            ("crc", &["a", "b", "c"][..], b'X'),
+            ("crc-high-bit", &["a", "b"][..], b'c' ^ 0x80),
+        ];
+        for (name, keys, corrupt) in cases {
+            let path = tmp(name);
+            let mut j = Journal::open(&path).unwrap();
+            for (i, &key) in keys.iter().enumerate() {
+                let note = if key == "b" { "corrupt-me" } else { "keep" };
+                j.record(key, i as f64, note).unwrap();
+            }
+            drop(j);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let pos = bytes
+                .windows("corrupt-me".len())
+                .position(|w| w == b"corrupt-me")
+                .unwrap();
+            bytes[pos] = corrupt;
+            std::fs::write(&path, &bytes).unwrap();
 
-        let j = Journal::open(&path).unwrap();
-        assert_eq!(j.len(), 1, "only the pre-corruption prefix survives");
-        assert_eq!(j.dropped(), 2, "the bad record and its successor");
-        assert!(j.get("a").is_some());
-        assert!(j.get("b").is_none());
-        assert!(j.get("c").is_none());
-        // The file was physically truncated: a reopen is clean.
-        let j = Journal::open(&path).unwrap();
-        assert_eq!((j.len(), j.dropped()), (1, 0));
-        std::fs::remove_file(&path).unwrap();
+            let j = Journal::open(&path).unwrap();
+            assert_eq!(
+                j.len(),
+                1,
+                "{name}: only the pre-corruption prefix survives"
+            );
+            assert_eq!(
+                j.dropped(),
+                keys.len() - 1,
+                "{name}: the bad record and its successors"
+            );
+            assert!(j.get("a").is_some());
+            for key in &keys[1..] {
+                assert!(j.get(key).is_none(), "{name}: {key}");
+            }
+            // The file was physically truncated: a reopen is clean.
+            let j = Journal::open(&path).unwrap();
+            assert_eq!((j.len(), j.dropped()), (1, 0), "{name}");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

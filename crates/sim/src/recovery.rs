@@ -6,9 +6,10 @@
 //! machine; this module makes it *crash-tolerant* without giving that
 //! up:
 //!
-//! * [`WalFile`] — an append-only, line-framed, CRC32-checked log using
-//!   the same durability discipline as `hare-experiments::journal`
-//!   (fsynced appends, torn tails truncated on open). Every serve-loop
+//! * [`WalFile`] — an append-only, line-framed, CRC32-checked log with
+//!   the same durability discipline and the same loader
+//!   ([`load_line_log`]) as `hare-experiments::journal` (fsynced appends,
+//!   torn tails truncated on open). Every serve-loop
 //!   state transition (arrival admission/reject/defer, dispatch,
 //!   completion, drain, budget-level change, lease events) becomes one
 //!   record; records are group-committed at decision-epoch boundaries —
@@ -41,7 +42,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
 /// built at compile time.
@@ -73,6 +74,38 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// Load a line-framed, append-only log — the WAL and the experiment
+/// journal. Hands each newline-terminated line of `path` to `accept`, in
+/// file order and without its newline, and stops at the first line it
+/// rejects; a torn final line (no newline: the writer died mid-append) is
+/// never offered. The file is then truncated to the end of the last
+/// accepted line and fsynced, so later appends follow trusted records
+/// only. Returns how many complete lines were cut off: the rejected one
+/// and every one after it. A missing file is a `NotFound` error.
+pub fn load_line_log(path: &Path, mut accept: impl FnMut(&[u8]) -> bool) -> io::Result<usize> {
+    let bytes = std::fs::read(path)?;
+    let complete = bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |end| end + 1);
+    let mut keep = 0;
+    for line in bytes[..complete].split_inclusive(|&b| b == b'\n') {
+        if !accept(&line[..line.len() - 1]) {
+            break;
+        }
+        keep += line.len();
+    }
+    if keep < bytes.len() {
+        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(keep as u64)?;
+        file.sync_data()?;
+    }
+    Ok(bytes[keep..complete]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count())
 }
 
 /// Bit-exact hex encoding of an `f64` (the snapshot/WAL float format —
@@ -233,28 +266,15 @@ impl WalFile {
         path: impl Into<PathBuf>,
     ) -> Result<(WalFile, String, Vec<String>), RecoveryError> {
         let path = path.into();
-        let bytes = std::fs::read(&path)?;
-        let text = String::from_utf8_lossy(&bytes);
         let mut payloads: Vec<String> = Vec::new();
-        let mut valid_len = 0usize;
-        let mut offset = 0usize;
-        for line in text.split_inclusive('\n') {
-            let start = offset;
-            offset += line.len();
-            if !line.ends_with('\n') {
-                break; // torn tail
-            }
-            let Some(payload) = decode_record(line.trim_end_matches('\n')) else {
-                break; // CRC mismatch or malformed framing
+        load_line_log(&path, |line| {
+            // Not UTF-8, bad framing or a CRC mismatch: stop here.
+            let Some(payload) = std::str::from_utf8(line).ok().and_then(decode_record) else {
+                return false;
             };
             payloads.push(payload.to_string());
-            valid_len = start + line.len();
-        }
-        if valid_len < bytes.len() {
-            let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-            file.set_len(valid_len as u64)?;
-            file.sync_data()?;
-        }
+            true
+        })?;
         let snap_at = payloads
             .iter()
             .rposition(|p| p.starts_with("snap "))

@@ -18,13 +18,19 @@
 //! The gateway scores every cell for each arrival (in arrival order) and
 //! picks the lowest score, ties to the lowest cell index:
 //!
-//! * **load** — the cell's queued best-case work including this job,
-//!   normalized by the cell's aggregate speed, so slow cells fill slower;
-//! * **heterogeneity** — the extra per-job time this cell's best GPU kind
-//!   costs over the global best kind (a V100-less cell is a bad home for a
-//!   V100-hungry model);
+//! * **load** — the cell's queued best-case ms including this job,
+//!   divided by the cell's summed `generic_speedup` (≈128 for a 64-GPU
+//!   high-heterogeneity cell), so slow cells fill slower;
+//! * **heterogeneity** — in ms, the extra per-job time this cell's best
+//!   GPU kind costs over the global best kind (a V100-less cell is a bad
+//!   home for a V100-hungry model);
 //! * **affinity** — a discount for cells already training the same model,
-//!   which concentrates switch-cache reuse.
+//!   which concentrates switch-cache reuse: the share of the cell's routed
+//!   jobs on this model times `w_aff` × the job's best-case ms.
+//!
+//! The terms are in different units, so the weights do not make them
+//! comparable: one routed job raises a cell's load by ~1/128 of its time,
+//! while a full model match takes `w_aff` of it off the score.
 //!
 //! Scores are plain `f64` arithmetic over profile-derived expectations —
 //! no clocks, no randomness — so routing is a pure function of the trace
@@ -49,17 +55,21 @@ use hare_cluster::{Cell, CellPartition, Cluster, GpuId, GpuKind, SimTime};
 use hare_workload::{JobId, JobSpec, ModelKind};
 use std::collections::BTreeMap;
 
-/// Weights of the gateway's routing score. All terms are in milliseconds
-/// of expected job time, so the weights are unit-free and comparable.
+/// Weights of the gateway's routing score. The three terms are in
+/// different units (see each field), so the weights are not exchange
+/// rates between comparable quantities.
 #[derive(Copy, Clone, Debug)]
 pub struct GatewayConfig {
-    /// Weight of the load term (queued work over cell speed).
+    /// Weight of the load term: the cell's queued best-case ms divided by
+    /// its summed `generic_speedup` (≈128 for a 64-GPU high-heterogeneity
+    /// cell).
     pub w_load: f64,
-    /// Weight of the heterogeneity term (extra ms on this cell's best
-    /// kind versus the global best kind).
+    /// Weight of the heterogeneity term, in ms: extra time on this cell's
+    /// best kind versus the global best kind.
     pub w_het: f64,
-    /// Weight of the model-affinity discount (fraction of the cell's jobs
-    /// training the same model, scaled by the job's best-case ms).
+    /// Weight of the model-affinity discount: the fraction of the cell's
+    /// jobs training the same model times the job's best-case ms, so the
+    /// discount is up to `w_aff` × that ms.
     pub w_aff: f64,
 }
 

@@ -8,13 +8,14 @@
 //! reachable this way (left-shifting within machines normalizes any
 //! schedule to an active one).
 //!
-//! Root-level branches — each (ready task, machine) pair surviving
-//! symmetry breaking — are searched independently: split across scoped
-//! threads under an unlimited budget, in order on one thread under a
-//! finite one, so a node cap aborts at a reproducible point. Every branch
-//! publishes incumbents to a shared atomic bound (non-negative `f64`
-//! objectives compare correctly as `u64` bit patterns, so the bound is a
-//! lock-free `fetch_min`). Two symmetry rules shrink the tree:
+//! One sequential search walks the root-level branches — each (ready
+//! task, machine) pair surviving symmetry breaking — in index order, so
+//! the schedule, the node count, the abort point under a node cap and the
+//! `bb_root` spans all replay bit for bit. Each branch starts with its own
+//! incumbent and prunes ties against it; the best objective of the earlier
+//! branches prunes only subtrees *strictly* worse (with `1e-12` slack), so
+//! the first branch with a strictly smaller objective wins. Two symmetry
+//! rules shrink the tree:
 //!
 //! * **identical machines** — machines whose processing/sync columns agree
 //!   on every time row are interchangeable whenever their availability is
@@ -23,13 +24,6 @@
 //!   time row are interchangeable, so they are forced into index order.
 //!   [`crate::InstanceBuilder`] interns equal rows, so tasks with equal
 //!   `p`/`s` vectors share one.
-//!
-//! The result is deterministic regardless of thread count: the shared
-//! bound only prunes subtrees *strictly* worse than an incumbent (with
-//! `1e-12` slack), so every root branch still reports its exact local
-//! optimum whenever that optimum ties the global one, and ties are broken
-//! by the smallest root-branch index. Only the `nodes` counter varies
-//! run-to-run (it depends on how fast the bound propagates).
 //!
 //! The tests and benches use this as ground truth: Algorithm 1's value is
 //! compared against the exact optimum to certify the α(2+α) approximation
@@ -40,8 +34,6 @@ use crate::budget::{CancelToken, SolveBudget};
 use crate::instance::Instance;
 use crate::trace::SolveTrace;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
 
 /// Hard safety limit on instance size for the exact search.
 pub const MAX_TASKS: usize = 16;
@@ -55,9 +47,7 @@ pub struct ExactSolution {
     pub machine: Vec<usize>,
     /// Optimal Σ wₙCₙ.
     pub objective: f64,
-    /// Search nodes explored, summed over all threads. The objective and
-    /// schedule are deterministic; this counter alone may vary run-to-run
-    /// (bound-propagation timing).
+    /// Search nodes explored, the root included; reproducible run to run.
     pub nodes: u64,
 }
 
@@ -73,16 +63,11 @@ pub fn solve_exact(inst: &Instance) -> ExactSolution {
 /// nodes explored, detail = branch index), in branch-index order.
 ///
 /// Aborts with `None` once `budget.node_cap` search nodes have been
-/// explored, or at the first (periodic) check finding the deadline passed
-/// or the token cancelled; the spans of the branches that completed stay
-/// in `trace`.
-///
-/// The budget sets the thread count. Unlimited, the root branches are
-/// split across `available_parallelism` threads: the schedule is
-/// deterministic, but node counts (per span and in
-/// [`ExactSolution::nodes`]) vary with bound-propagation timing. Finite,
-/// the search runs on one thread, so the abort point and every counter
-/// are reproducible.
+/// explored in total, or at the first (periodic) check finding the
+/// deadline passed or the token cancelled; the spans of the branches that
+/// completed stay in `trace`. Every budget runs the same search, so a
+/// generous cap returns exactly what an unlimited budget does, node count
+/// included, and a node cap aborts at a reproducible point.
 pub fn solve_exact_budgeted(
     inst: &Instance,
     budget: &SolveBudget,
@@ -100,107 +85,30 @@ pub fn solve_exact_budgeted(
     );
 
     let sym = Symmetry::analyze(inst);
-    let global = AtomicU64::new(f64::INFINITY.to_bits());
-    let branches = Search::fresh(inst, &sym, &global, budget, cancel).root_branches();
+    let mut s = Search::new(inst, &sym, budget, cancel);
+    let branches = s.root_branches();
     assert!(!branches.is_empty(), "instance has no schedulable task");
-    let n_threads = if budget.is_unlimited() {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        1
-    }
-    .min(branches.len());
-
-    // Each root branch is searched independently (fresh local incumbent;
-    // cross-branch pruning flows through the shared atomic bound), so the
-    // per-branch results do not depend on which thread ran them. Branches
-    // are striped round-robin so long and short root subtrees mix. A
-    // stripe ends at its first aborted branch, reported as `None`; the
-    // node cap counts the root and the stripe's earlier branches.
-    let stripe = |tid: usize| {
-        let mut out = Vec::new();
-        let mut spent = 1u64; // the root itself
-        for bi in (tid..branches.len()).step_by(n_threads) {
-            let (task, machine) = branches[bi];
-            let mut s = Search::fresh(inst, &sym, &global, budget, cancel);
-            s.node_cap = budget.node_cap.saturating_sub(spent);
-            s.apply_and_dfs(task, machine);
-            spent = spent.saturating_add(s.nodes);
-            if s.aborted {
-                out.push((bi, None));
-                break;
-            }
-            out.push((
-                bi,
-                Some(BranchResult {
-                    objective: s.best,
-                    start: s.best_start,
-                    machine: s.best_machine,
-                    nodes: s.nodes,
-                }),
-            ));
+    for (bi, (task, machine)) in branches.into_iter().enumerate() {
+        let before = s.nodes;
+        let ready = s.ready_time(task).expect("root branch task is ready");
+        let saved = s.place(task, machine, ready);
+        s.branch_best = f64::INFINITY;
+        s.dfs(1);
+        if s.aborted {
+            return None;
         }
-        out
-    };
-    // One stripe runs inline: finite budgets serve latency-bound callers
-    // (the serve loop's exact rung), where a thread spawn per plan shows.
-    let mut per_branch: Vec<(usize, Option<BranchResult>)> = if n_threads == 1 {
-        stripe(0)
-    } else {
-        let stripe = &stripe;
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|tid| scope.spawn(move || stripe(tid)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("search thread panicked"))
-                .collect()
-        })
-    };
-    per_branch.sort_by_key(|&(bi, _)| bi);
-
-    if let Some(tr) = trace {
-        for (bi, r) in &per_branch {
-            if let Some(r) = r {
-                tr.record("bb_root", r.nodes, *bi as u64);
-            }
+        s.unplace(task, machine, saved);
+        if let Some(tr) = trace {
+            tr.record("bb_root", s.nodes - before, bi as u64);
         }
     }
-    let results: Vec<BranchResult> = per_branch
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect::<Option<_>>()?;
-
-    // Deterministic reduction: minimum objective, ties to the smallest
-    // root-branch index (the sort above fixes the visit order).
-    let mut nodes = 1; // the root itself
-    let mut winner: Option<BranchResult> = None;
-    for r in results {
-        nodes += r.nodes;
-        if winner.as_ref().is_none_or(|w| r.objective < w.objective) {
-            winner = Some(r);
-        }
-    }
-    let winner = winner.expect("at least one branch");
-    assert!(
-        winner.objective.is_finite(),
-        "search must find at least one schedule"
-    );
+    assert!(s.best.is_finite(), "search must find at least one schedule");
     Some(ExactSolution {
-        start: winner.start,
-        machine: winner.machine,
-        objective: winner.objective,
-        nodes,
+        start: s.best_start,
+        machine: s.best_machine,
+        objective: s.best,
+        nodes: s.nodes,
     })
-}
-
-struct BranchResult {
-    objective: f64,
-    start: Vec<f64>,
-    machine: Vec<usize>,
-    nodes: u64,
 }
 
 /// Precomputed symmetry structure of an instance.
@@ -250,24 +158,20 @@ impl Symmetry {
 struct Search<'a> {
     inst: &'a Instance,
     sym: &'a Symmetry,
-    /// Shared incumbent bound (f64 bits); non-negative objectives order
-    /// correctly under integer comparison, so `fetch_min` maintains it.
-    global: &'a AtomicU64,
     start: Vec<f64>,
     machine: Vec<usize>,
     scheduled: Vec<bool>,
     machine_avail: Vec<f64>,
-    /// Completion frontier per job: release, then max (x+p+s) over the
-    /// last fully scheduled round.
-    job_completion: Vec<f64>,
+    /// Incumbent of the current root branch; prunes ties.
+    branch_best: f64,
+    /// Best objective over every branch so far, and its schedule; prunes
+    /// only strictly worse subtrees.
     best: f64,
     best_start: Vec<f64>,
     best_machine: Vec<usize>,
+    /// Search nodes explored so far, the root included.
     nodes: u64,
-    /// Node budget for this search: what remains of the caller's
-    /// [`SolveBudget::node_cap`] after the nodes its stripe already spent.
-    node_cap: u64,
-    /// Deadline and cancellation sources, polled periodically.
+    /// Node cap, deadline and cancellation sources.
     budget: &'a SolveBudget,
     cancel: &'a CancelToken,
     /// Set when the budget tripped; the search result is then meaningless.
@@ -275,10 +179,9 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn fresh(
+    fn new(
         inst: &'a Instance,
         sym: &'a Symmetry,
-        global: &'a AtomicU64,
         budget: &'a SolveBudget,
         cancel: &'a CancelToken,
     ) -> Search<'a> {
@@ -286,17 +189,15 @@ impl<'a> Search<'a> {
         Search {
             inst,
             sym,
-            global,
             start: vec![f64::NAN; t],
             machine: vec![usize::MAX; t],
             scheduled: vec![false; t],
             machine_avail: vec![0.0; inst.n_machines],
-            job_completion: inst.jobs.iter().map(|j| j.release).collect(),
+            branch_best: f64::INFINITY,
             best: f64::INFINITY,
             best_start: vec![f64::NAN; t],
             best_machine: vec![usize::MAX; t],
-            nodes: 0,
-            node_cap: u64::MAX,
+            nodes: 1,
             budget,
             cancel,
             aborted: false,
@@ -307,7 +208,7 @@ impl<'a> Search<'a> {
     /// cancellation and the wall-clock deadline are polled every 512 nodes
     /// to keep the per-node cost a counter comparison.
     fn over_budget(&self) -> bool {
-        if self.nodes > self.node_cap {
+        if self.nodes > self.budget.node_cap {
             return true;
         }
         self.nodes.is_multiple_of(512)
@@ -315,7 +216,7 @@ impl<'a> Search<'a> {
     }
 
     /// Enumerate the root's (task, machine) branches after symmetry
-    /// breaking — the unit of work striped across threads.
+    /// breaking, in search order.
     fn root_branches(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for i in 0..self.inst.n_tasks() {
@@ -329,13 +230,6 @@ impl<'a> Search<'a> {
             }
         }
         out
-    }
-
-    /// Schedule the root branch, then search its subtree to completion.
-    fn apply_and_dfs(&mut self, task: usize, machine: usize) {
-        let ready = self.ready_time(task).expect("root branch task is ready");
-        self.place(task, machine, ready);
-        self.dfs(1);
     }
 
     /// Identical-task symmetry: skip `i` while an interchangeable twin with
@@ -354,26 +248,22 @@ impl<'a> Search<'a> {
         })
     }
 
-    fn place(&mut self, i: usize, m: usize, ready: f64) -> (f64, f64) {
+    /// Start task `i` on machine `m`; returns the machine's previous
+    /// availability for [`Search::unplace`].
+    fn place(&mut self, i: usize, m: usize, ready: f64) -> f64 {
         let start = self.machine_avail[m].max(ready);
-        let row = self.inst.row(i);
-        let (p, s) = (row.p()[m], row.s()[m]);
         let saved_avail = self.machine_avail[m];
         self.start[i] = start;
         self.machine[i] = m;
         self.scheduled[i] = true;
         // Training occupies the machine; sync overlaps the next task
         // (Algorithm 1 line 16 and the problem's semantics).
-        self.machine_avail[m] = start + p;
-        let job = self.inst.tasks[i].job;
-        let saved_completion = self.job_completion[job];
-        self.job_completion[job] = self.job_completion[job].max(start + p + s);
-        (saved_avail, saved_completion)
+        self.machine_avail[m] = start + self.inst.row(i).p()[m];
+        saved_avail
     }
 
-    fn unplace(&mut self, i: usize, m: usize, saved: (f64, f64)) {
-        self.machine_avail[m] = saved.0;
-        self.job_completion[self.inst.tasks[i].job] = saved.1;
+    fn unplace(&mut self, i: usize, m: usize, saved_avail: f64) {
+        self.machine_avail[m] = saved_avail;
         self.scheduled[i] = false;
         self.start[i] = f64::NAN;
         self.machine[i] = usize::MAX;
@@ -387,24 +277,21 @@ impl<'a> Search<'a> {
         }
         if scheduled_count == self.inst.n_tasks() {
             let obj = self.objective();
-            if obj < self.best {
-                self.best = obj;
-                self.best_start.copy_from_slice(&self.start);
-                self.best_machine.copy_from_slice(&self.machine);
-                debug_assert!(obj >= 0.0, "objectives must be non-negative");
-                self.global.fetch_min(obj.to_bits(), Ordering::Relaxed);
+            if obj < self.branch_best {
+                self.branch_best = obj;
+                if obj < self.best {
+                    self.best = obj;
+                    self.best_start.copy_from_slice(&self.start);
+                    self.best_machine.copy_from_slice(&self.machine);
+                }
             }
             return;
         }
+        // Ties prune against this branch's incumbent, but only strictly
+        // worse subtrees against earlier branches: each branch still
+        // reaches its own optimum whenever that ties the best so far.
         let lb = self.lower_bound();
-        if lb >= self.best - 1e-12 {
-            return; // prune against the thread-local incumbent
-        }
-        // Prune against the shared bound only when *strictly* worse: a tie
-        // must still be found locally so the deterministic reduction sees
-        // every branch that attains the optimum.
-        let global = f64::from_bits(self.global.load(Ordering::Relaxed));
-        if lb >= global + 1e-12 {
+        if lb >= self.branch_best - 1e-12 || lb >= self.best + 1e-12 {
             return;
         }
 
@@ -525,19 +412,13 @@ mod tests {
             None
         );
 
-        // Generous finite cap: same optimum as the parallel search (the
-        // node counter may differ — sequential vs parallel propagation).
-        let exact = solve_exact(&inst);
+        // A generous finite cap runs the search an unlimited budget does:
+        // the whole solution matches, node counter included.
         let budgeted = solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &token, None)
             .expect("cap is plenty");
-        assert_eq!(budgeted.objective, exact.objective);
-        assert_eq!(budgeted.start, exact.start);
-        assert_eq!(budgeted.machine, exact.machine);
-
-        // An unlimited budget is the search solve_exact runs.
         let unlimited = solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, &token, None)
             .expect("unlimited cannot abort");
-        assert_eq!(unlimited.objective, exact.objective);
+        assert_eq!(budgeted, unlimited);
     }
 
     #[test]
@@ -575,6 +456,11 @@ mod tests {
         for (k, span) in full.iter().enumerate() {
             assert_eq!((span.phase, span.detail), ("bb_root", k as u64));
         }
+        // An unlimited budget records the very same spans.
+        let trace = SolveTrace::new();
+        solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, &token, Some(&trace))
+            .expect("unlimited cannot abort");
+        assert_eq!(trace.drain(), full);
         for cap in [1, sol.nodes / 2, sol.nodes - 1] {
             let (aborted, kept) = run(cap);
             assert_eq!(aborted, None, "cap {cap}");
@@ -694,14 +580,11 @@ mod tests {
 
     #[test]
     fn determinism_across_repeated_runs() {
-        // Thread scheduling must not change the reported schedule.
+        // The whole solution replays, node counter included.
         let inst = fig1_instance();
         let a = solve_exact(&inst);
         for _ in 0..3 {
-            let b = solve_exact(&inst);
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.machine, b.machine);
-            assert_eq!(a.objective, b.objective);
+            assert_eq!(solve_exact(&inst), a);
         }
     }
 
@@ -733,25 +616,29 @@ mod tests {
 
     #[test]
     fn symmetry_breaking_node_counts_are_pinned() {
-        // A generous finite budget runs one inline stripe, so node counts
-        // are deterministic. Weaker symmetry breaking explores more.
-        let nodes = |inst: &Instance| {
+        // Node counts are deterministic under a generous finite budget and
+        // under solve_exact's unlimited one alike. Weaker symmetry
+        // breaking explores more.
+        let budgeted: fn(&Instance) -> u64 = |inst| {
             let budget = SolveBudget::capped(u64::MAX - 1, u64::MAX - 1);
             solve_exact_budgeted(inst, &budget, &CancelToken::new(), None)
                 .expect("cap is plenty")
                 .nodes
         };
-        assert_eq!(nodes(&fig1_instance()), 716_404);
-        // solver_report's symmetric instance: 2 jobs × 7 one-task rounds
-        // on two identical machines.
-        let mut b = InstanceBuilder::new(2);
-        let j1 = b.job(2.0, 0.0);
-        let j2 = b.job(1.0, 0.0);
-        for _ in 0..7 {
-            b.round(j1, &[vec![1.0, 1.0]]);
-            b.round(j2, &[vec![1.5, 1.5]]);
+        let unlimited: fn(&Instance) -> u64 = |inst| solve_exact(inst).nodes;
+        for nodes in [budgeted, unlimited] {
+            assert_eq!(nodes(&fig1_instance()), 716_404);
+            // solver_report's symmetric instance: 2 jobs × 7 one-task
+            // rounds on two identical machines.
+            let mut b = InstanceBuilder::new(2);
+            let j1 = b.job(2.0, 0.0);
+            let j2 = b.job(1.0, 0.0);
+            for _ in 0..7 {
+                b.round(j1, &[vec![1.0, 1.0]]);
+                b.round(j2, &[vec![1.5, 1.5]]);
+            }
+            assert_eq!(nodes(&b.build()), 490);
         }
-        assert_eq!(nodes(&b.build()), 490);
     }
 
     #[test]

@@ -31,9 +31,12 @@ pub struct SolveSpan {
 
 /// Shared, clonable span buffer with a monotone work cursor.
 ///
-/// Cheap to clone (an `Arc`); thread-safe because exact B&B runs root
-/// branches in parallel — though for determinism the parallel path
-/// records its spans *after* the join, in branch-index order.
+/// Cheap to clone (an `Arc`): clones share one buffer, so an owner such
+/// as the online policy keeps a handle while the solvers record through
+/// `&SolveTrace`. The `Mutex` keeps the handle `Send + Sync`, like the
+/// simulator's `TraceSink`, so policies holding one can run on the
+/// experiment harness's worker threads; each solve records from its own
+/// thread, in order.
 #[derive(Clone, Debug, Default)]
 pub struct SolveTrace {
     inner: Arc<Mutex<Inner>>,
