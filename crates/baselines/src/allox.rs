@@ -1,4 +1,4 @@
-//! Sched_Allox — AlloX [24] (Section 7.1).
+//! Sched_Allox — AlloX \[24\] (Section 7.1).
 //!
 //! AlloX transforms placement in a heterogeneous cluster into a min-cost
 //! bipartite matching between jobs and (resource, position) slots: placing

@@ -1,5 +1,5 @@
 //! Gavel_FIFO (Section 7.1): FIFO job scheduling customized for
-//! heterogeneous GPUs per Gavel [29] — jobs start in arrival order, each
+//! heterogeneous GPUs per Gavel \[29\] — jobs start in arrival order, each
 //! gets a *dedicated* gang of the fastest GPUs available for its whole
 //! lifetime, and a job that cannot get its demanded GPU count blocks the
 //! queue behind it (traditional batch-system head-of-line behaviour).

@@ -1,5 +1,5 @@
 //! The comparison schedulers of Section 7.1 — Gavel_FIFO, SRTF, Sched_Homo
-//! (Zhang et al. [47]) and Sched_Allox (AlloX [24]) — implemented against
+//! (Zhang et al. \[47\]) and Sched_Allox (AlloX \[24\]) — implemented against
 //! the simulator's [`hare_sim::Policy`] interface, plus the five-scheme
 //! comparison suite every end-to-end experiment drives.
 

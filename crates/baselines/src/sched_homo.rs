@@ -1,4 +1,4 @@
-//! Sched_Homo — Zhang et al. [47] (Section 7.1).
+//! Sched_Homo — Zhang et al. \[47\] (Section 7.1).
 //!
 //! Exploits both inter-job and intra-job parallelism to minimize weighted
 //! job completion time, but assumes *homogeneous* GPUs and forbids job-level

@@ -20,9 +20,9 @@ pub enum Scheme {
     GavelFifo,
     /// Shortest remaining time first.
     Srtf,
-    /// Zhang et al. [47]: parallelism-aware but heterogeneity-oblivious.
+    /// Zhang et al. \[47\]: parallelism-aware but heterogeneity-oblivious.
     SchedHomo,
-    /// AlloX [24]: heterogeneity-aware min-cost matching, job-level.
+    /// AlloX \[24\]: heterogeneity-aware min-cost matching, job-level.
     SchedAllox,
 }
 

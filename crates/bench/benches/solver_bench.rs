@@ -22,9 +22,6 @@ fn simplex(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("revised", n), &lp, |b, lp| {
             b.iter(|| black_box(lp.solve()));
         });
-        group.bench_with_input(BenchmarkId::new("dense", n), &lp, |b, lp| {
-            b.iter(|| black_box(lp.solve_dense()));
-        });
     }
     group.finish();
 }
@@ -54,7 +51,7 @@ fn relaxation(c: &mut Criterion) {
     group.bench_function("lp_mode/fig1", |b| {
         b.iter(|| black_box(relax::solve(&toy, &RelaxOptions::default())));
     });
-    // Warm-started vs cold cut loop on a contended instance where the
+    // The warm-started cut loop on a contended instance where the
     // Queyranne separation fires every round.
     let mut contended = InstanceBuilder::new(2);
     for j in 0..36 {
@@ -64,13 +61,6 @@ fn relaxation(c: &mut Criterion) {
     let contended = contended.build();
     group.bench_function("cut_loop/warm", |b| {
         b.iter(|| black_box(relax::solve(&contended, &RelaxOptions::default())));
-    });
-    group.bench_function("cut_loop/cold", |b| {
-        let opts = RelaxOptions {
-            warm_start: false,
-            ..RelaxOptions::default()
-        };
-        b.iter(|| black_box(relax::solve(&contended, &opts)));
     });
     // Combinatorial mode on a synthetic 4000-task instance.
     let mut builder = InstanceBuilder::new(16);

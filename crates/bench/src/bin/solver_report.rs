@@ -1,18 +1,17 @@
 //! Solver performance report: writes `BENCH_solver.json` at the repo root.
 //!
-//! Records, for a ladder of relaxation-shaped LPs, the median solve time of
-//! the dense two-phase tableau vs the sparse revised simplex (and the
-//! speedup); for the Queyranne cut loop, warm-started vs cold pivot counts
-//! and times; and for the exact branch-and-bound, node counts and times on
-//! the Fig. 1 instance and a 14-task symmetric instance.
+//! Records, for a ladder of relaxation programs, the median revised-simplex
+//! solve time; for the warm-started Queyranne cut loop, its cut, solve and
+//! pivot counts and median time; and for the exact branch-and-bound, node
+//! counts and times on the Fig. 1 instance and a 14-task symmetric
+//! instance.
 //!
 //! Run with `cargo run --release -p hare-bench --bin solver_report`.
 
 #![warn(clippy::unwrap_used)]
 
 use hare_solver::{
-    fig1_instance, relax, solve_exact, Cmp, Instance, InstanceBuilder, LinearProgram, LpOutcome,
-    RelaxOptions,
+    fig1_instance, relax, solve_exact, Instance, InstanceBuilder, LpOutcome, RelaxOptions,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -56,43 +55,6 @@ fn instance(jobs: usize, rounds: usize, width: usize, machines: usize) -> Instan
     b.build()
 }
 
-/// Build the same LP shape `relax`'s LP mode emits (starts + completions,
-/// release/completion/precedence rows) so the dense-vs-revised comparison
-/// measures the production workload.
-fn relaxation_lp(inst: &Instance) -> LinearProgram {
-    let t = inst.n_tasks();
-    let n = inst.jobs.len();
-    let mut objective = vec![0.0; t + n];
-    for (j, job) in inst.jobs.iter().enumerate() {
-        objective[t + j] = job.weight;
-    }
-    let mut lp = LinearProgram::minimize(objective);
-    for (i, task) in inst.tasks.iter().enumerate() {
-        let rel = inst.jobs[task.job].release;
-        if rel > 0.0 {
-            lp.constrain(vec![(i, 1.0)], Cmp::Ge, rel);
-        }
-    }
-    for (i, task) in inst.tasks.iter().enumerate() {
-        lp.constrain(
-            vec![(t + task.job, 1.0), (i, -1.0)],
-            Cmp::Ge,
-            inst.ps_min(i),
-        );
-    }
-    for (j_idx, job) in inst.jobs.iter().enumerate() {
-        for r in 1..job.rounds {
-            for i in inst.round_tasks(j_idx, r - 1) {
-                let dur = inst.ps_min(i);
-                for j in inst.round_tasks(j_idx, r) {
-                    lp.constrain(vec![(j, 1.0), (i, -1.0)], Cmp::Ge, dur);
-                }
-            }
-        }
-    }
-    lp
-}
-
 fn obj(outcome: LpOutcome) -> f64 {
     match outcome {
         LpOutcome::Optimal { objective, .. } => objective,
@@ -107,8 +69,8 @@ fn main() {
         "  \"generated_by\": \"cargo run --release -p hare-bench --bin solver_report\",\n  \"reps_per_median\": {REPS},"
     );
 
-    // --- Dense vs revised on relaxation-shaped LPs -------------------
-    println!("LP ladder (dense vs revised):");
+    // --- Revised simplex on relaxation programs ----------------------
+    println!("LP ladder (revised simplex):");
     json.push_str("  \"lp\": [\n");
     let ladder = [
         ("small_30_tasks", instance(10, 3, 1, 3)),
@@ -117,24 +79,17 @@ fn main() {
     ];
     let n_cases = ladder.len();
     for (k, (name, inst)) in ladder.into_iter().enumerate() {
-        let lp = relaxation_lp(&inst);
-        let dense_ms = time_ms(|| lp.solve_dense());
+        let lp = relax::base_program(&inst);
         let revised_ms = time_ms(|| lp.solve());
-        let d = obj(lp.solve_dense());
-        let r = obj(lp.solve());
-        assert!(
-            (d - r).abs() < 1e-6,
-            "{name}: solvers disagree ({d} vs {r})"
-        );
-        let speedup = dense_ms / revised_ms;
+        let objective = obj(lp.solve());
         println!(
-            "  {name:<16} vars={:<4} rows={:<4} dense {dense_ms:.3} ms, revised {revised_ms:.3} ms ({speedup:.2}x)",
+            "  {name:<16} vars={:<4} rows={:<4} revised {revised_ms:.3} ms (objective {objective:.4})",
             lp.objective.len(),
             lp.constraints.len(),
         );
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{name}\", \"n_vars\": {}, \"n_rows\": {}, \"dense_median_ms\": {dense_ms:.4}, \"revised_median_ms\": {revised_ms:.4}, \"speedup_revised_over_dense\": {speedup:.2}}}{}",
+            "    {{\"name\": \"{name}\", \"n_vars\": {}, \"n_rows\": {}, \"revised_median_ms\": {revised_ms:.4}}}{}",
             lp.objective.len(),
             lp.constraints.len(),
             if k + 1 < n_cases { "," } else { "" }
@@ -142,45 +97,26 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // --- Warm vs cold cut loop ---------------------------------------
+    // --- Warm-started cut loop ---------------------------------------
     // A contended instance (many jobs, few machines) so separation finds
-    // cuts every round and the basis-reuse payoff is visible.
+    // cuts every round.
     let mut b = InstanceBuilder::new(2);
     for j in 0..36 {
         let job = b.job(1.0 + (j % 4) as f64, 0.0);
         b.round(job, &[vec![1.0 + (j % 3) as f64 * 0.5, 2.0]]);
     }
     let contended = b.build();
-    let warm_opts = RelaxOptions::default();
-    let cold_opts = RelaxOptions {
-        warm_start: false,
-        ..RelaxOptions::default()
-    };
-    let warm = relax::solve(&contended, &warm_opts);
-    let cold = relax::solve(&contended, &cold_opts);
-    assert_eq!(warm.mode, cold.mode, "cut counts must match");
-    let warm_ms = time_ms(|| relax::solve(&contended, &warm_opts));
-    let cold_ms = time_ms(|| relax::solve(&contended, &cold_opts));
+    let opts = RelaxOptions::default();
+    let warm = relax::solve(&contended, &opts);
+    let warm_ms = time_ms(|| relax::solve(&contended, &opts));
     println!(
-        "cut loop: {} cuts; warm {} pivots / {warm_ms:.3} ms vs cold {} pivots / {cold_ms:.3} ms \
-         (discarded on dense fallback: warm {}, cold {})",
-        warm.stats.cuts,
-        warm.stats.revised_pivots,
-        cold.stats.revised_pivots,
-        warm.stats.discarded_pivots,
-        cold.stats.discarded_pivots
+        "cut loop: {} cuts, {} LP solves, {} pivots / {warm_ms:.3} ms",
+        warm.stats.cuts, warm.stats.lp_solves, warm.stats.revised_pivots
     );
     let _ = writeln!(
         json,
-        "  \"cut_loop\": {{\"instance\": \"contended_36_tasks\", \"cuts\": {}, \"lp_solves\": {}, \"warm_revised_pivots\": {}, \"cold_revised_pivots\": {}, \"warm_discarded_pivots\": {}, \"cold_discarded_pivots\": {}, \"warm_dense_fallbacks\": {}, \"cold_dense_fallbacks\": {}, \"warm_median_ms\": {warm_ms:.4}, \"cold_median_ms\": {cold_ms:.4}}},",
-        warm.stats.cuts,
-        warm.stats.lp_solves,
-        warm.stats.revised_pivots,
-        cold.stats.revised_pivots,
-        warm.stats.discarded_pivots,
-        cold.stats.discarded_pivots,
-        warm.stats.dense_fallbacks,
-        cold.stats.dense_fallbacks
+        "  \"cut_loop\": {{\"instance\": \"contended_36_tasks\", \"cuts\": {}, \"lp_solves\": {}, \"warm_revised_pivots\": {}, \"warm_median_ms\": {warm_ms:.4}}},",
+        warm.stats.cuts, warm.stats.lp_solves, warm.stats.revised_pivots
     );
 
     // --- Branch and bound --------------------------------------------

@@ -58,7 +58,9 @@ impl Options {
     }
 
     /// Build the cluster from `--cluster testbed|low:N|mid:N|high:N` and
-    /// `--bandwidth <Gbps>`.
+    /// `--bandwidth <Gbps>`. `N` must cover one GPU of each kind the level
+    /// mixes, and the bandwidth must be finite and at least one byte per
+    /// second.
     pub fn cluster(&self) -> Result<Cluster, String> {
         let spec = self.get("cluster", "testbed");
         let cluster = match spec.split_once(':') {
@@ -71,15 +73,27 @@ impl Options {
                     "high" => Heterogeneity::High,
                     other => return Err(format!("unknown heterogeneity {other:?}")),
                 };
+                let kinds = level.kinds().len();
+                if (n as usize) < kinds {
+                    return Err(format!(
+                        "--cluster {spec}: needs at least one GPU per kind ({kinds})"
+                    ));
+                }
                 Cluster::with_heterogeneity(level, n)
             }
             _ => return Err(format!("unknown cluster spec {spec:?}")),
         };
         let gbps: f64 = self.num("bandwidth", 25.0)?;
-        if gbps <= 0.0 {
-            return Err("--bandwidth must be positive".into());
+        if !(gbps.is_finite() && gbps > 0.0) {
+            return Err(format!(
+                "--bandwidth must be a positive finite Gbps, got {gbps}"
+            ));
         }
-        Ok(cluster.with_network(NetworkModel::default().with_nic(Bandwidth::gbps(gbps))))
+        let nic = Bandwidth::gbps(gbps);
+        if nic.as_bytes_per_sec() == 0 {
+            return Err(format!("--bandwidth {gbps} Gbps rounds to 0 bytes/s"));
+        }
+        Ok(cluster.with_network(NetworkModel::default().with_nic(nic)))
     }
 
     /// Parse `--mix cv=0.25,nlp=0.25,speech=0.25,rec=0.25`.
@@ -143,6 +157,24 @@ mod tests {
         assert!((c.network().nic.as_gbps() - 10.0).abs() < 1e-9);
         assert!(parse("x --cluster weird:3").cluster().is_err());
         assert!(parse("x --cluster high:x").cluster().is_err());
+        // Fewer GPUs than the level has kinds: an error, not a panic.
+        assert_eq!(
+            parse("x --cluster high:4").cluster().unwrap().gpu_count(),
+            4
+        );
+        for spec in ["high:3", "mid:1", "low:0"] {
+            let err = parse(&format!("x --cluster {spec}")).cluster().unwrap_err();
+            assert!(err.contains("at least one GPU per kind"), "{spec}: {err}");
+        }
+        // Bandwidths that are not finite or round to 0 B/s.
+        for gbps in ["nan", "inf", "-inf", "0", "-3", "1e-12"] {
+            let err = parse(&format!("x --bandwidth {gbps}"))
+                .cluster()
+                .unwrap_err();
+            assert!(err.starts_with("--bandwidth"), "{gbps}: {err}");
+        }
+        let c = parse("x --bandwidth 1e-8").cluster().unwrap();
+        assert_eq!(c.network().nic.as_bytes_per_sec(), 1);
     }
 
     #[test]

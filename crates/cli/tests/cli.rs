@@ -136,3 +136,47 @@ fn bad_flags_produce_errors() {
     assert!(!ok);
     assert!(stderr.contains("unknown heterogeneity"));
 }
+
+#[test]
+fn bad_cluster_and_bandwidth_flags_exit_1_without_panicking() {
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["schedule", "--cluster", "high:3"],
+            "--cluster high:3: needs at least one GPU per kind (4)",
+        ),
+        (
+            &["schedule", "--cluster", "low:0"],
+            "--cluster low:0: needs at least one GPU per kind (1)",
+        ),
+        (
+            &["compare", "--cluster", "mid:1"],
+            "--cluster mid:1: needs at least one GPU per kind (2)",
+        ),
+        (
+            &["schedule", "--bandwidth", "nan"],
+            "--bandwidth must be a positive finite Gbps, got NaN",
+        ),
+        (
+            &["shard", "--bandwidth", "inf"],
+            "--bandwidth must be a positive finite Gbps, got inf",
+        ),
+        (
+            &["schedule", "--bandwidth", "1e-12"],
+            "--bandwidth 0.000000000001 Gbps rounds to 0 bytes/s",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hare"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("error: {message}").as_str()),
+            "{args:?}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -100,9 +100,9 @@ impl HareScheduler {
     }
 
     /// [`HareScheduler::schedule`] with relaxation-phase work spans
-    /// recorded into `trace` (cut rounds, dense fallbacks, combinatorial
-    /// sweeps — see `hare_solver::trace`). The non-Midpoint priority
-    /// orders do no solver work and record nothing.
+    /// recorded into `trace` (cut rounds and combinatorial sweeps — see
+    /// `hare_solver::trace`). The non-Midpoint priority orders do no
+    /// solver work and record nothing.
     pub fn schedule_traced(
         &self,
         p: &SchedProblem,

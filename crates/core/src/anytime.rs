@@ -265,7 +265,7 @@ pub fn anytime_schedule_traced(
         Some(sol) => {
             stats = sol.stats;
             let work = match sol.mode {
-                RelaxMode::Lp { .. } => stats.revised_pivots.saturating_add(stats.discarded_pivots),
+                RelaxMode::Lp { .. } => stats.revised_pivots,
                 RelaxMode::Combinatorial => relax::combinatorial_work(&inst, &opts.relax),
             };
             finish(

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 pub enum SwitchPolicy {
     /// No optimization: full teardown + cold start (Table 3 row 1).
     Default,
-    /// PipeSwitch [8]: pre-created contexts + pipelined transfer (row 2).
+    /// PipeSwitch \[8\]: pre-created contexts + pipelined transfer (row 2).
     PipeSwitch,
     /// Hare: PipeSwitch + early cleaning + speculative caching (row 3).
     Hare,

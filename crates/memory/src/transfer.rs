@@ -4,7 +4,7 @@
 //! start. PipeSwitch exploits the layered structure of neural networks: it
 //! splits the parameters into layer groups and pipelines group transmission
 //! with execution, so only the *first* group's transfer sits on the critical
-//! path (Section 4, citing PipeSwitch [8]).
+//! path (Section 4, citing PipeSwitch \[8\]).
 
 use hare_cluster::{Bytes, GpuKind, SimDuration};
 use hare_workload::ModelKind;

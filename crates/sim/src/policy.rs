@@ -31,7 +31,7 @@ pub struct SimView<'a> {
     /// Fraction of the scheduler's replan budget currently available, in
     /// (0, 1]; 1.0 when the control plane is healthy. Shrunk by open
     /// [`crate::faults::SolverDegradation`] windows. Budget-aware
-    /// policies scale their per-replan [`hare_solver::SolveBudget`] by
+    /// policies scale their per-replan `hare_solver::SolveBudget` by
     /// it; others are free to ignore it.
     pub solver_budget_frac: f64,
 }

@@ -24,7 +24,7 @@
 //!   `[snapshot][records since]` and never grows without bound.
 //! * **Recovery** — load the last valid snapshot, then re-execute the
 //!   loop deterministically while *verifying* each regenerated
-//!   transition against the WAL suffix ([`WalSession`]); any mismatch is
+//!   transition against the WAL suffix (`WalSession`); any mismatch is
 //!   a [`RecoveryError::Divergence`] (corrupt snapshot, changed config,
 //!   or nondeterministic scheduler) instead of silent state skew. The
 //!   recovered run's final report is byte-identical to an uncrashed run

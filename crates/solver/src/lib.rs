@@ -5,8 +5,7 @@
 //! baseline. This crate provides those pieces from scratch:
 //!
 //! * [`lp`] — sparse revised simplex with warm-started constraint
-//!   generation, plus the original dense two-phase tableau as a
-//!   validation baseline;
+//!   generation;
 //! * [`matching`] — Hungarian min-cost bipartite matching;
 //! * [`instance`] — the task-level scheduling instance both solvers consume;
 //! * [`relax`] — the `Hare_Sched_RL` relaxation (LP + Queyranne cuts for
@@ -37,7 +36,7 @@ pub use instance::{
 pub use lp::{Cmp, Constraint, LinearProgram, LpOutcome, RevisedSimplex};
 pub use matching::{min_cost_matching, Matching};
 pub use relax::{
-    certified_lower_bound, combinatorial_work, midpoints, min_max, solve_budgeted, solve_traced,
-    RelaxMode, RelaxOptions, RelaxSolution, SolveStats,
+    base_program, certified_lower_bound, combinatorial_work, midpoints, min_max, solve_budgeted,
+    solve_traced, RelaxMode, RelaxOptions, RelaxSolution, SolveStats,
 };
 pub use trace::{SolveSpan, SolveTrace};

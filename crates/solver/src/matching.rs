@@ -1,6 +1,6 @@
 //! Min-cost bipartite matching (Hungarian algorithm, O(n³)).
 //!
-//! AlloX [24] schedules jobs by transforming placement into a min-cost
+//! AlloX \[24\] schedules jobs by transforming placement into a min-cost
 //! bipartite matching between jobs and (machine, position) slots; the
 //! `hare-baselines` crate builds that matching on top of this module. The
 //! implementation is the classic potentials-based Hungarian algorithm on a

@@ -10,9 +10,11 @@
 //!
 //! This module provides two interchangeable modes:
 //!
-//! * **LP mode** (small instances): a real linear program solved with the
-//!   in-repo simplex, with aggregated Queyranne *cuts* added by iterative
-//!   separation (sorted-prefix heuristic). Each cut
+//! * **LP mode** (small instances): a real linear program,
+//!   [`base_program`], solved with the in-repo revised simplex, with
+//!   aggregated Queyranne *cuts* added by iterative separation
+//!   (sorted-prefix heuristic) and re-optimized warm from the previous
+//!   basis. Each cut
 //!   `Σ_{i∈S} p_i^max x_i ≥ (Σ_{i∈S} p_i^min)²/(2M) − ½ Σ_{i∈S} (p_i^max)²`
 //!   is valid for every feasible schedule (derivation in DESIGN.md), so the
 //!   LP optimum is a certified lower bound on `Hare_Sched`.
@@ -45,11 +47,6 @@ pub struct RelaxOptions {
     pub max_cut_rounds: usize,
     /// Sweep passes in combinatorial mode.
     pub passes: usize,
-    /// Keep the simplex basis alive across cut rounds (LP mode): each new
-    /// cut re-optimizes from the previous optimal basis instead of
-    /// re-running both phases from scratch. Off = cold re-solve per round,
-    /// kept for A/B measurement and regression tests.
-    pub warm_start: bool,
 }
 
 impl Default for RelaxOptions {
@@ -58,31 +55,23 @@ impl Default for RelaxOptions {
             lp_task_limit: 120,
             max_cut_rounds: 12,
             passes: 4,
-            warm_start: true,
         }
     }
 }
 
-/// Work counters from one relaxation solve (LP mode; zeros in
-/// combinatorial mode).
+/// Work counters from one relaxation solve's cut loop (zeros when the
+/// instance went straight to the combinatorial sweep).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveStats {
-    /// Queyranne cuts added before separation converged.
+    /// Queyranne cuts added to the program.
     pub cuts: usize,
-    /// Productive revised-simplex pivots: every solve that ran to
-    /// optimality, across the initial solve and all cut re-solves.
+    /// Revised-simplex pivots across the initial solve and every cut
+    /// re-solve, including a round that hit the per-solve cap before the
+    /// sweep took over.
     pub revised_pivots: u64,
-    /// Pivots spent on solves that hit the per-solve pivot budget and were
-    /// redone from scratch by the dense fallback — wasted work, kept
-    /// separate from [`SolveStats::revised_pivots`] so benchmark
-    /// attribution stays honest (dense solves themselves contribute to
-    /// neither counter).
-    pub discarded_pivots: u64,
-    /// LP solves performed (1 + cuts).
+    /// LP solves that reached optimality: 1 + cuts, unless a round hit the
+    /// per-solve cap.
     pub lp_solves: usize,
-    /// Times the revised simplex exhausted its pivot budget and the
-    /// accumulated program was re-solved by the dense ground-truth solver.
-    pub dense_fallbacks: usize,
 }
 
 /// Which mode produced a solution.
@@ -144,15 +133,17 @@ pub fn solve_traced(
 /// the one branch of the LP cut loop that differs:
 ///
 /// * **unlimited** (what [`solve`] runs): each LP solve gets a per-solve
-///   safety cap far above anything a healthy round needs; a solve that
-///   hits it (cycling, or a pathological cut sequence) is redone by the
-///   dense ground-truth solver and recorded as an `"lp_dense_fallback"`
-///   span;
+///   safety cap far above anything a healthy round needs. A solve that
+///   hits it (cycling, or a pathological cut sequence) hands the instance
+///   to the combinatorial sweep, the path every instance above
+///   `lp_task_limit` takes: the result is [`RelaxMode::Combinatorial`],
+///   whose start times still give Algorithm 1 a valid midpoint order. The
+///   aborted round's pivots stay in [`SolveStats`] and in its
+///   `"lp_round"` span, followed by one `"combinatorial"` span;
 /// * **finite**: `budget.pivot_cap` is a *total* allowance across the
-///   initial solve and every cut re-solve — including the pivots of the
-///   simplex objects a cold loop rebuilt — with no dense fallback: a
-///   budgeted caller wants bounded latency, and the degradation ladder in
-///   `hare-core` supplies the next-best plan instead.
+///   initial solve and every cut re-solve, and running out returns `None`:
+///   a budgeted caller wants bounded latency, and the degradation ladder
+///   in `hare-core` supplies the next-best plan instead.
 ///
 /// Combinatorial mode charges the flat, deterministic
 /// [`combinatorial_work`] cost against `budget.pivot_cap` up front.
@@ -168,17 +159,12 @@ pub fn solve_budgeted(
     }
     inst.validate().expect("invalid instance");
     let (x_hat, mode, stats) = if inst.n_tasks() <= opts.lp_task_limit {
-        lp_mode(inst, opts, budget, cancel, trace)?
+        lp_mode(inst, opts, budget, cancel, trace, SOLVE_PIVOT_CAP)?
+    } else if combinatorial_work(inst, opts) > budget.pivot_cap {
+        return None;
     } else {
-        let work = combinatorial_work(inst, opts);
-        if work > budget.pivot_cap {
-            return None;
-        }
-        if let Some(tr) = trace {
-            tr.record("combinatorial", work, 0);
-        }
         (
-            combinatorial_mode(inst, opts),
+            combinatorial_mode(inst, opts, trace),
             RelaxMode::Combinatorial,
             SolveStats::default(),
         )
@@ -226,9 +212,13 @@ pub fn midpoints(inst: &Instance, x_hat: &[f64]) -> Vec<f64> {
 // LP mode
 // ---------------------------------------------------------------------
 
-/// Build the base relaxation program. Variables: x_0..x_{T-1} (task
-/// starts) then C_0..C_{N-1} (job completions).
-fn base_program(inst: &Instance) -> LinearProgram {
+/// The relaxation program LP mode starts from, before any cut: minimize
+/// Σ wₙCₙ over task starts `x_0..x_{T-1}` (variables `0..T`) then job
+/// completions `C_0..C_{N-1}` (variables `T..T+N`), subject to release
+/// times (4), job completion after each of its tasks (6) and round
+/// precedence (7), every duration taken at its machine minimum so the
+/// program relaxes every assignment.
+pub fn base_program(inst: &Instance) -> LinearProgram {
     let t = inst.n_tasks();
     let n = inst.jobs.len();
     let mut objective = vec![0.0; t + n];
@@ -281,100 +271,85 @@ fn separate_cut(inst: &Instance, x_hat: &[f64]) -> Option<(Vec<(usize, f64)>, f6
     let mut sum_pmin = 0.0;
     let mut sum_pmax_sq = 0.0;
     let mut lhs = 0.0;
-    let mut best: Option<(usize, f64)> = None; // (prefix length, violation)
+    let mut best: Option<(usize, f64, f64)> = None; // (prefix length, violation, rhs)
     for (k, &i) in order.iter().enumerate() {
         sum_pmin += inst.p_min(i);
         sum_pmax_sq += inst.p_max(i) * inst.p_max(i);
         lhs += inst.p_max(i) * x_hat[i];
         let rhs = sum_pmin * sum_pmin / (2.0 * m) - 0.5 * sum_pmax_sq;
         let violation = rhs - lhs;
-        if violation > 1e-6 && best.is_none_or(|(_, v)| violation > v) {
-            best = Some((k + 1, violation));
+        if violation > 1e-6 && best.is_none_or(|(_, v, _)| violation > v) {
+            best = Some((k + 1, violation, rhs));
         }
     }
-    let (len, _) = best?;
-    let set = &order[..len];
-    let sum_pmin: f64 = set.iter().map(|&i| inst.p_min(i)).sum();
-    let sum_pmax_sq: f64 = set.iter().map(|&i| inst.p_max(i) * inst.p_max(i)).sum();
-    let rhs = sum_pmin * sum_pmin / (2.0 * m) - 0.5 * sum_pmax_sq;
-    let terms: Vec<(usize, f64)> = set.iter().map(|&i| (i, inst.p_max(i))).collect();
+    let (len, _, rhs) = best?;
+    let terms: Vec<(usize, f64)> = order[..len].iter().map(|&i| (i, inst.p_max(i))).collect();
     Some((terms, rhs))
 }
 
 /// Per-solve pivot cap of the cut loop under an unlimited budget: far
 /// above anything a healthy cut round needs, so it only trips on cycling
-/// or a pathological cut sequence — in which case the accumulated program
-/// is handed to the dense ground-truth solver and the revised simplex is
-/// rebuilt fresh.
+/// or a pathological cut sequence — in which case the combinatorial sweep
+/// supplies the start times.
 const SOLVE_PIVOT_CAP: u64 = 20_000;
 
 /// The Queyranne cut loop under `budget` (see [`solve_budgeted`]): solve
 /// the base program, then add the most violated cut and re-solve until
-/// separation finds none or `opts.max_cut_rounds` cuts were added.
+/// separation finds none or `opts.max_cut_rounds` cuts were added. Under
+/// an unlimited budget each solve may spend `solve_cap` pivots, and a
+/// solve that hits it hands over to the combinatorial sweep.
 fn lp_mode(
     inst: &Instance,
     opts: &RelaxOptions,
     budget: &SolveBudget,
     cancel: &CancelToken,
     trace: Option<&SolveTrace>,
+    solve_cap: u64,
 ) -> Option<(Vec<f64>, RelaxMode, SolveStats)> {
     let t = inst.n_tasks();
     let unlimited = budget.is_unlimited();
-    let mut lp = base_program(inst);
-    // One incremental simplex for the whole cut loop: with `warm_start` each
-    // added cut re-optimizes from the previous basis (the expensive Phase I
-    // runs once, on the initial program, and never again). Every cut is
-    // *also* recorded in `lp`, so the dense fallback always sees the full
-    // accumulated program.
-    let mut simplex = RevisedSimplex::new(&lp);
+    // One incremental simplex for the whole cut loop: each added cut
+    // re-optimizes from the previous basis, so the expensive Phase I runs
+    // once, on the base program, and never again.
+    let mut simplex = RevisedSimplex::new(&base_program(inst));
     let mut stats = SolveStats::default();
-    // Pivots of the simplex objects the cold loop replaced, which a finite
-    // budget still counts.
-    let mut retired: u64 = 0;
-    let mut cuts = 0usize;
     let x_hat = loop {
         let before = simplex.pivots();
-        let spent = stats.revised_pivots + stats.discarded_pivots;
-        let fallbacks = stats.dense_fallbacks;
-        // Both caps are absolute positions of this object's pivot counter.
+        // Both caps are absolute positions of the simplex's pivot counter.
         let cap = if unlimited {
-            before.saturating_add(SOLVE_PIVOT_CAP)
+            before.saturating_add(solve_cap)
         } else {
-            budget.pivot_cap.saturating_sub(retired)
+            budget.pivot_cap
         };
-        let outcome = match simplex.solve_under(cap, budget, cancel) {
-            Some(outcome) => {
-                stats.revised_pivots += simplex.pivots() - before;
-                outcome
-            }
-            // The aborted attempt's pivots were wasted — the dense solver
-            // redoes the round from scratch.
-            None if unlimited && !cancel.is_cancelled() => {
-                stats.discarded_pivots += simplex.pivots() - before;
-                stats.dense_fallbacks += 1;
-                simplex = RevisedSimplex::new(&lp);
-                lp.solve_dense()
-            }
-            None => return None,
-        };
+        let outcome = simplex.solve_under(cap, budget, cancel);
+        // A finite budget, the deadline or cancellation aborts the solve;
+        // only the per-solve cap of an unlimited one falls through to the
+        // sweep below.
+        if outcome.is_none() && (!unlimited || cancel.is_cancelled()) {
+            return None;
+        }
+        // One span per LP solve: work = pivots spent, detail = cuts so far.
+        let work = simplex.pivots() - before;
+        stats.revised_pivots += work;
+        if let Some(tr) = trace {
+            tr.record("lp_round", work, stats.cuts as u64);
+        }
         let x_hat = match outcome {
-            LpOutcome::Optimal { x, .. } => x[..t].to_vec(),
-            other => panic!("relaxation LP must be solvable, got {other:?}"),
+            Some(LpOutcome::Optimal { x, .. }) => x[..t].to_vec(),
+            // The per-solve cap tripped: Algorithm 1 needs only a midpoint
+            // order, which the sweep supplies as it does for every instance
+            // above `lp_task_limit`.
+            None => {
+                return Some((
+                    combinatorial_mode(inst, opts, trace),
+                    RelaxMode::Combinatorial,
+                    stats,
+                ))
+            }
+            Some(other) => panic!("relaxation LP must be solvable, got {other:?}"),
         };
         stats.lp_solves += 1;
-        // One span per LP solve: work = pivots spent on the round
-        // (productive or discarded), phase marks whether the dense
-        // fallback fired.
-        if let Some(tr) = trace {
-            let phase = if stats.dense_fallbacks > fallbacks {
-                "lp_dense_fallback"
-            } else {
-                "lp_round"
-            };
-            let work = stats.revised_pivots + stats.discarded_pivots - spent;
-            tr.record(phase, work, cuts as u64);
-        }
-        if cuts == opts.max_cut_rounds {
+        if stats.cuts == opts.max_cut_rounds {
             break x_hat;
         }
         if cancel.is_cancelled() || budget.deadline_passed() {
@@ -383,26 +358,26 @@ fn lp_mode(
         let Some((terms, rhs)) = separate_cut(inst, &x_hat) else {
             break x_hat;
         };
-        cuts += 1;
-        if opts.warm_start {
-            lp.constrain(terms.clone(), Cmp::Ge, rhs);
-            simplex.add_constraint(terms, Cmp::Ge, rhs);
-        } else {
-            lp.constrain(terms, Cmp::Ge, rhs);
-            retired = retired.saturating_add(simplex.pivots());
-            simplex = RevisedSimplex::new(&lp);
-        }
+        stats.cuts += 1;
+        simplex.add_constraint(terms, Cmp::Ge, rhs);
     };
-
-    stats.cuts = cuts;
-    Some((x_hat, RelaxMode::Lp { cuts }, stats))
+    Some((x_hat, RelaxMode::Lp { cuts: stats.cuts }, stats))
 }
 
 // ---------------------------------------------------------------------
 // Combinatorial mode
 // ---------------------------------------------------------------------
 
-fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
+/// The combinatorial sweep's start times; its flat [`combinatorial_work`]
+/// is recorded as one `"combinatorial"` span.
+fn combinatorial_mode(
+    inst: &Instance,
+    opts: &RelaxOptions,
+    trace: Option<&SolveTrace>,
+) -> Vec<f64> {
+    if let Some(tr) = trace {
+        tr.record("combinatorial", combinatorial_work(inst, opts), 0);
+    }
     let t = inst.n_tasks();
     let mut x = vec![0.0f64; t];
     for (i, task) in inst.tasks.iter().enumerate() {
@@ -422,22 +397,7 @@ fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
     let m = inst.n_machines as f64;
     let mut order: Vec<(f64, usize)> = Vec::with_capacity(t);
     for _ in 0..opts.passes {
-        // (4)+(7): forward precedence propagation with machine-minimum
-        // durations (a relaxation of any concrete assignment).
-        for (j_idx, job_rounds) in rounds.iter().enumerate() {
-            let mut frontier = inst.jobs[j_idx].release;
-            for round in job_rounds {
-                for &i in round {
-                    if x[i] < frontier {
-                        x[i] = frontier;
-                    }
-                }
-                frontier = round
-                    .iter()
-                    .map(|&i| x[i] + inst.ps_min(i))
-                    .fold(frontier, f64::max);
-            }
-        }
+        push_precedence(inst, &rounds, &mut x);
 
         // Aggregated volume push mirroring Lemma 2: the j-th smallest
         // midpoint satisfies H_(j) >= (Σ_{k<=j} p̂_k) / (2M), so lift
@@ -464,8 +424,17 @@ fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
     }
 
     // Final precedence pass so the output always satisfies (4)+(7).
-    for (j_idx, job_rounds) in rounds.iter().enumerate() {
-        let mut frontier = inst.jobs[j_idx].release;
+    push_precedence(inst, &rounds, &mut x);
+    x
+}
+
+/// (4)+(7): forward precedence propagation with machine-minimum durations
+/// (a relaxation of any concrete assignment). Each task of a round starts
+/// no earlier than its job's release and every earlier round's finish;
+/// `rounds` lists each job's task ids round by round.
+fn push_precedence(inst: &Instance, rounds: &[Vec<Vec<usize>>], x: &mut [f64]) {
+    for (job, job_rounds) in inst.jobs.iter().zip(rounds) {
+        let mut frontier = job.release;
         for round in job_rounds {
             for &i in round {
                 if x[i] < frontier {
@@ -478,7 +447,6 @@ fn combinatorial_mode(inst: &Instance, opts: &RelaxOptions) -> Vec<f64> {
                 .fold(frontier, f64::max);
         }
     }
-    x
 }
 
 // ---------------------------------------------------------------------
@@ -668,6 +636,65 @@ mod tests {
         );
     }
 
+    /// The cut loop with a cold re-solve per round: a fresh simplex over
+    /// the base program plus the cuts so far. The warm loop in [`lp_mode`]
+    /// must reproduce it with fewer pivots. Returns x̂, the cut count and
+    /// the pivots summed over every round's simplex.
+    fn cold_cut_loop(inst: &Instance, opts: &RelaxOptions) -> (Vec<f64>, usize, u64) {
+        let mut lp = base_program(inst);
+        let (mut cuts, mut pivots) = (0, 0);
+        loop {
+            let mut simplex = RevisedSimplex::new(&lp);
+            let LpOutcome::Optimal { x, .. } = simplex.solve() else {
+                panic!("relaxation LP must be solvable");
+            };
+            pivots += simplex.pivots();
+            let x_hat = x[..inst.n_tasks()].to_vec();
+            if cuts == opts.max_cut_rounds {
+                return (x_hat, cuts, pivots);
+            }
+            let Some((terms, rhs)) = separate_cut(inst, &x_hat) else {
+                return (x_hat, cuts, pivots);
+            };
+            lp.constrain(terms, Cmp::Ge, rhs);
+            cuts += 1;
+        }
+    }
+
+    /// Task indices ordered by midpoint priority, ties broken by index —
+    /// the order Algorithm 1 actually consumes.
+    fn midpoint_order(h: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..h.len()).collect();
+        order.sort_by(|&a, &b| h[a].total_cmp(&h[b]).then(a.cmp(&b)));
+        order
+    }
+
+    /// The warm loop against [`cold_cut_loop`]: the same cut count, x̂
+    /// within 1e-6 and the same midpoint order. Returns the warm solution
+    /// and the cold loop's pivots.
+    fn assert_warm_matches_cold(inst: &Instance, label: &str) -> (RelaxSolution, u64) {
+        let opts = RelaxOptions::default();
+        let warm = solve(inst, &opts);
+        let (cold_x, cold_cuts, cold_pivots) = cold_cut_loop(inst, &opts);
+        assert_eq!(
+            warm.mode,
+            RelaxMode::Lp { cuts: cold_cuts },
+            "{label}: cut counts diverged"
+        );
+        for (i, (a, b)) in warm.x_hat.iter().zip(&cold_x).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-6,
+                "{label}: x̂[{i}] diverged: warm {a} vs cold {b}"
+            );
+        }
+        assert_eq!(
+            midpoint_order(&warm.h),
+            midpoint_order(&midpoints(inst, &cold_x)),
+            "{label}: midpoint priority order diverged"
+        );
+        (warm, cold_pivots)
+    }
+
     #[test]
     fn warm_and_cold_cut_loops_agree_and_warm_pivots_less() {
         let mut b = InstanceBuilder::new(2);
@@ -676,26 +703,35 @@ mod tests {
             b.round(j, &[vec![1.0 + 0.3 * (k % 4) as f64, 2.0]]);
         }
         let inst = b.build();
-        let warm = solve(&inst, &RelaxOptions::default());
-        let cold = solve(
-            &inst,
-            &RelaxOptions {
-                warm_start: false,
-                ..RelaxOptions::default()
-            },
-        );
-        assert_eq!(warm.mode, cold.mode, "same cuts should be separated");
-        for (a, b_) in warm.x_hat.iter().zip(&cold.x_hat) {
-            assert!((a - b_).abs() < 1e-6, "x̂ diverged: {a} vs {b_}");
-        }
+        let (warm, cold) = assert_warm_matches_cold(&inst, "staggered_10");
         if warm.stats.cuts > 0 {
-            assert!(
-                warm.stats.revised_pivots < cold.stats.revised_pivots,
-                "warm {} pivots vs cold {}",
-                warm.stats.revised_pivots,
-                cold.stats.revised_pivots
-            );
+            let warm = warm.stats.revised_pivots;
+            assert!(warm < cold, "warm {warm} pivots vs cold {cold}");
         }
+    }
+
+    #[test]
+    fn warm_cut_rounds_preserve_midpoint_order_on_seed_instances() {
+        assert_warm_matches_cold(&fig1_instance(), "fig1");
+
+        // The contended single-machine seed instance that forces cuts
+        // (mirrors `lp_mode_adds_cuts_on_contended_instances`).
+        let mut b = InstanceBuilder::new(1);
+        for _ in 0..8 {
+            let j = b.job(1.0, 0.0);
+            b.round(j, &[vec![1.0]]);
+        }
+        assert_warm_matches_cold(&b.build(), "contended_8");
+
+        // Heterogeneous two-machine seed instance with rounds and releases
+        // (mirrors `heavier_jobs_do_not_change_validity`).
+        let mut b = InstanceBuilder::new(2);
+        let j1 = b.job(5.0, 0.0);
+        let j2 = b.job(1.0, 3.0);
+        b.round(j1, &[vec![2.0, 3.0], vec![2.0, 3.0]]);
+        b.round(j1, &[vec![2.0, 3.0]]);
+        b.round(j2, &[vec![1.0, 4.0]]);
+        assert_warm_matches_cold(&b.build(), "weighted_hetero");
     }
 
     #[test]
@@ -756,7 +792,10 @@ mod tests {
         let inst = fig1_instance();
         let opts = RelaxOptions::default();
         let plain = solve(&inst, &opts);
-        assert_eq!(plain.stats.dense_fallbacks, 0, "healthy instance");
+        assert!(
+            matches!(plain.mode, RelaxMode::Lp { .. }),
+            "healthy instance"
+        );
         let budgeted = solve_budgeted(
             &inst,
             &opts,
@@ -779,27 +818,65 @@ mod tests {
             b.round(j, &[vec![1.0]]);
         }
         let inst = b.build();
-        for warm_start in [true, false] {
-            let opts = RelaxOptions {
-                warm_start,
-                ..RelaxOptions::default()
-            };
-            let (unlimited, finite) = (SolveTrace::new(), SolveTrace::new());
-            let plain = solve_traced(&inst, &opts, Some(&unlimited));
-            let budgeted = solve_budgeted(
-                &inst,
-                &opts,
-                &SolveBudget::capped(1_000_000, 0),
-                &CancelToken::new(),
-                Some(&finite),
-            )
-            .expect("budget is plenty");
-            assert_eq!(plain, budgeted, "warm_start {warm_start}");
-            assert!(plain.stats.cuts >= 1, "the cut loop must run");
-            let spans = unlimited.drain();
-            assert_eq!(spans.len(), plain.stats.lp_solves);
-            assert_eq!(spans, finite.drain(), "warm_start {warm_start}");
-        }
+        let opts = RelaxOptions::default();
+        let (unlimited, finite) = (SolveTrace::new(), SolveTrace::new());
+        let plain = solve_traced(&inst, &opts, Some(&unlimited));
+        let budgeted = solve_budgeted(
+            &inst,
+            &opts,
+            &SolveBudget::capped(1_000_000, 0),
+            &CancelToken::new(),
+            Some(&finite),
+        )
+        .expect("budget is plenty");
+        assert_eq!(plain, budgeted);
+        assert!(plain.stats.cuts >= 1, "the cut loop must run");
+        let spans = unlimited.drain();
+        assert_eq!(spans.len(), plain.stats.lp_solves);
+        assert_eq!(spans, finite.drain());
+    }
+
+    #[test]
+    fn capped_unlimited_solve_falls_back_to_the_sweep() {
+        let inst = fig1_instance();
+        let opts = RelaxOptions::default();
+        let sweep = solve(
+            &inst,
+            &RelaxOptions {
+                lp_task_limit: 0,
+                ..opts
+            },
+        );
+        // A zero per-solve cap trips on the first pivot of the first round.
+        let trace = SolveTrace::new();
+        let (x_hat, mode, stats) = lp_mode(
+            &inst,
+            &opts,
+            &SolveBudget::UNLIMITED,
+            &CancelToken::new(),
+            Some(&trace),
+            0,
+        )
+        .expect("an unlimited solve falls back instead of aborting");
+        assert_eq!(mode, RelaxMode::Combinatorial);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_hat), bits(&sweep.x_hat));
+        assert_eq!(stats.lp_solves, 0);
+        let spans = trace.drain();
+        let phases: Vec<&str> = spans.iter().map(|s| s.phase).collect();
+        assert_eq!(phases, ["lp_round", "combinatorial"]);
+        assert_eq!(
+            spans[1].end - spans[1].start,
+            combinatorial_work(&inst, &opts)
+        );
+
+        // Cancellation still aborts rather than falling back.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert_eq!(
+            lp_mode(&inst, &opts, &SolveBudget::UNLIMITED, &cancelled, None, 0),
+            None
+        );
     }
 
     #[test]

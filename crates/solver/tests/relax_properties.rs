@@ -4,50 +4,10 @@
 //! cached reductions against the folds they replaced, and mode agreement
 //! on shared invariants.
 
-use hare_solver::{certified_lower_bound, relax, Instance, JobMeta, RelaxOptions, Row, TaskMeta};
-use proptest::prelude::*;
+mod support;
 
-fn instances() -> impl Strategy<Value = Instance> {
-    let job = (1u32..=3, 1usize..=2, 1u32..=5, 0.0f64..5.0);
-    (1usize..=3, prop::collection::vec(job, 1..=4)).prop_flat_map(|(n_machines, jobs_meta)| {
-        // Per-task machine times in [0.5, 8.0].
-        let total_tasks: usize = jobs_meta
-            .iter()
-            .map(|&(rounds, scale, _, _)| rounds as usize * scale)
-            .sum();
-        let times =
-            prop::collection::vec(prop::collection::vec(0.5f64..8.0, n_machines), total_tasks);
-        times.prop_map(move |times| {
-            let mut tasks = Vec::new();
-            let mut rows = Vec::new();
-            let mut jobs = Vec::new();
-            for (j, &(rounds, scale, weight, release)) in jobs_meta.iter().enumerate() {
-                jobs.push(JobMeta {
-                    weight: weight as f64,
-                    release,
-                    rounds,
-                });
-                for r in 0..rounds {
-                    for _ in 0..scale {
-                        // Every task draws its own times, so gets its own row.
-                        tasks.push(TaskMeta {
-                            job: j,
-                            round: r,
-                            row: rows.len(),
-                        });
-                        rows.push(Row::new(times[rows.len()].clone(), vec![0.1; n_machines]));
-                    }
-                }
-            }
-            Instance {
-                n_machines,
-                jobs,
-                rows,
-                tasks,
-            }
-        })
-    })
-}
+use hare_solver::{certified_lower_bound, relax, Instance, RelaxOptions};
+use proptest::prelude::*;
 
 /// A trivially feasible schedule: every task on machine 0, in topological
 /// order, back to back. Returns its Σ wC.
@@ -157,7 +117,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn cached_reductions_equal_the_folds_they_replace(inst in instances()) {
+    fn cached_reductions_equal_the_folds_they_replace(inst in support::instances(3, 4)) {
         let mut reversed = inst.clone();
         reversed.tasks.reverse();
         for inst in [inst, reversed] {
@@ -172,7 +132,7 @@ proptest! {
     }
 
     #[test]
-    fn relaxed_starts_respect_release_and_precedence(inst in instances()) {
+    fn relaxed_starts_respect_release_and_precedence(inst in support::instances(3, 4)) {
         for opts in [
             RelaxOptions::default(),
             RelaxOptions { lp_task_limit: 0, ..RelaxOptions::default() },
@@ -202,7 +162,7 @@ proptest! {
     }
 
     #[test]
-    fn lower_bound_is_below_any_feasible_schedule(inst in instances()) {
+    fn lower_bound_is_below_any_feasible_schedule(inst in support::instances(3, 4)) {
         let lb = certified_lower_bound(&inst);
         let feasible = greedy_feasible_objective(&inst);
         prop_assert!(lb <= feasible + 1e-6, "LB {} above a feasible value {}", lb, feasible);
@@ -210,7 +170,7 @@ proptest! {
     }
 
     #[test]
-    fn one_pass_lower_bound_matches_the_rescanning_formula(inst in instances()) {
+    fn one_pass_lower_bound_matches_the_rescanning_formula(inst in support::instances(3, 4)) {
         // Tasks may come in any order; reversing them reorders every
         // per-job sum, which both formulas take in task-index order.
         let mut reversed = inst.clone();
@@ -224,7 +184,7 @@ proptest! {
     }
 
     #[test]
-    fn alpha_is_at_least_one_and_finite(inst in instances()) {
+    fn alpha_is_at_least_one_and_finite(inst in support::instances(3, 4)) {
         let a = inst.alpha();
         prop_assert!(a >= 1.0 && a.is_finite());
     }
