@@ -11,102 +11,45 @@
 //! exploits the relaxed scale-fixed flexibility Hare adds — the gap the
 //! paper's Fig. 1(b)/(c) illustrates.
 //!
-//! Online operation: at every dispatch opportunity the waiting jobs are
-//! re-matched against free GPUs × positions 1..P; position-1 matches are
-//! committed in cost order, each committing a gang of the matched GPU plus
-//! the fastest remaining free GPUs (same kind preferred).
+//! Online operation: whenever the waiting jobs or the free GPUs change,
+//! the waiting jobs are re-matched against free GPUs × positions 1..P;
+//! position-1 matches are committed in cost order, each committing a gang
+//! of the matched GPU plus the fastest remaining free GPUs (same kind
+//! preferred).
 
-use crate::common::{
-    continue_on_gang, fastest_idle, ready_by_job, release_completed, repair_gangs, Reservations,
-};
-use hare_sim::{Policy, SimView};
+use crate::common::{fastest_first, GangPolicy, GangRule};
+use hare_sim::SimWorkload;
 use hare_solver::min_cost_matching;
-use std::collections::BTreeSet;
-
-/// The matching's dynamic input: waiting jobs with their synced-round
-/// progress, plus the free idle GPUs (see `SchedAllox::noop_input`).
-type MatchInput = (Vec<(usize, u32)>, Vec<usize>);
 
 /// AlloX-style min-cost-matching job-level scheduler.
-#[derive(Debug, Default)]
-pub struct SchedAllox {
-    /// Dedicated gang per job, once matched.
-    placed: Vec<Option<Vec<usize>>>,
-    reservations: Reservations,
-    /// GPUs currently down (fault injection).
-    down: BTreeSet<usize>,
-    /// The last matching input that committed nothing, or `None`.
-    ///
-    /// Whether any position-1 match commits is a pure function of the
-    /// waiting jobs (with their synced-round progress) and the free idle
-    /// GPUs — everything else the matching reads is static workload data.
-    /// While admission is blocked (typically: fewer free GPUs than the
-    /// cheapest waiting gang needs) every event replays exactly this
-    /// input, so the O(n³) matching can be skipped until the input moves.
-    noop_input: Option<MatchInput>,
-}
+pub type SchedAllox = GangPolicy<SchedAlloxRule>;
 
-impl SchedAllox {
-    /// New policy instance.
-    pub fn new() -> Self {
-        SchedAllox::default()
+/// Sched_Allox's admission rule: the min-cost matching of waiting jobs
+/// (in arrival order) onto free GPUs × queue positions.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct SchedAlloxRule;
+
+impl GangRule for SchedAlloxRule {
+    const NAME: &'static str = "Sched_Allox";
+
+    /// AlloX is heterogeneity-aware: repairs draw the fastest free GPU.
+    fn gpu_order(&self, w: &SimWorkload) -> Vec<usize> {
+        fastest_first(w)
     }
 
-    fn ensure_len(&mut self, n: usize) {
-        if self.placed.len() < n {
-            self.placed.resize(n, None);
-        }
-    }
-}
-
-impl Policy for SchedAllox {
-    fn name(&self) -> String {
-        "Sched_Allox".into()
-    }
-
-    fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-        let p = &view.workload.problem;
-        self.ensure_len(p.jobs.len());
-        release_completed(view, &mut self.placed, &mut self.reservations);
-        // AlloX is heterogeneity-aware: repairs draw the fastest free GPU.
-        repair_gangs(
-            fastest_idle(view),
-            &self.down,
-            &mut self.placed,
-            &mut self.reservations,
-        );
-        let ready = ready_by_job(view);
-        let mut idle: Vec<usize> = view.idle_gpus.to_vec();
-
-        // Placed jobs: run their released round as a gang on their own GPUs.
-        for (&job, tasks) in &ready {
-            if let Some(gang) = &self.placed[job] {
-                continue_on_gang(tasks, gang, &mut idle, out);
-            }
-        }
-
-        // Waiting jobs: min-cost matching onto free GPUs × positions. The
-        // per-slot cost is the job's remaining time if anchored on that
-        // GPU's kind, weighted by queue position.
-        let waiting: Vec<usize> = ready
-            .keys()
-            .copied()
-            .filter(|&j| self.placed[j].is_none())
-            .collect();
-        self.reservations.filter_free(&mut idle);
-        if waiting.is_empty() || idle.is_empty() {
-            return;
-        }
-        let input: MatchInput = (
-            waiting
-                .iter()
-                .map(|&j| (j, view.synced_rounds[j]))
-                .collect(),
-            idle.clone(),
-        );
-        if self.noop_input.as_ref() == Some(&input) {
-            return; // same blocked input as last time: nothing can commit
-        }
+    fn admit(
+        &self,
+        w: &SimWorkload,
+        waiting: &[usize],
+        mut idle: Vec<usize>,
+    ) -> Vec<(usize, Vec<usize>)> {
+        let p = &w.problem;
+        let gpus = w.cluster.gpus();
+        // Matching columns run in GPU index order.
+        idle.sort_unstable();
+        // The per-slot cost is the job's remaining time (all of its
+        // rounds: it has not started) if anchored on that GPU's kind,
+        // weighted by queue position.
         let positions = waiting.len().div_ceil(idle.len());
         let cols: Vec<(usize, usize)> = idle
             .iter()
@@ -116,7 +59,7 @@ impl Policy for SchedAllox {
             .iter()
             .map(|&j| {
                 let info = &p.jobs[j];
-                let remaining = (info.rounds - view.synced_rounds[j]) as f64;
+                let remaining = info.rounds as f64;
                 cols.iter()
                     .map(|&(g, k)| {
                         // Gang round time if anchored on GPU g's kind.
@@ -141,7 +84,7 @@ impl Policy for SchedAllox {
             .collect();
         commits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-        let mut committed = false;
+        let mut gangs = Vec::new();
         for (_, job, anchor) in commits {
             if !idle.contains(&anchor) {
                 continue; // consumed by an earlier commit's gang
@@ -152,12 +95,12 @@ impl Policy for SchedAllox {
             }
             // Gang: the anchor plus same-kind free GPUs, then the fastest
             // remaining ones.
-            let kind = view.workload.cluster.gpus()[anchor].kind;
+            let kind = gpus[anchor].kind;
             let mut gang = vec![anchor];
             let mut rest: Vec<usize> = idle.iter().copied().filter(|&g| g != anchor).collect();
             rest.sort_by(|&a, &b| {
-                let ka = view.workload.cluster.gpus()[a].kind;
-                let kb = view.workload.cluster.gpus()[b].kind;
+                let ka = gpus[a].kind;
+                let kb = gpus[b].kind;
                 (kb == kind)
                     .cmp(&(ka == kind))
                     // total_cmp: never panics, even on a NaN speedup from
@@ -170,22 +113,9 @@ impl Policy for SchedAllox {
                 continue;
             }
             idle.retain(|g| !gang.contains(g));
-            for (&task, &gpu) in ready[&job].iter().zip(gang.iter()) {
-                out.push((task, gpu));
-            }
-            self.reservations.reserve(&gang);
-            self.placed[job] = Some(gang);
-            committed = true;
+            gangs.push((job, gang));
         }
-        self.noop_input = (!committed).then_some(input);
-    }
-
-    fn on_gpu_failure(&mut self, gpu: usize, _requeued: &[usize]) {
-        self.down.insert(gpu);
-    }
-
-    fn on_gpu_recovery(&mut self, gpu: usize) {
-        self.down.remove(&gpu);
+        gangs
     }
 }
 
@@ -194,7 +124,7 @@ impl Policy for SchedAllox {
 mod tests {
     use super::*;
     use hare_cluster::{Cluster, GpuKind};
-    use hare_sim::{SimWorkload, Simulation};
+    use hare_sim::Simulation;
     use hare_workload::{JobId, JobSpec, ModelKind, ProfileDb};
 
     #[test]

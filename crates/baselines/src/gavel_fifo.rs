@@ -4,107 +4,32 @@
 //! lifetime, and a job that cannot get its demanded GPU count blocks the
 //! queue behind it (traditional batch-system head-of-line behaviour).
 
-use crate::common::{
-    continue_on_gang, fastest_idle, ready_by_job, release_completed, repair_gangs, Reservations,
-};
-use hare_sim::{Policy, SimView};
-use std::collections::BTreeSet;
+use crate::common::{admit_in_order, fastest_first, GangPolicy, GangRule};
+use hare_sim::SimWorkload;
 
 /// FIFO with heterogeneity-aware (fastest-first) gang placement.
-#[derive(Debug, Default)]
-pub struct GavelFifo {
-    /// Dedicated GPU set per job, once placed (cleared at completion).
-    placed: Vec<Option<Vec<usize>>>,
-    reservations: Reservations,
-    /// GPUs currently down (fault injection).
-    down: BTreeSet<usize>,
-}
+pub type GavelFifo = GangPolicy<GavelFifoRule>;
 
-impl GavelFifo {
-    /// New policy instance.
-    pub fn new() -> Self {
-        GavelFifo::default()
+/// Gavel_FIFO's admission rule: arrival order (= job index: traces are
+/// arrival-sorted) onto the fastest free GPUs, and the first job that
+/// cannot fit blocks everything behind it.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct GavelFifoRule;
+
+impl GangRule for GavelFifoRule {
+    const NAME: &'static str = "Gavel_FIFO";
+
+    fn gpu_order(&self, w: &SimWorkload) -> Vec<usize> {
+        fastest_first(w)
     }
 
-    fn ensure_len(&mut self, n: usize) {
-        if self.placed.len() < n {
-            self.placed.resize(n, None);
-        }
-    }
-}
-
-impl Policy for GavelFifo {
-    fn name(&self) -> String {
-        "Gavel_FIFO".into()
-    }
-
-    fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-        let p = &view.workload.problem;
-        self.ensure_len(p.jobs.len());
-        release_completed(view, &mut self.placed, &mut self.reservations);
-        // The speed-sorted idle list depends only on `view`, which is
-        // fixed for the whole call: sort once, filter per use below.
-        let fast_all = fastest_idle(view);
-        if !self.down.is_empty() {
-            repair_gangs(
-                fast_all.clone(),
-                &self.down,
-                &mut self.placed,
-                &mut self.reservations,
-            );
-        }
-        let ready = ready_by_job(view);
-        let mut idle: Vec<usize> = view.idle_gpus.to_vec();
-
-        // 1. Placed jobs run their released rounds on their own gang.
-        for (&job, tasks) in &ready {
-            if let Some(gang) = &self.placed[job] {
-                continue_on_gang(tasks, gang, &mut idle, out);
-            }
-        }
-
-        // 2. Admit unplaced jobs strictly in arrival order (= job index:
-        // traces are arrival-sorted). The first job that cannot fit blocks
-        // everything behind it.
-        for job in 0..p.jobs.len() {
-            if self.placed[job].is_some() || !view.arrived[job] {
-                continue;
-            }
-            if crate::common::job_done(view, job) {
-                continue;
-            }
-            let Some(tasks) = ready.get(&job) else {
-                // Arrived but its round is not released yet (still
-                // syncing — cannot happen for unplaced jobs, whose round 0
-                // is released at arrival) — skip defensively.
-                continue;
-            };
-            let need = p.jobs[job].sync_scale as usize;
-            let fast: Vec<usize> = fast_all
-                .iter()
-                .copied()
-                .filter(|&g| idle.contains(&g) && self.reservations.is_free(g))
-                .collect();
-            if fast.len() < need {
-                break; // FIFO head-of-line blocking
-            }
-            let gang: Vec<usize> = fast[..need].to_vec();
-            for (&task, &gpu) in tasks.iter().zip(gang.iter()) {
-                out.push((task, gpu));
-                idle.retain(|&g| g != gpu);
-            }
-            // Dedicate the gang for the job's lifetime.
-            self.reservations.reserve(&gang);
-            self.placed[job] = Some(gang);
-        }
-    }
-
-    fn on_gpu_failure(&mut self, gpu: usize, _requeued: &[usize]) {
-        self.down.insert(gpu);
-    }
-
-    fn on_gpu_recovery(&mut self, gpu: usize) {
-        self.down.remove(&gpu);
+    fn admit(
+        &self,
+        w: &SimWorkload,
+        waiting: &[usize],
+        free: Vec<usize>,
+    ) -> Vec<(usize, Vec<usize>)> {
+        admit_in_order(w, waiting, free, true)
     }
 }
 
@@ -113,7 +38,7 @@ impl Policy for GavelFifo {
 mod tests {
     use super::*;
     use hare_cluster::Cluster;
-    use hare_sim::{SimWorkload, Simulation};
+    use hare_sim::Simulation;
     use hare_workload::{testbed_trace, ProfileDb};
 
     fn workload(n: usize) -> SimWorkload {

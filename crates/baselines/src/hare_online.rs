@@ -334,13 +334,13 @@ impl Policy for HareOnline {
         if self.warm.len() < p.jobs.len() {
             self.warm.resize(p.jobs.len(), Default::default());
         }
-        let mut ready: Vec<usize> = view.ready.to_vec();
+        let mut ready: Vec<usize> = view.ready.iter().collect();
         ready.sort_by(|&a, &b| {
             self.priority[a]
                 .total_cmp(&self.priority[b])
                 .then(a.cmp(&b))
         });
-        let mut idle: Vec<usize> = view.idle_gpus.to_vec();
+        let mut idle: Vec<usize> = view.idle_gpus.iter().collect();
         for task in ready {
             if idle.is_empty() {
                 break;

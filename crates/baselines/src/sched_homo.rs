@@ -5,113 +5,45 @@
 //! preemption. Reproduced as: jobs ranked by weighted shortest remaining
 //! work using the **mean** task time across GPUs (a heterogeneity-oblivious
 //! estimate — all GPUs look identical to it); an admitted job receives a
-//! gang of `sync_scale` GPUs chosen *without regard to speed* (lowest index
-//! first) and keeps exactly those GPUs until it completes.
+//! gang of `sync_scale` GPUs chosen *without regard to speed* (a fixed
+//! kind-blind permutation) and keeps exactly those GPUs until it completes.
 
-use crate::common::{
-    continue_on_gang, mean_round_secs, oblivious_order, ready_by_job, release_completed,
-    repair_gangs, Reservations,
-};
-use hare_sim::{Policy, SimView};
-use std::collections::BTreeSet;
+use crate::common::{admit_in_order, oblivious_order, GangPolicy, GangRule};
+use hare_sim::SimWorkload;
 
 /// Heterogeneity-oblivious weighted-SRPT gang scheduler with dedicated GPUs.
-#[derive(Debug, Default)]
-pub struct SchedHomo {
-    placed: Vec<Option<Vec<usize>>>,
-    reservations: Reservations,
-    /// GPUs currently down (fault injection).
-    down: BTreeSet<usize>,
-    /// Cached per-job mean round seconds (static over a run), so the
-    /// admission key — remaining rounds × this / weight — averages over
-    /// the GPUs once per job instead of inside the sort's comparator.
-    round_mean: Vec<f64>,
-}
+pub type SchedHomo = GangPolicy<SchedHomoRule>;
 
-impl SchedHomo {
-    /// New policy instance.
-    pub fn new() -> Self {
-        SchedHomo::default()
+/// Sched_Homo's admission rule: waiting jobs by remaining rounds × mean
+/// round time across GPUs / weight, smallest first (oblivious to which
+/// GPUs are actually fast), onto kind-blind gangs, with no head-of-line
+/// blocking.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct SchedHomoRule;
+
+impl GangRule for SchedHomoRule {
+    const NAME: &'static str = "Sched_Homo";
+
+    fn admission_key(&self, w: &SimWorkload, job: usize) -> f64 {
+        let info = &w.problem.jobs[job];
+        let mean_round =
+            info.train.iter().map(|t| t.as_secs_f64()).sum::<f64>() / info.train.len() as f64;
+        info.rounds as f64 * mean_round / info.weight
     }
 
-    fn ensure_len(&mut self, n: usize) {
-        if self.placed.len() < n {
-            self.placed.resize(n, None);
-        }
-    }
-}
-
-impl Policy for SchedHomo {
-    fn name(&self) -> String {
-        "Sched_Homo".into()
+    /// A fixed kind-blind pseudo-random permutation: a scheduler that
+    /// believes GPUs are homogeneous has no reason to prefer any index.
+    fn gpu_order(&self, w: &SimWorkload) -> Vec<usize> {
+        oblivious_order(w)
     }
 
-    fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-        let p = &view.workload.problem;
-        self.ensure_len(p.jobs.len());
-        while self.round_mean.len() < p.jobs.len() {
-            self.round_mean
-                .push(mean_round_secs(view, self.round_mean.len()));
-        }
-        release_completed(view, &mut self.placed, &mut self.reservations);
-        // Repairs draw kind-blind, like every other Sched_Homo placement.
-        let mut repair_pool: Vec<usize> = view.idle_gpus.to_vec();
-        oblivious_order(&mut repair_pool);
-        repair_gangs(
-            repair_pool,
-            &self.down,
-            &mut self.placed,
-            &mut self.reservations,
-        );
-        let ready = ready_by_job(view);
-        let mut idle: Vec<usize> = view.idle_gpus.to_vec();
-
-        // Placed jobs continue on their dedicated gang.
-        for (&job, tasks) in &ready {
-            if let Some(gang) = &self.placed[job] {
-                continue_on_gang(tasks, gang, &mut idle, out);
-            }
-        }
-
-        // Admit waiting jobs by weighted remaining *mean* work (oblivious
-        // to which GPUs are actually fast), smallest normalized first. The
-        // key — remaining rounds × the cached round mean / weight — is
-        // computed once per job rather than inside the comparator.
-        let mut waiting: Vec<(f64, usize)> = ready
-            .keys()
-            .copied()
-            .filter(|&j| self.placed[j].is_none())
-            .map(|j| {
-                let remaining = p.jobs[j].rounds - view.synced_rounds[j];
-                (remaining as f64 * self.round_mean[j] / p.jobs[j].weight, j)
-            })
-            .collect();
-        waiting.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        self.reservations.filter_free(&mut idle);
-        // Oblivious choice: a fixed kind-blind pseudo-random permutation.
-        // (A scheduler that believes GPUs are homogeneous has no reason to
-        // prefer any index.)
-        oblivious_order(&mut idle);
-        for (_, job) in waiting {
-            let need = p.jobs[job].sync_scale as usize;
-            if idle.len() < need {
-                continue;
-            }
-            let gang: Vec<usize> = idle.drain(..need).collect();
-            for (&task, &gpu) in ready[&job].iter().zip(gang.iter()) {
-                out.push((task, gpu));
-            }
-            self.reservations.reserve(&gang);
-            self.placed[job] = Some(gang);
-        }
-    }
-
-    fn on_gpu_failure(&mut self, gpu: usize, _requeued: &[usize]) {
-        self.down.insert(gpu);
-    }
-
-    fn on_gpu_recovery(&mut self, gpu: usize) {
-        self.down.remove(&gpu);
+    fn admit(
+        &self,
+        w: &SimWorkload,
+        waiting: &[usize],
+        free: Vec<usize>,
+    ) -> Vec<(usize, Vec<usize>)> {
+        admit_in_order(w, waiting, free, false)
     }
 }
 
@@ -120,7 +52,7 @@ impl Policy for SchedHomo {
 mod tests {
     use super::*;
     use hare_cluster::{Cluster, GpuKind};
-    use hare_sim::{SimWorkload, Simulation};
+    use hare_sim::Simulation;
     use hare_workload::{JobId, JobSpec, ModelKind, ProfileDb};
 
     #[test]

@@ -9,114 +9,46 @@
 //! as customized for heterogeneity), classic SRTF is placement-oblivious,
 //! so the gang is drawn kind-blind.
 
-use crate::common::{
-    best_round_secs, continue_on_gang, oblivious_order, ready_by_job, release_completed,
-    repair_gangs, Reservations,
-};
-use hare_sim::{Policy, SimView};
-use std::collections::BTreeSet;
+use crate::common::{admit_in_order, oblivious_order, GangPolicy, GangRule};
+use hare_sim::SimWorkload;
 
 /// Shortest-remaining-time-first admission with dedicated gangs.
-#[derive(Debug, Default)]
-pub struct Srtf {
-    placed: Vec<Option<Vec<usize>>>,
-    reservations: Reservations,
-    /// GPUs currently down (fault injection).
-    down: BTreeSet<usize>,
-    /// Cached per-job best-case round seconds (static over a run), so the
-    /// admission key — remaining rounds × this — folds over the GPUs once
-    /// per job instead of inside the sort's comparator.
-    round_best: Vec<f64>,
-}
+pub type Srtf = GangPolicy<SrtfRule>;
 
-impl Srtf {
-    /// New policy instance.
-    pub fn new() -> Self {
-        Srtf::default()
-    }
+/// SRTF's admission rule: waiting jobs by remaining rounds × best-case
+/// round time (fastest-GPU task time plus its sync), shortest first, onto
+/// kind-blind gangs. No head-of-line blocking: a smaller job may slip past
+/// one that cannot fit.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct SrtfRule;
 
-    fn ensure_len(&mut self, n: usize) {
-        if self.placed.len() < n {
-            self.placed.resize(n, None);
-        }
-    }
-}
+impl GangRule for SrtfRule {
+    const NAME: &'static str = "SRTF";
 
-impl Policy for Srtf {
-    fn name(&self) -> String {
-        "SRTF".into()
-    }
-
-    fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-        let p = &view.workload.problem;
-        self.ensure_len(p.jobs.len());
-        while self.round_best.len() < p.jobs.len() {
-            self.round_best
-                .push(best_round_secs(view, self.round_best.len()));
-        }
-        release_completed(view, &mut self.placed, &mut self.reservations);
-        // Repairs draw kind-blind, like every other SRTF placement.
-        let mut repair_pool: Vec<usize> = view.idle_gpus.to_vec();
-        oblivious_order(&mut repair_pool);
-        repair_gangs(
-            repair_pool,
-            &self.down,
-            &mut self.placed,
-            &mut self.reservations,
-        );
-        let ready = ready_by_job(view);
-        let mut idle: Vec<usize> = view.idle_gpus.to_vec();
-
-        // Placed jobs continue on their dedicated gang.
-        for (&job, tasks) in &ready {
-            if let Some(gang) = &self.placed[job] {
-                continue_on_gang(tasks, gang, &mut idle, out);
-            }
-        }
-
-        // Admit waiting jobs, shortest remaining first, onto the fastest
-        // free GPUs. No head-of-line blocking: a smaller job may slip past
-        // one that cannot fit. The key — remaining rounds × the cached
-        // best-case round time — is computed once per job rather than
-        // inside the comparator.
-        let mut waiting: Vec<(f64, usize)> = ready
-            .keys()
-            .copied()
-            .filter(|&j| self.placed[j].is_none())
-            .map(|j| {
-                let remaining = p.jobs[j].rounds - view.synced_rounds[j];
-                (remaining as f64 * self.round_best[j], j)
-            })
-            .collect();
-        waiting.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // Placement-oblivious: a fixed kind-blind permutation (index order
-        // would accidentally correlate with speed — see SchedHomo).
-        let mut free: Vec<usize> = idle
+    fn admission_key(&self, w: &SimWorkload, job: usize) -> f64 {
+        let info = &w.problem.jobs[job];
+        let best_round = info
+            .train
             .iter()
-            .copied()
-            .filter(|&g| self.reservations.is_free(g))
-            .collect();
-        oblivious_order(&mut free);
-        for (_, job) in waiting {
-            let need = p.jobs[job].sync_scale as usize;
-            if free.len() < need {
-                continue;
-            }
-            let gang: Vec<usize> = free.drain(..need).collect();
-            for (&task, &gpu) in ready[&job].iter().zip(gang.iter()) {
-                out.push((task, gpu));
-            }
-            self.reservations.reserve(&gang);
-            self.placed[job] = Some(gang);
-        }
+            .zip(&info.sync)
+            .map(|(t, s)| t.as_secs_f64() + s.as_secs_f64())
+            .fold(f64::MAX, f64::min);
+        info.rounds as f64 * best_round
     }
 
-    fn on_gpu_failure(&mut self, gpu: usize, _requeued: &[usize]) {
-        self.down.insert(gpu);
+    /// Placement-oblivious: a fixed kind-blind permutation, for repairs
+    /// as for admissions.
+    fn gpu_order(&self, w: &SimWorkload) -> Vec<usize> {
+        oblivious_order(w)
     }
 
-    fn on_gpu_recovery(&mut self, gpu: usize) {
-        self.down.remove(&gpu);
+    fn admit(
+        &self,
+        w: &SimWorkload,
+        waiting: &[usize],
+        free: Vec<usize>,
+    ) -> Vec<(usize, Vec<usize>)> {
+        admit_in_order(w, waiting, free, false)
     }
 }
 
@@ -125,7 +57,7 @@ impl Policy for Srtf {
 mod tests {
     use super::*;
     use hare_cluster::{Cluster, GpuKind, SimTime};
-    use hare_sim::{SimWorkload, Simulation};
+    use hare_sim::Simulation;
     use hare_workload::{JobId, JobSpec, ModelKind, ProfileDb};
 
     fn direct_workload(specs: Vec<JobSpec>) -> SimWorkload {

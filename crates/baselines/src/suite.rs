@@ -47,6 +47,16 @@ impl Scheme {
         }
     }
 
+    /// Whether the scheme can ever start a job of `sync_scale` tasks per
+    /// round on `n_gpus` GPUs. The four baselines start a job only once
+    /// `sync_scale` GPUs are free together, so a wider job would wait
+    /// forever and the run end in [`hare_sim::SimError::Deadlock`]; Hare
+    /// runs a wide round's tasks in turn on fewer GPUs. Callers reject
+    /// such a job before running.
+    pub fn fits(self, sync_scale: u32, n_gpus: usize) -> bool {
+        self == Scheme::Hare || sync_scale as usize <= n_gpus
+    }
+
     /// The switching runtime each scheme ships with: Hare brings its own
     /// fast switching; the baselines run a PipeSwitch-grade runtime (they
     /// preempt rarely, so this flatters rather than hurts them).

@@ -9,8 +9,8 @@
 //! frequency, which is exactly why it needs Hare-grade fast switching to
 //! stay competitive.
 
-use crate::common::ready_by_job;
 use hare_sim::{Policy, SimView};
+use std::collections::BTreeMap;
 
 /// Fair round-robin time slicing across jobs.
 #[derive(Debug, Default)]
@@ -40,8 +40,16 @@ impl Policy for TimeSlice {
 
     fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
         self.ensure_len(view.workload.problem.jobs.len());
-        let ready = ready_by_job(view);
-        let mut idle: Vec<usize> = view.idle_gpus.to_vec();
+        // Ready tasks by owning job (each job's ready tasks belong to its
+        // single released round).
+        let mut ready: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for t in view.ready.iter() {
+            ready
+                .entry(view.workload.problem.tasks[t].job)
+                .or_default()
+                .push(t);
+        }
+        let mut idle: Vec<usize> = view.idle_gpus.iter().collect();
         // Serve jobs least-recently-served first; one task per grant, so
         // wide jobs do not monopolize a dispatch round.
         let mut order: Vec<usize> = ready.keys().copied().collect();

@@ -16,81 +16,13 @@
 //!
 //! and commit the diff (reviewing it as a semantic change, not noise).
 
+mod support;
+
 use hare_baselines::{build_simulation, run_scheme_faulted, HareOnline, RunOptions, Scheme};
-use hare_cluster::{Cluster, SimDuration, SimTime};
-use hare_sim::{
-    FaultPlan, GpuFault, NetworkFault, SimReport, SimWorkload, SpeculationConfig, StorageFault,
-    StorageFaultKind, StragglerWindow,
-};
-use hare_workload::{ProfileDb, TraceConfig};
+use hare_sim::{FaultPlan, SimReport, SimWorkload};
 use std::fs;
 use std::path::PathBuf;
-
-/// Fixed fixture workload: 12 jobs on the 15-GPU testbed (the fault-sweep
-/// smoke configuration), seed 7.
-fn workload() -> SimWorkload {
-    let db = ProfileDb::new(7);
-    let trace = TraceConfig {
-        n_jobs: 12,
-        seed: 7,
-        ..TraceConfig::default()
-    }
-    .generate();
-    SimWorkload::build(Cluster::testbed15(), trace, &db)
-}
-
-fn t(secs: u64) -> SimTime {
-    SimTime::from_secs(secs)
-}
-
-/// A composite plan touching every fault subsystem at once: transient and
-/// permanent GPU loss, stragglers (with speculation armed so twins
-/// launch), network degradation, and checkpoint-store outage/slowdown.
-fn composite_plan() -> FaultPlan {
-    let mut plan = FaultPlan {
-        speculation: Some(SpeculationConfig { threshold: 1.5 }),
-        ..FaultPlan::default()
-    };
-    plan.gpu_faults.push(GpuFault {
-        gpu: 0,
-        at: t(120),
-        recover_after: Some(SimDuration::from_secs(300)),
-    });
-    plan.gpu_faults.push(GpuFault {
-        gpu: 1,
-        at: t(400),
-        recover_after: None,
-    });
-    plan.stragglers.push(StragglerWindow {
-        gpu: 2,
-        from: t(60),
-        until: t(900),
-        slowdown: 2.5,
-    });
-    plan.stragglers.push(StragglerWindow {
-        gpu: 5,
-        from: t(1_000),
-        until: t(4_000),
-        slowdown: 3.0,
-    });
-    plan.network_faults.push(NetworkFault {
-        machine: None,
-        from: t(200),
-        until: t(1_400),
-        factor: 0.4,
-    });
-    plan.storage_faults.push(StorageFault {
-        from: t(30),
-        until: t(120),
-        kind: StorageFaultKind::Outage,
-    });
-    plan.storage_faults.push(StorageFault {
-        from: t(600),
-        until: t(1_200),
-        kind: StorageFaultKind::Slowdown(2.0),
-    });
-    plan
-}
+use support::{composite_plan, golden_workload as workload};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -10,8 +10,10 @@
 //!
 //! Methodology: "sim-only" times exactly the event loop — for Hare the
 //! offline schedule is precomputed outside the timer; baselines construct
-//! their (cheap) policy inside it. Workload construction is never timed
-//! except in the `fig_suite` entry, which is deliberately end-to-end.
+//! their (cheap) policy inside it. Each reported time is per run, from
+//! the best of 5 samples that repeat short runs to at least 50 ms. Workload
+//! construction is never timed except in the `fig_suite` entry, which is
+//! deliberately end-to-end.
 //!
 //! The `huge` scenario exercises the sharded datacenter path: a 12k-GPU
 //! cluster split into cells, 100k jobs drawn from a lazy arrival stream
@@ -20,67 +22,87 @@
 //! reduced-scale variant (512 GPUs, 2k jobs, 8 cells) of the same path.
 //!
 //! Run with `cargo run --release -p hare-bench --bin sim_report`
-//! (`-- --smoke` for the CI-sized variant: small+medium only, short
+//! (`-- --smoke` for the CI-sized variant: reduced `huge` scenario, short
 //! sweep, no fig suite; `-- --check-regression` to additionally fail if
 //! measured events/sec fall more than 20% below the committed
-//! BENCH_sim.json after normalizing out machine speed).
+//! BENCH_sim.json after normalizing out machine speed, or if the guard
+//! could not judge every scheme).
 
 #![warn(clippy::unwrap_used)]
 
 use hare_baselines::{build_simulation, RunOptions, Scheme};
 use hare_cluster::{Cluster, Heterogeneity};
-use hare_core::HareScheduler;
+use hare_core::{HareScheduler, Schedule};
 use hare_experiments::{sweep_table, testbed_workload, LargeScale};
 use hare_sim::{FaultPlan, GatewayConfig, OfflineReplay, ShardedTrace, SimWorkload, Simulation};
 use hare_workload::{OpenArrivalConfig, ProfileDb, StreamedTrace};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Sim-only wall-clock and events processed for one scheme on a workload.
-/// Best-of-3 sim-only timing: the engine is deterministic, so every run
-/// processes identical events and only the wall clock varies — the min
-/// is the least-noisy estimate, which matters for the millisecond-scale
-/// scenarios the regression guard compares across machines.
-fn sim_only(scheme: Scheme, w: &SimWorkload, seed: u64) -> (f64, u64) {
+/// Shortest timed sample: a sample repeats the run until its summed
+/// sim-only time reaches this, so millisecond-scale runs sit well above
+/// timer jitter.
+const MIN_SAMPLE_SECS: f64 = 0.050;
+
+/// Samples per run; the fastest is reported.
+const SAMPLES: usize = 5;
+
+/// Sim-only wall-clock and events processed per run for each `(scheme,
+/// workload, seed)`: the fastest of [`SAMPLES`] samples, each the mean
+/// over enough repeated runs to last [`MIN_SAMPLE_SECS`]. Samples are
+/// taken in rounds over all the runs, so a burst of load on a shared host
+/// slows one sample of many runs rather than every sample of one. The
+/// engine is deterministic, so every run processes identical events and
+/// only the wall clock varies — the min is the least-noisy estimate,
+/// which matters for the millisecond-scale scenarios the regression guard
+/// compares across machines.
+fn sim_only(runs: &[(Scheme, &SimWorkload, u64)]) -> Vec<(f64, u64)> {
+    // Hare replays a schedule computed once per run, outside the timer.
+    let schedules: Vec<Option<Schedule>> = runs
+        .iter()
+        .map(|&(scheme, w, _)| {
+            (scheme == Scheme::Hare).then(|| HareScheduler::default().schedule(&w.problem).schedule)
+        })
+        .collect();
+    let mut best = vec![(f64::INFINITY, 0); runs.len()];
+    for _ in 0..SAMPLES {
+        for ((&(scheme, w, seed), schedule), best) in runs.iter().zip(&schedules).zip(&mut best) {
+            let (mut total, mut repeats) = (0.0, 0u32);
+            while total < MIN_SAMPLE_SECS {
+                let (secs, events) = run_once(scheme, w, seed, schedule.as_ref());
+                total += secs;
+                repeats += 1;
+                best.1 = events;
+            }
+            best.0 = best.0.min(total / f64::from(repeats));
+        }
+    }
+    best
+}
+
+/// One timed sim-only run: its seconds and the events it processed.
+fn run_once(scheme: Scheme, w: &SimWorkload, seed: u64, schedule: Option<&Schedule>) -> (f64, u64) {
     let opts = RunOptions {
         seed,
         ..RunOptions::default()
     };
     let plan = FaultPlan::default();
-    let mut best = f64::INFINITY;
-    let mut events = 0;
-    for _ in 0..3 {
-        let (secs, n) = match scheme {
-            Scheme::Hare => {
-                let out = HareScheduler::default().schedule(&w.problem);
-                let mut policy = OfflineReplay::new("Hare", w, &out.schedule);
-                let t = Instant::now();
-                let (_, events) = build_simulation(scheme, w, opts, &plan)
-                    .run_counted(&mut policy)
-                    .expect("simulation failed");
-                (t.elapsed().as_secs_f64(), events)
-            }
-            _ => {
-                let t = Instant::now();
-                let sim = build_simulation(scheme, w, opts, &plan);
-                let (_, events) = match scheme {
-                    Scheme::Hare => unreachable!(),
-                    Scheme::GavelFifo => sim.run_counted(&mut hare_baselines::GavelFifo::new()),
-                    Scheme::Srtf => sim.run_counted(&mut hare_baselines::Srtf::new()),
-                    Scheme::SchedHomo => sim.run_counted(&mut hare_baselines::SchedHomo::new()),
-                    Scheme::SchedAllox => sim.run_counted(&mut hare_baselines::SchedAllox::new()),
-                }
-                .expect("simulation failed");
-                (t.elapsed().as_secs_f64(), events)
-            }
-        };
-        best = best.min(secs);
-        events = n;
+    let mut replay = schedule.map(|s| OfflineReplay::new("Hare", w, s));
+    let t = Instant::now();
+    let sim = build_simulation(scheme, w, opts, &plan);
+    let (_, events) = match (scheme, replay.as_mut()) {
+        (Scheme::Hare, Some(replay)) => sim.run_counted(replay),
+        (Scheme::GavelFifo, _) => sim.run_counted(&mut hare_baselines::GavelFifo::new()),
+        (Scheme::Srtf, _) => sim.run_counted(&mut hare_baselines::Srtf::new()),
+        (Scheme::SchedHomo, _) => sim.run_counted(&mut hare_baselines::SchedHomo::new()),
+        (Scheme::SchedAllox, _) => sim.run_counted(&mut hare_baselines::SchedAllox::new()),
+        (Scheme::Hare, None) => unreachable!("Hare runs replay a precomputed schedule"),
     }
-    (best, events)
+    .expect("simulation failed");
+    (t.elapsed().as_secs_f64(), events)
 }
 
-/// Pre-overhaul sim-only seconds (same scenarios, same methodology,
+/// Pre-overhaul sim-only seconds (same scenarios, best of 3 single runs,
 /// measured at the commit before the hot-path work; single-threaded).
 fn before_total(scenario: &str) -> Option<f64> {
     match scenario {
@@ -157,46 +179,62 @@ fn committed_events_per_sec(root: &std::path::Path) -> Vec<(String, String, f64)
     out
 }
 
-/// Runs shorter than this are at the mercy of scheduler jitter even
-/// with best-of-3 timing; the regression guard skips them rather than
-/// fail CI on timer noise.
-const MIN_GUARDED_SECS: f64 = 0.010;
+/// Scenarios the regression guard judges. A `small` run lasts about 2 ms,
+/// where allocation and page-fault noise on a shared host exceeds the
+/// guard's 20% bound; `medium` and `large` runs last 5–80 ms, and every
+/// scheme runs both in full and smoke mode alike.
+const GUARDED_SCENARIOS: [&str; 2] = ["medium", "large"];
 
 /// Fail (return false) if any measured events/sec falls more than 20%
 /// below the committed baseline *after* normalizing out machine speed:
 /// each (scenario, scheme) pair's measured/committed ratio is divided by
 /// the median ratio, so a uniformly slower or faster machine cancels out
-/// and only *relative* hot-path regressions trip the guard. Pairs whose
-/// measured run is under `MIN_GUARDED_SECS` are reported but not judged.
+/// and only *relative* hot-path regressions trip the guard. Pairs outside
+/// [`GUARDED_SCENARIOS`] or with no committed baseline are reported but
+/// not judged, and a scheme with no judged pair fails the guard: a guard
+/// that judges nothing would pass anything.
 fn check_regression(
     committed: &[(String, String, f64)],
-    measured: &[(String, String, f64, f64)],
+    measured: &[(String, String, f64)],
 ) -> bool {
     let mut ratios: Vec<(String, f64)> = Vec::new();
-    for (scen, scheme, eps, secs) in measured {
-        if let Some((_, _, base)) = committed
+    let mut judged: Vec<&str> = Vec::new();
+    for (scen, scheme, eps) in measured {
+        let Some((_, _, base)) = committed
             .iter()
             .find(|(s, n, _)| s == scen && n == scheme)
             .filter(|(_, _, base)| *base > 0.0)
-        {
-            if *secs < MIN_GUARDED_SECS {
-                println!(
-                    "check-regression: {scen}/{scheme}: {:.2}x raw — under {MIN_GUARDED_SECS}s, too fast to judge, skipped",
-                    eps / base
-                );
-                continue;
-            }
-            ratios.push((format!("{scen}/{scheme}"), eps / base));
+        else {
+            println!("check-regression: {scen}/{scheme}: no committed baseline, not judged");
+            continue;
+        };
+        if !GUARDED_SCENARIOS.contains(&scen.as_str()) {
+            println!(
+                "check-regression: {scen}/{scheme}: {:.2}x raw — too short to judge, skipped",
+                eps / base
+            );
+            continue;
+        }
+        ratios.push((format!("{scen}/{scheme}"), eps / base));
+        judged.push(scheme);
+    }
+    let mut ok = true;
+    let schemes: std::collections::BTreeSet<&str> = measured
+        .iter()
+        .map(|(_, scheme, _)| scheme.as_str())
+        .collect();
+    for scheme in schemes {
+        if !judged.contains(&scheme) {
+            println!("check-regression: {scheme}: no pair judged  <-- FAIL");
+            ok = false;
         }
     }
     if ratios.is_empty() {
-        println!("check-regression: no committed baseline to compare against — skipping");
-        return true;
+        return false;
     }
     let mut sorted: Vec<f64> = ratios.iter().map(|(_, r)| *r).collect();
     sorted.sort_by(f64::total_cmp);
     let median = sorted[sorted.len() / 2];
-    let mut ok = true;
     for (key, ratio) in &ratios {
         let normalized = ratio / median;
         let flag = if normalized < 0.8 {
@@ -278,20 +316,20 @@ fn main() {
     let root = workspace_root();
     let committed_small = committed_small_total(&root);
     let committed_eps = committed_events_per_sec(&root);
-    let mut measured_eps: Vec<(String, String, f64, f64)> = Vec::new();
+    let mut measured_eps: Vec<(String, String, f64)> = Vec::new();
 
     let medium_cfg = LargeScale {
         n_gpus: 64,
         n_jobs: 80,
         ..LargeScale::default()
     };
-    let mut scenarios: Vec<(&str, SimWorkload)> = vec![
+    // Smoke mode keeps `large`, the scenario whose runs last longest, so
+    // the regression guard judges every scheme on two scales.
+    let scenarios: Vec<(&str, SimWorkload)> = vec![
         ("small", testbed_workload(1)),
         ("medium", medium_cfg.workload(1)),
+        ("large", LargeScale::default().workload(1)),
     ];
-    if !smoke {
-        scenarios.push(("large", LargeScale::default().workload(1)));
-    }
 
     let mut json = String::from("{\n");
     let _ = writeln!(
@@ -302,10 +340,11 @@ fn main() {
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"cores\": {cores},");
     json.push_str(
-        "  \"methodology\": \"sim-only = event loop only, best of 3 runs (Hare schedule \
-         precomputed outside the timer); events/sec = engine events processed / sim-only secs; \
-         fig_suite is end-to-end including workload builds; before = same methodology at the \
-         pre-overhaul commit, single-threaded\",\n",
+        "  \"methodology\": \"sim-only = event loop only, per run: best of 5 samples, each \
+         the mean over repeated runs lasting at least 50 ms (Hare schedule precomputed outside \
+         the timer); events/sec = engine events processed / sim-only secs; \
+         fig_suite is end-to-end including workload builds; before = best of 3 single runs at \
+         the pre-overhaul commit, single-threaded\",\n",
     );
     json.push_str(
         "  \"before\": {\"small_total_secs\": 0.300, \"medium_total_secs\": 2.007, \
@@ -317,6 +356,11 @@ fn main() {
     // --- Per-scale, per-scheme sim-only wall-clock + events/sec ------
     json.push_str("  \"scenarios\": [\n");
     let n_scen = scenarios.len();
+    let runs: Vec<(Scheme, &SimWorkload, u64)> = scenarios
+        .iter()
+        .flat_map(|(_, w)| Scheme::ALL.map(|scheme| (scheme, w, 1)))
+        .collect();
+    let timings = sim_only(&runs);
     let mut small_total = 0.0;
     for (k, (name, w)) in scenarios.iter().enumerate() {
         println!(
@@ -333,10 +377,10 @@ fn main() {
         );
         let mut total = 0.0;
         for (i, scheme) in Scheme::ALL.iter().enumerate() {
-            let (secs, events) = sim_only(*scheme, w, 1);
+            let (secs, events) = timings[k * Scheme::ALL.len() + i];
             total += secs;
             let eps = events as f64 / secs;
-            measured_eps.push((name.to_string(), scheme.name().to_string(), eps, secs));
+            measured_eps.push((name.to_string(), scheme.name().to_string(), eps));
             println!(
                 "  {:<12} {secs:.3}s  {events} events  {eps:.0} events/s",
                 scheme.name()
@@ -429,13 +473,14 @@ fn main() {
     // Workloads are rebuilt per seed exactly like the sweep binaries do,
     // but only the event loops are timed, matching the `before` number.
     let sweep_seeds: u64 = if smoke { 2 } else { 4 };
-    let mut sweep_secs = 0.0;
-    for seed in 1..=sweep_seeds {
-        let w = medium_cfg.workload(seed);
-        for scheme in Scheme::ALL {
-            sweep_secs += sim_only(scheme, &w, seed).0;
-        }
-    }
+    let sweep_workloads: Vec<(u64, SimWorkload)> = (1..=sweep_seeds)
+        .map(|seed| (seed, medium_cfg.workload(seed)))
+        .collect();
+    let sweep_runs: Vec<(Scheme, &SimWorkload, u64)> = sweep_workloads
+        .iter()
+        .flat_map(|(seed, w)| Scheme::ALL.map(|scheme| (scheme, w, *seed)))
+        .collect();
+    let sweep_secs: f64 = sim_only(&sweep_runs).iter().map(|(secs, _)| secs).sum();
     let sweep_before = (!smoke).then_some(9.042);
     match sweep_before {
         Some(b) => {

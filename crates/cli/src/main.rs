@@ -24,7 +24,7 @@ mod args;
 mod serve;
 
 use args::Options;
-use hare_baselines::{run_all, HareOnline, RunOptions, TimeSlice};
+use hare_baselines::{run_all, HareOnline, RunOptions, Scheme, TimeSlice};
 use hare_cluster::{GpuKind, SimDuration};
 use hare_core::HareScheduler;
 use hare_memory::{switch_time, PrevTask, SwitchPolicy, SwitchRequest};
@@ -163,6 +163,18 @@ fn export(opts: &Options) -> Result<(), String> {
 fn compare(opts: &Options) -> Result<(), String> {
     let w = workload(opts)?;
     let seed: u64 = opts.num("seed", 1)?;
+    let n_gpus = w.cluster.gpu_count();
+    if let Some(job) = w
+        .specs
+        .iter()
+        .find(|j| !Scheme::ALL.iter().all(|s| s.fits(j.sync_scale, n_gpus)))
+    {
+        return Err(format!(
+            "job {} has sync_scale {} but the cluster has {n_gpus} GPUs; the gang schemes \
+             start a job only on that many GPUs at once",
+            job.id, job.sync_scale
+        ));
+    }
     println!(
         "{} jobs / {} tasks on {} GPUs ({} machines)\n",
         w.problem.jobs.len(),
@@ -243,7 +255,7 @@ fn write_chrome_trace(w: &SimWorkload, seed: u64, path: &str) -> Result<(), Stri
 /// through the gateway, simulate every cell independently, and print the
 /// per-cell accounting plus the merged global report.
 fn shard(opts: &Options) -> Result<(), String> {
-    use hare_baselines::{run_scheme_sharded, Scheme};
+    use hare_baselines::run_scheme_sharded;
     use hare_sim::{GatewayConfig, ShardedTrace};
 
     let cluster = opts.cluster()?;
@@ -284,6 +296,19 @@ fn shard(opts: &Options) -> Result<(), String> {
     } else {
         ShardedTrace::route(&cluster, n_cells, &gw, trace(opts)?)
     };
+    for job in 0..sharded.n_jobs() {
+        let (cell, local) = sharded.route_of(job);
+        let n_gpus = sharded.partition().cell(cell).cluster().gpu_count();
+        let scale = sharded.cell_specs()[cell][local].sync_scale;
+        if !scheme.fits(scale, n_gpus) {
+            return Err(format!(
+                "job {} has sync_scale {scale} but its cell {cell} has {n_gpus} GPUs; {} \
+                 starts a job only on that many GPUs at once",
+                hare_workload::JobId(job as u32),
+                scheme.name()
+            ));
+        }
+    }
     println!(
         "{} jobs routed over {} cells ({} GPUs, {} machines)\n",
         sharded.n_jobs(),

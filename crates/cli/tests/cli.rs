@@ -180,3 +180,53 @@ fn bad_cluster_and_bandwidth_flags_exit_1_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn jobs_wider_than_the_cluster_or_cell_exit_1_for_gang_schemes() {
+    let dir = std::env::temp_dir().join(format!("hare-cli-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, scale: u32| {
+        let path = dir.join(name);
+        let csv = format!(
+            "job,model,batch_size,rounds,sync_scale,batches_per_task,weight,arrival_us\n\
+             0,DeepSpeech,8,4,1,61,4,0\n\
+             1,GraphSAGE,16,3,{scale},47,1,971597\n"
+        );
+        std::fs::write(&path, csv).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let wider_than_cluster = write("wide20.csv", 20);
+    let wider_than_cell = write("wide10.csv", 10);
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["compare", "--input", &wider_than_cluster],
+            "job J1 has sync_scale 20 but the cluster has 15 GPUs; the gang schemes \
+             start a job only on that many GPUs at once",
+        ),
+        (
+            &["shard", "--input", &wider_than_cell, "--scheme", "srtf"],
+            "job J1 has sync_scale 10 but its cell 1 has 7 GPUs; SRTF \
+             starts a job only on that many GPUs at once",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hare"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("error: {message}").as_str()),
+            "{args:?}"
+        );
+        assert_eq!(stderr.matches("error:").count(), 1, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // Hare runs a wide job's round in turns on fewer GPUs.
+    let (stdout, stderr, ok) = hare(&["shard", "--input", &wider_than_cell, "--scheme", "hare"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("Hare: weighted JCT"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}

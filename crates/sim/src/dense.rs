@@ -1,65 +1,65 @@
 //! Dense index sets for the simulation hot path.
 //!
-//! The engine's ready-task and idle-GPU sets were `BTreeSet<usize>`:
-//! every insert/remove allocated tree nodes and every dispatch walked the
-//! tree to snapshot it into a `Vec`. Both sets are dense over a small
-//! fixed universe (task indices, GPU indices), so a bitset does the same
-//! job allocation-free with O(1) mutation — and iteration over set bits is
-//! naturally ascending, preserving the exact ordering policies observed
-//! from the `BTreeSet`.
+//! The engine's ready-task and idle-GPU sets are dense over a small fixed
+//! universe (task indices, GPU indices), so a bitset holds them
+//! allocation-free with O(1) mutation and membership, and iteration over
+//! set bits is naturally ascending. Policies read the engine's two sets
+//! in place through [`crate::SimView`]; only the engine mutates them.
 
 /// A set of `usize` indices over a fixed universe `0..capacity`, backed by
-/// a bit vector. Mutations bump a version counter so callers can cache
-/// derived snapshots and rebuild them only when the set actually changed.
+/// a bit vector. Outside this crate the set is read-only: membership,
+/// size and ascending iteration.
 #[derive(Clone, Debug)]
-pub(crate) struct DenseSet {
+pub struct DenseSet {
     words: Vec<u64>,
     len: usize,
-    version: u64,
 }
 
 impl DenseSet {
     /// An empty set over `0..capacity`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         DenseSet {
             words: vec![0; capacity.div_ceil(64)],
             len: 0,
-            version: 0,
         }
     }
 
     /// The full set `0..capacity`.
-    pub fn full(capacity: usize) -> Self {
+    pub(crate) fn full(capacity: usize) -> Self {
         let mut s = DenseSet::new(capacity);
         for i in 0..capacity {
             s.insert(i);
         }
-        s.version = 0;
         s
     }
 
     /// Insert `i`; returns false if it was already present.
-    pub fn insert(&mut self, i: usize) -> bool {
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
         let (w, b) = (i / 64, 1u64 << (i % 64));
         if self.words[w] & b != 0 {
             return false;
         }
         self.words[w] |= b;
         self.len += 1;
-        self.version += 1;
         true
     }
 
     /// Remove `i`; returns false if it was absent.
-    pub fn remove(&mut self, i: usize) -> bool {
+    pub(crate) fn remove(&mut self, i: usize) -> bool {
         let (w, b) = (i / 64, 1u64 << (i % 64));
         if self.words[w] & b == 0 {
             return false;
         }
         self.words[w] &= !b;
         self.len -= 1;
-        self.version += 1;
         true
+    }
+
+    /// Is `i` a member? Indices outside the universe are not.
+    pub fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
     /// Number of members.
@@ -72,15 +72,9 @@ impl DenseSet {
         self.len == 0
     }
 
-    /// Counter bumped on every successful mutation; equal versions imply
-    /// equal contents (for one set instance).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Smallest member, if any — O(words), no iterator machinery, for the
     /// dispatch hot path's "lowest-id idle GPU of this kind" lookup.
-    pub fn first(&self) -> Option<usize> {
+    pub(crate) fn first(&self) -> Option<usize> {
         self.words
             .iter()
             .enumerate()
@@ -101,13 +95,6 @@ impl DenseSet {
                 Some(wi * 64 + bit)
             })
         })
-    }
-
-    /// Overwrite `out` with the members in ascending order (the snapshot
-    /// the dispatch view hands to policies), reusing its allocation.
-    pub fn collect_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.iter());
     }
 }
 
@@ -133,6 +120,7 @@ mod tests {
                 assert_eq!(dense.remove(i), tree.remove(&i));
             }
             assert_eq!(dense.len(), tree.len());
+            assert_eq!(dense.contains(i), tree.contains(&i));
         }
         assert_eq!(
             dense.iter().collect::<Vec<_>>(),
@@ -141,12 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn full_and_collect() {
+    fn full_set_iterates_its_universe() {
         let s = DenseSet::full(70);
         assert_eq!(s.len(), 70);
-        let mut out = vec![99; 3];
-        s.collect_into(&mut out);
-        assert_eq!(out, (0..70).collect::<Vec<_>>());
+        assert_eq!(s.iter().collect::<Vec<_>>(), (0..70).collect::<Vec<_>>());
+        assert!(s.contains(69));
+        assert!(!s.contains(70), "outside the universe");
     }
 
     #[test]
@@ -162,20 +150,5 @@ mod tests {
         s.remove(64);
         s.remove(70);
         assert_eq!(s.first(), Some(150));
-    }
-
-    #[test]
-    fn version_changes_only_on_mutation() {
-        let mut s = DenseSet::new(10);
-        let v0 = s.version();
-        assert!(s.insert(3));
-        assert_ne!(s.version(), v0);
-        let v1 = s.version();
-        assert!(!s.insert(3), "duplicate insert");
-        assert_eq!(s.version(), v1, "no-op mutations leave the version");
-        assert!(!s.remove(7), "absent remove");
-        assert_eq!(s.version(), v1);
-        assert!(s.remove(3));
-        assert_ne!(s.version(), v1);
     }
 }

@@ -28,7 +28,7 @@ use crate::dense::DenseSet;
 use crate::event::{Event, EventQueue};
 use crate::faults::{FaultPlan, GpuFault, SimError, SlowdownProfile};
 use crate::metrics::{FaultMetrics, GpuReport, SimReport, UtilSpan};
-use crate::policy::{Policy, SimView};
+use crate::policy::{Change, Policy, SimView};
 use crate::ps::ParameterServer;
 use crate::registry::MetricsRegistry;
 use crate::storage::CheckpointStore;
@@ -211,14 +211,9 @@ struct Engine<'a, 'b> {
     task_state: Vec<TaskState>,
     ready: DenseSet,
     idle: DenseSet,
-    /// Cached ascending snapshots of `ready`/`idle` handed to the policy
-    /// (the dispatch view wants slices). Rebuilt only when the backing
-    /// set's version moved — the `u64::MAX` sentinel forces the first
-    /// build.
-    ready_snap: Vec<usize>,
-    ready_snap_version: u64,
-    idle_snap: Vec<usize>,
-    idle_snap_version: u64,
+    /// What changed since the policy's last dispatch call without the
+    /// policy causing it ([`SimView::changes`]); cleared after each call.
+    changes: Vec<Change>,
     /// Reusable assignment out-buffer for [`Policy::dispatch`].
     assign_buf: Vec<(usize, usize)>,
     /// Reusable per-machine NIC-factor buffer for degraded syncs.
@@ -322,10 +317,7 @@ impl<'a, 'b> Engine<'a, 'b> {
             task_state: vec![TaskState::Pending; w.problem.n_tasks()],
             ready: DenseSet::new(w.problem.n_tasks()),
             idle: DenseSet::full(n_gpus),
-            ready_snap: Vec::new(),
-            ready_snap_version: u64::MAX,
-            idle_snap: Vec::new(),
-            idle_snap_version: u64::MAX,
+            changes: Vec::new(),
             assign_buf: Vec::new(),
             net_scratch: Vec::new(),
             inflight: vec![None; n_gpus],
@@ -389,7 +381,8 @@ impl<'a, 'b> Engine<'a, 'b> {
             // either always place when both sets are non-empty (the fixpoint
             // then has one of them empty) or never read the clock and
             // mutate idempotently on an unchanged view; the golden-fixture
-            // suite pins the equivalence.
+            // suite pins the equivalence. It logs no change either, so the
+            // next offer's change log is complete.
             if !matches!(event, Event::SwitchDone { .. }) {
                 self.dispatch()?;
             }
@@ -415,11 +408,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 if let Some(ts) = &self.cfg.trace {
                     ts.instant(SimInstant::JobArrival { job }, None, self.now);
                 }
-                for i in w.problem.round_range(job, 0) {
-                    debug_assert_eq!(self.task_state[i], TaskState::Pending);
-                    self.task_state[i] = TaskState::Ready;
-                    self.ready.insert(i);
-                }
+                self.release_round(job, 0);
             }
             Event::SwitchDone { task, gpu, gen } => {
                 if self.failed[gpu] || gen != self.gen[gpu] {
@@ -489,7 +478,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                 };
                 debug_assert_eq!(cur.task, task);
                 self.prev_task[gpu] = Some(task);
-                self.idle.insert(gpu);
+                if self.idle.insert(gpu) {
+                    self.changes.push(Change::GpuIdle { gpu });
+                }
                 self.running_copies[task] -= 1;
                 let job = w.problem.tasks[task].job;
                 if let Some(ts) = &self.cfg.trace {
@@ -566,7 +557,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                 if let Some(ts) = &self.cfg.trace {
                     ts.instant(SimInstant::GpuFailure, Some(gpu), self.now);
                 }
-                self.idle.remove(gpu);
+                if self.idle.remove(gpu) {
+                    self.changes.push(Change::GpuBusy { gpu });
+                }
                 // Drop the GPU's pending occupancy event from the queue —
                 // but only when speculation is off: popping a stale
                 // `TrainDone` is also a speculation probe (see `run`), and
@@ -617,7 +610,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                     return;
                 }
                 self.failed[gpu] = false;
-                self.idle.insert(gpu);
+                if self.idle.insert(gpu) {
+                    self.changes.push(Change::GpuIdle { gpu });
+                }
                 // The executor restarted: no resident model, cold cache.
                 self.prev_task[gpu] = None;
                 self.caches[gpu] = SpeculativeCache::new(w.cluster.gpus()[gpu].kind);
@@ -646,15 +641,23 @@ impl<'a, 'b> Engine<'a, 'b> {
                         cache.retire_job(hare_workload::JobId(job as u32));
                     }
                     self.store.evict_job(job);
+                    self.changes.push(Change::Completed { job });
                 } else {
-                    for i in w.problem.round_range(job, round + 1) {
-                        debug_assert_eq!(self.task_state[i], TaskState::Pending);
-                        self.task_state[i] = TaskState::Ready;
-                        self.ready.insert(i);
-                    }
+                    self.release_round(job, round + 1);
                 }
             }
         }
+    }
+
+    /// Move a round's tasks into the ready set and log the release.
+    fn release_round(&mut self, job: usize, round: u32) {
+        let tasks = self.cfg.workload.problem.round_range(job, round);
+        for i in tasks.clone() {
+            debug_assert_eq!(self.task_state[i], TaskState::Pending);
+            self.task_state[i] = TaskState::Ready;
+            self.ready.insert(i);
+        }
+        self.changes.push(Change::Released { job, tasks });
     }
 
     /// NIC degradation factors active right now, written into `out` (one
@@ -717,6 +720,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 .min_by_key(|&g| (w.problem.train(task, g), g));
             if let Some(target) = target {
                 self.idle.remove(target);
+                self.changes.push(Change::GpuBusy { gpu: target });
                 self.speculated[task] = true;
                 self.fm.speculated_tasks += 1;
                 self.start_task(task, target);
@@ -735,25 +739,19 @@ impl<'a, 'b> Engine<'a, 'b> {
             if self.ready.is_empty() || self.idle.is_empty() {
                 return Ok(());
             }
-            if self.ready_snap_version != self.ready.version() {
-                self.ready.collect_into(&mut self.ready_snap);
-                self.ready_snap_version = self.ready.version();
-            }
-            if self.idle_snap_version != self.idle.version() {
-                self.idle.collect_into(&mut self.idle_snap);
-                self.idle_snap_version = self.idle.version();
-            }
             let view = SimView {
                 now: self.now,
                 workload: self.cfg.workload,
-                ready: &self.ready_snap,
-                idle_gpus: &self.idle_snap,
+                ready: &self.ready,
+                idle_gpus: &self.idle,
+                changes: &self.changes,
                 synced_rounds: &self.synced_rounds,
                 arrived: &self.arrived,
                 solver_budget_frac,
             };
             let mut assignments = std::mem::take(&mut self.assign_buf);
             self.policy.dispatch(&view, &mut assignments);
+            self.changes.clear();
             if assignments.is_empty() {
                 self.assign_buf = assignments;
                 return Ok(());

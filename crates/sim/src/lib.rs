@@ -31,6 +31,7 @@ pub use build::SimWorkload;
 pub use control::{
     broadcast_schedule, broadcast_schedule_with_failures, ControlLog, ExecutorMsg, SchedulerMsg,
 };
+pub use dense::DenseSet;
 pub use engine::{planned_report, Simulation};
 pub use event::{Event, EventQueue};
 pub use faults::{
@@ -42,7 +43,7 @@ pub use metrics::{
     completion_stats, completion_stats_parts, jct_cdf, sim_registry, CompletionStats, FaultMetrics,
     GpuReport, SimReport, UtilSpan,
 };
-pub use policy::{OfflineReplay, Policy, SimView};
+pub use policy::{Change, OfflineReplay, Policy, SimView};
 pub use ps::{ParameterServer, SyncOutcome};
 pub use recovery::{crc32, LeaseConfig, RecoveryError, RecoveryStats, WalFile, WalOptions};
 pub use registry::{Histogram, MetricsRegistry};

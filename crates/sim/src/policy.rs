@@ -8,21 +8,32 @@
 //! network contention).
 
 use crate::build::SimWorkload;
+use crate::dense::DenseSet;
 use hare_cluster::SimTime;
 use hare_core::Schedule;
 use std::collections::VecDeque;
+use std::ops::Range;
 
-/// What a policy sees at each dispatch opportunity.
+/// What a policy sees at each dispatch opportunity: the engine's live
+/// sets, read in place, and a log of what changed since the policy's
+/// previous [`Policy::dispatch`] call.
 pub struct SimView<'a> {
     /// Current simulation time.
     pub now: SimTime,
     /// The workload being executed.
     pub workload: &'a SimWorkload,
     /// Tasks whose round is released (arrival reached, previous round
-    /// synced) and that have not started yet, ascending task index.
-    pub ready: &'a [usize],
-    /// GPUs with no task assigned, ascending GPU index.
-    pub idle_gpus: &'a [usize],
+    /// synced) and that have not started yet. Iterates in ascending task
+    /// index.
+    pub ready: &'a DenseSet,
+    /// GPUs with no task assigned. Iterates in ascending GPU index.
+    pub idle_gpus: &'a DenseSet,
+    /// Every change to `ready`, `idle_gpus` and job completion since the
+    /// policy's previous `dispatch` call that the policy did not cause
+    /// itself, in event order (see [`Change`]). A policy's own
+    /// assignments are not logged, and neither are tasks requeued by a
+    /// failure: those arrive through [`Policy::on_gpu_failure`].
+    pub changes: &'a [Change],
     /// Per job: next round to *finish* (== number of fully synced rounds);
     /// equals `rounds` when the job is done.
     pub synced_rounds: &'a [u32],
@@ -36,6 +47,37 @@ pub struct SimView<'a> {
     pub solver_budget_frac: f64,
 }
 
+/// One entry of [`SimView::changes`]: a change to the dispatch inputs
+/// that the engine made on its own.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Change {
+    /// A round's tasks joined the ready set: round 0 when the job
+    /// arrives, round `r + 1` when round `r` syncs.
+    Released {
+        /// The job whose round was released.
+        job: usize,
+        /// The round's task indices.
+        tasks: Range<usize>,
+    },
+    /// The job synced its last round.
+    Completed {
+        /// The completed job.
+        job: usize,
+    },
+    /// A GPU joined the idle set: its task finished training (a losing
+    /// speculation twin included) or it recovered from a failure.
+    GpuIdle {
+        /// The GPU.
+        gpu: usize,
+    },
+    /// A GPU left the idle set without the policy dispatching to it: it
+    /// failed, or the engine launched a speculative twin on it.
+    GpuBusy {
+        /// The GPU.
+        gpu: usize,
+    },
+}
+
 /// A scheduling policy driven by the simulator.
 pub trait Policy {
     /// Display name (used in reports and tables).
@@ -44,25 +86,37 @@ pub trait Policy {
     /// Offered a dispatch opportunity: append (ready task, idle GPU) pairs
     /// to start now onto `out` (cleared by the engine before the call —
     /// the buffer is reused across calls so steady-state dispatching
-    /// allocates nothing). Each task must appear in `view.ready`, each GPU
-    /// in `view.idle_gpus`, and no GPU may be used twice. Leaving `out`
+    /// allocates nothing). Each task must be in `view.ready`, each GPU in
+    /// `view.idle_gpus`, and no GPU may be used twice. Leaving `out`
     /// empty means "wait for the next event".
     ///
     /// Opportunities arrive whenever the view may have changed: after
     /// every simulation event that can alter the ready/idle sets or job
     /// progress, and again after each non-empty dispatch until the policy
     /// passes or a set drains. Events that provably change nothing a
-    /// policy may read (a switch completing on a still-busy GPU) are *not*
-    /// offered, so a policy must not rely on being polled at such moments.
+    /// policy may read are *not* offered — a
+    /// [`crate::Event::SwitchDone`] only moves a busy GPU from switching
+    /// to training — so a policy must not rely on being polled at such
+    /// moments. Nor is an opportunity offered while either set is empty.
+    ///
+    /// `view.changes` covers everything since the previous call, so it
+    /// accumulates across the events whose offer was skipped, and the
+    /// engine clears it after each call: the repeat offers after a
+    /// non-empty dispatch see an empty log. A policy that keeps its own
+    /// queues can update them from the log, its own assignments and
+    /// [`Policy::on_gpu_failure`]'s requeued tasks alone, and never scan
+    /// the sets.
     fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>);
 
     /// Notification that `gpu` failed (failure injection): the engine will
     /// not offer it as idle until it recovers (if ever), and `requeued`
     /// lists the task (if any) that was running there and has been
-    /// returned to the ready set. Policies holding per-GPU state (planned
-    /// queues, dedicated gangs) must migrate it and re-own the requeued
-    /// tasks. The default does nothing — correct for policies that
-    /// re-derive their decisions from the view on every dispatch.
+    /// returned to the ready set. This is the only report of a requeued
+    /// task; the change log does not repeat it. Policies holding per-GPU
+    /// state (planned queues, dedicated gangs) must migrate it and re-own
+    /// the requeued tasks. The default does nothing — correct for
+    /// policies that re-derive their decisions from the view on every
+    /// dispatch.
     fn on_gpu_failure(&mut self, gpu: usize, requeued: &[usize]) {
         let _ = (gpu, requeued);
     }
@@ -177,10 +231,9 @@ impl Policy for OfflineReplay {
     }
 
     fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-        for &gpu in view.idle_gpus {
+        for gpu in view.idle_gpus.iter() {
             if let Some(&head) = self.queues[gpu].front() {
-                // `view.ready` is ascending by contract.
-                if view.ready.binary_search(&head).is_ok() {
+                if view.ready.contains(head) {
                     self.queues[gpu].pop_front();
                     out.push((head, gpu));
                 }
@@ -202,6 +255,15 @@ mod tests {
         SimWorkload::build(Cluster::testbed15(), trace, &db)
     }
 
+    /// The set of `members` over `0..capacity`.
+    fn set(capacity: usize, members: impl IntoIterator<Item = usize>) -> DenseSet {
+        let mut s = DenseSet::new(capacity);
+        for i in members {
+            s.insert(i);
+        }
+        s
+    }
+
     fn dispatch(p: &mut impl Policy, view: &SimView<'_>) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         p.dispatch(view, &mut out);
@@ -217,12 +279,13 @@ mod tests {
         assert_eq!(total, w.problem.n_tasks());
 
         // Ready = nothing -> no dispatch even with all GPUs idle.
-        let idle: Vec<usize> = (0..15).collect();
+        let idle = DenseSet::full(15);
         let view = SimView {
             now: SimTime::ZERO,
             workload: &w,
-            ready: &[],
+            ready: &DenseSet::new(w.problem.n_tasks()),
             idle_gpus: &idle,
+            changes: &[],
             synced_rounds: &vec![0; w.problem.jobs.len()],
             arrived: &vec![true; w.problem.jobs.len()],
             solver_budget_frac: 1.0,
@@ -231,13 +294,16 @@ mod tests {
 
         // Make the heads of two queues ready; they dispatch to their own GPUs.
         let seqs = out.schedule.gpu_sequences(&w.problem);
-        let mut heads: Vec<usize> = seqs.iter().filter_map(|q| q.first().copied()).collect();
-        heads.sort_unstable();
+        let heads = set(
+            w.problem.n_tasks(),
+            seqs.iter().filter_map(|q| q.first().copied()),
+        );
         let view = SimView {
             now: SimTime::ZERO,
             workload: &w,
             ready: &heads,
             idle_gpus: &idle,
+            changes: &[],
             synced_rounds: &vec![0; w.problem.jobs.len()],
             arrived: &vec![true; w.problem.jobs.len()],
             solver_budget_frac: 1.0,
@@ -290,8 +356,9 @@ mod tests {
         let view = SimView {
             now: SimTime::ZERO,
             workload: &w,
-            ready: &[second],
-            idle_gpus: &[busy_gpu],
+            ready: &set(w.problem.n_tasks(), [second]),
+            idle_gpus: &set(15, [busy_gpu]),
+            changes: &[],
             synced_rounds: &vec![0; w.problem.jobs.len()],
             arrived: &vec![true; w.problem.jobs.len()],
             solver_budget_frac: 1.0,

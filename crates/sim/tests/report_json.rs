@@ -174,7 +174,7 @@ mod hare_baselines_stub {
             "FirstFit".into()
         }
         fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-            for (&task, &gpu) in view.ready.iter().zip(view.idle_gpus.iter()) {
+            for (task, gpu) in view.ready.iter().zip(view.idle_gpus.iter()) {
                 out.push((task, gpu));
             }
         }
