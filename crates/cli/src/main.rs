@@ -340,6 +340,11 @@ fn shard(opts: &Options) -> Result<(), String> {
             c.makespan.to_string()
         );
     }
+    println!(
+        "\nlargest cell share {:.3} (fair 1/{n_cells} = {:.3})",
+        merged.largest_cell_share(),
+        1.0 / n_cells as f64
+    );
     let r = &merged.report;
     println!(
         "\n{}: weighted JCT {:.0}, mean JCT {:.0}s, makespan {}, {} events total",

@@ -230,3 +230,25 @@ fn jobs_wider_than_the_cluster_or_cell_exit_1_for_gang_schemes() {
     assert!(stdout.contains("Hare: weighted JCT"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn shard_prints_the_largest_cell_share_next_to_the_fair_share() {
+    let (stdout, stderr, ok) = hare(&["shard", "--jobs", "12", "--cells", "3"]);
+    assert!(ok, "stderr: {stderr}");
+    // The per-cell table's second column is the jobs routed to the cell.
+    let jobs: Vec<usize> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("cell "))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().nth(1).unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(jobs.len(), 3, "{stdout}");
+    assert_eq!(jobs.iter().sum::<usize>(), 12, "{stdout}");
+    let share = *jobs.iter().max().unwrap() as f64 / 12.0;
+    let line = format!("largest cell share {share:.3} (fair 1/3 = 0.333)");
+    assert!(
+        stdout.lines().any(|l| l == line),
+        "missing {line:?} in:\n{stdout}"
+    );
+}

@@ -49,7 +49,6 @@ pub struct Simulation<'a> {
     seed: u64,
     record_timelines: bool,
     faults: FaultPlan,
-    storage: CheckpointStore,
     /// Observer for execution tracing; `None` (the default) keeps the
     /// event hot path to a single branch per hook.
     trace: Option<SinkHandle>,
@@ -65,7 +64,6 @@ impl<'a> Simulation<'a> {
             seed: 0,
             record_timelines: false,
             faults: FaultPlan::default(),
-            storage: CheckpointStore::default(),
             trace: None,
         }
     }
@@ -101,14 +99,6 @@ impl<'a> Simulation<'a> {
     /// Record per-GPU utilization timelines (Figs. 3/6/8); costs memory.
     pub fn with_timelines(mut self) -> Self {
         self.record_timelines = true;
-        self
-    }
-
-    /// Replace the shared checkpoint store (Fig. 9's HDFS): first access
-    /// of a job on a machine fetches its checkpoint at the store's shared
-    /// bandwidth; later accesses hit the machine-local copy.
-    pub fn with_storage(mut self, storage: CheckpointStore) -> Self {
-        self.storage = storage;
         self
     }
 
@@ -308,7 +298,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 )
             })
             .collect();
-        let mut store = cfg.storage.clone();
+        let mut store = CheckpointStore::default();
         store.set_faults(&cfg.faults.storage_faults);
         Engine {
             cfg,

@@ -309,7 +309,7 @@ impl FaultPlan {
     }
 
     /// Straggler windows of one GPU as `(from, until, slowdown)` triples
-    /// for [`finish_over_windows`], sorted by start.
+    /// for [`SlowdownProfile::new`], sorted by start.
     pub fn straggler_windows(&self, gpu: usize) -> Vec<(SimTime, SimTime, f64)> {
         let mut ws: Vec<_> = self
             .stragglers
@@ -437,61 +437,12 @@ impl ServeFaultPlan {
     }
 }
 
-/// Maximum slowdown factor active at `t` among `(from, until, slowdown)`
-/// windows (1.0 when none are open).
-pub fn slowdown_at(windows: &[(SimTime, SimTime, f64)], t: SimTime) -> f64 {
-    windows
-        .iter()
-        .filter(|&&(from, until, _)| from <= t && t < until)
-        .map(|&(_, _, s)| s)
-        .fold(1.0, f64::max)
-}
-
-/// Wall-clock completion of `work` (nominal compute time) started at
-/// `start` under slowdown windows: progress accrues at rate `1/s` inside
-/// a window of factor `s` (overlaps take the worst factor; `f64::INFINITY`
-/// stalls progress entirely, used for storage outages). With no windows
-/// this is exactly `start + work`.
-pub fn finish_over_windows(
-    windows: &[(SimTime, SimTime, f64)],
-    start: SimTime,
-    work: SimDuration,
-) -> SimTime {
-    let mut t = start;
-    let mut remaining = work.as_micros() as f64;
-    if remaining <= 0.0 {
-        return start;
-    }
-    loop {
-        let s = slowdown_at(windows, t);
-        let boundary = windows
-            .iter()
-            .flat_map(|&(from, until, _)| [from, until])
-            .filter(|&b| b > t)
-            .min();
-        match boundary {
-            Some(b) => {
-                let span = b.saturating_since(t).as_micros() as f64;
-                let progressed = span / s; // s = ∞ ⇒ no progress
-                if progressed < remaining {
-                    remaining -= progressed;
-                    t = b;
-                } else {
-                    return t + SimDuration::from_micros((remaining * s).round() as u64);
-                }
-            }
-            None => {
-                debug_assert!(s.is_finite(), "open-ended window with infinite slowdown");
-                return t + SimDuration::from_micros((remaining * s).round() as u64);
-            }
-        }
-    }
-}
-
-/// Precompiled piecewise-constant slowdown profile: the segment
-/// decomposition of a window set, built once so the hot path can evaluate
-/// [`slowdown_at`] with one binary search and [`finish_over_windows`]
-/// without rescanning every window per boundary.
+/// Precompiled piecewise-constant slowdown profile over a set of
+/// `(from, until, slowdown)` windows: progress accrues at rate `1/s`
+/// inside a window of factor `s`, overlaps take the worst factor, and
+/// `f64::INFINITY` stalls progress entirely (storage outages). Built once,
+/// so the hot path looks up a factor with one binary search and
+/// integrates work without rescanning every window per boundary.
 ///
 /// `edges` is the sorted, deduplicated union of all window endpoints;
 /// `factors[i]` is the active factor on the half-open segment
@@ -499,14 +450,12 @@ pub fn finish_over_windows(
 /// the first edge and `factors[edges.len()]` everything after the last —
 /// both 1.0 by construction).
 ///
-/// Bit-for-bit equivalence with the free functions is deliberate and
-/// guarded by tests: the replay in [`SlowdownProfile::finish_over`] visits
-/// exactly the same boundaries in the same order and performs the same
-/// f64 operations (`remaining -= span / s`, final
-/// `(remaining * s).round()`) as [`finish_over_windows`] — it never merges
-/// equal-factor segments, because `a/s + b/s` and `(a+b)/s` can differ in
-/// the last ulp.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The tests check it bit for bit against a per-call scan of the windows.
+/// [`SlowdownProfile::finish_over`] therefore visits every edge in order
+/// with the same f64 operations (`remaining -= span / s`, final
+/// `(remaining * s).round()`) and never merges equal-factor segments,
+/// because `a/s + b/s` and `(a+b)/s` can differ in the last ulp.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SlowdownProfile {
     edges: Vec<SimTime>,
     factors: Vec<f64>,
@@ -537,14 +486,13 @@ impl SlowdownProfile {
         self.edges.is_empty()
     }
 
-    /// Maximum slowdown factor active at `t` (1.0 outside all windows);
-    /// equals [`slowdown_at`] on the source windows.
+    /// Maximum slowdown factor active at `t` (1.0 outside all windows).
     pub fn slowdown_at(&self, t: SimTime) -> f64 {
         self.factors[self.edges.partition_point(|&e| e <= t)]
     }
 
-    /// Wall-clock completion of `work` started at `start`; equals
-    /// [`finish_over_windows`] on the source windows, bit for bit.
+    /// Wall-clock completion of `work` (nominal time) started at `start`;
+    /// exactly `start + work` when no window is open along the way.
     pub fn finish_over(&self, start: SimTime, work: SimDuration) -> SimTime {
         let mut remaining = work.as_micros() as f64;
         if remaining <= 0.0 {
@@ -758,6 +706,60 @@ fn exp_sample(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Per-call window scans: the oracle `SlowdownProfile` must match bit
+    // for bit.
+
+    /// Maximum slowdown factor active at `t` among `(from, until, slowdown)`
+    /// windows (1.0 when none are open).
+    fn slowdown_at(windows: &[(SimTime, SimTime, f64)], t: SimTime) -> f64 {
+        windows
+            .iter()
+            .filter(|&&(from, until, _)| from <= t && t < until)
+            .map(|&(_, _, s)| s)
+            .fold(1.0, f64::max)
+    }
+
+    /// Wall-clock completion of `work` (nominal compute time) started at
+    /// `start` under slowdown windows: progress accrues at rate `1/s` inside
+    /// a window of factor `s` (overlaps take the worst factor; `f64::INFINITY`
+    /// stalls progress entirely, used for storage outages). With no windows
+    /// this is exactly `start + work`.
+    fn finish_over_windows(
+        windows: &[(SimTime, SimTime, f64)],
+        start: SimTime,
+        work: SimDuration,
+    ) -> SimTime {
+        let mut t = start;
+        let mut remaining = work.as_micros() as f64;
+        if remaining <= 0.0 {
+            return start;
+        }
+        loop {
+            let s = slowdown_at(windows, t);
+            let boundary = windows
+                .iter()
+                .flat_map(|&(from, until, _)| [from, until])
+                .filter(|&b| b > t)
+                .min();
+            match boundary {
+                Some(b) => {
+                    let span = b.saturating_since(t).as_micros() as f64;
+                    let progressed = span / s; // s = ∞ ⇒ no progress
+                    if progressed < remaining {
+                        remaining -= progressed;
+                        t = b;
+                    } else {
+                        return t + SimDuration::from_micros((remaining * s).round() as u64);
+                    }
+                }
+                None => {
+                    debug_assert!(s.is_finite(), "open-ended window with infinite slowdown");
+                    return t + SimDuration::from_micros((remaining * s).round() as u64);
+                }
+            }
+        }
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

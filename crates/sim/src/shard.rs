@@ -16,21 +16,16 @@
 //! # Gateway
 //!
 //! The gateway scores every cell for each arrival (in arrival order) and
-//! picks the lowest score, ties to the lowest cell index:
+//! picks the lowest score, ties to the lowest cell index. The score is
+//! `w_load · load + w_het · het`:
 //!
 //! * **load** — the cell's queued best-case ms including this job,
 //!   divided by the cell's summed `generic_speedup` (≈128 for a 64-GPU
 //!   high-heterogeneity cell), so slow cells fill slower;
 //! * **heterogeneity** — in ms, the extra per-job time this cell's best
 //!   GPU kind costs over the global best kind (a V100-less cell is a bad
-//!   home for a V100-hungry model);
-//! * **affinity** — a discount for cells already training the same model,
-//!   which concentrates switch-cache reuse: the share of the cell's routed
-//!   jobs on this model times `w_aff` × the job's best-case ms.
-//!
-//! The terms are in different units, so the weights do not make them
-//! comparable: one routed job raises a cell's load by ~1/128 of its time,
-//! while a full model match takes `w_aff` of it off the score.
+//!   home for a V100-hungry model). It is zero on cells that hold every
+//!   kind the cluster has, so striped cells are routed by load alone.
 //!
 //! Scores are plain `f64` arithmetic over profile-derived expectations —
 //! no clocks, no randomness — so routing is a pure function of the trace
@@ -50,12 +45,10 @@
 
 use crate::faults::SimError;
 use crate::metrics::{completion_stats_parts, sim_registry, FaultMetrics, GpuReport, SimReport};
-use crate::registry::MetricsRegistry;
 use hare_cluster::{Cell, CellPartition, Cluster, GpuId, GpuKind, SimTime};
-use hare_workload::{JobId, JobSpec, ModelKind};
-use std::collections::BTreeMap;
+use hare_workload::{JobId, JobSpec};
 
-/// Weights of the gateway's routing score. The three terms are in
+/// Weights of the gateway's routing score. The two terms are in
 /// different units (see each field), so the weights are not exchange
 /// rates between comparable quantities.
 #[derive(Copy, Clone, Debug)]
@@ -67,10 +60,6 @@ pub struct GatewayConfig {
     /// Weight of the heterogeneity term, in ms: extra time on this cell's
     /// best kind versus the global best kind.
     pub w_het: f64,
-    /// Weight of the model-affinity discount: the fraction of the cell's
-    /// jobs training the same model times the job's best-case ms, so the
-    /// discount is up to `w_aff` × that ms.
-    pub w_aff: f64,
 }
 
 impl Default for GatewayConfig {
@@ -78,7 +67,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             w_load: 1.0,
             w_het: 1.0,
-            w_aff: 0.25,
         }
     }
 }
@@ -133,8 +121,6 @@ impl ShardedTrace {
             .collect();
         let global_kinds = cluster.kinds_present();
         let mut pending_ms = vec![0.0f64; n];
-        let mut routed_model: Vec<BTreeMap<ModelKind, u64>> = vec![BTreeMap::new(); n];
-        let mut routed_total = vec![0u64; n];
         let mut cell_specs: Vec<Vec<JobSpec>> = vec![Vec::new(); n];
         let mut cell_jobs: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut routes = Vec::new();
@@ -149,17 +135,13 @@ impl ShardedTrace {
                 let est_c = spec.best_case_ms(kinds);
                 let load = (pending_ms[c] + est_c) / cell_speed[c];
                 let het = est_c - est_best;
-                let aff = routed_model[c].get(&spec.model).copied().unwrap_or(0) as f64
-                    / routed_total[c].max(1) as f64;
-                let score = gw.w_load * load + gw.w_het * het - gw.w_aff * est_best * aff;
+                let score = gw.w_load * load + gw.w_het * het;
                 if best.is_none_or(|b| score < b.0) {
                     best = Some((score, c, est_c));
                 }
             }
             let (_, c, est_c) = best.expect("partition has at least one cell");
             pending_ms[c] += est_c;
-            *routed_model[c].entry(spec.model).or_insert(0) += 1;
-            routed_total[c] += 1;
             let local = cell_specs[c].len() as u32;
             routes.push((c as u32, local));
             cell_jobs[c].push(arrivals.len() as u32);
@@ -283,13 +265,6 @@ impl ShardedTrace {
         }
         let stats = completion_stats_parts(&completion, &self.arrivals, &self.weights);
         let metrics = sim_registry(events_total, &gpus, &faults, &stats);
-        let mut shard_metrics = MetricsRegistry::new();
-        shard_metrics.add("shard.cells", self.partition.len() as u64);
-        shard_metrics.add("shard.events_total", events_total);
-        shard_metrics.add(
-            "shard.jobs_max_cell",
-            cells.iter().map(|c| c.jobs as u64).max().unwrap_or(0),
-        );
         Ok(ShardReport {
             report: SimReport {
                 scheme: scheme.unwrap_or_default(),
@@ -308,7 +283,6 @@ impl ShardedTrace {
             },
             cells,
             events_total,
-            shard_metrics,
         })
     }
 }
@@ -355,10 +329,16 @@ pub struct ShardReport {
     pub cells: Vec<CellSummary>,
     /// Events processed across all cells.
     pub events_total: u64,
-    /// Shard-level series (cell count, event totals) kept separate from
-    /// the merged report's registry so the 1-cell registry stays
-    /// identical to the unsharded engine's.
-    pub shard_metrics: MetricsRegistry,
+}
+
+impl ShardReport {
+    /// The largest cell's share of the routed jobs, in `(0, 1]`: the
+    /// gateway's imbalance, against a fair share of `1 / cells.len()`.
+    pub fn largest_cell_share(&self) -> f64 {
+        let max = self.cells.iter().map(|c| c.jobs).max().unwrap_or(0);
+        let total: usize = self.cells.iter().map(|c| c.jobs).sum();
+        max as f64 / total as f64
+    }
 }
 
 #[cfg(test)]

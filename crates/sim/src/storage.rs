@@ -10,10 +10,9 @@
 //!
 //! The simulator charges the fetch as part of the first switch onto each
 //! machine; with the default aggregate bandwidth the cost is small but
-//! visible under cold-start storms — set a lower bandwidth to study
-//! storage-bound regimes.
+//! visible under cold-start storms.
 
-use crate::faults::{finish_over_windows, StorageFault, StorageFaultKind};
+use crate::faults::{SlowdownProfile, StorageFault, StorageFaultKind};
 use hare_cluster::{Bandwidth, Bytes, MachineId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +29,7 @@ pub struct CheckpointStore {
     local_hits: u64,
     /// Outage / latency-spike windows (fault injection) as piecewise
     /// slowdowns: outages stall progress, slowdowns stretch it.
-    faults: Vec<(SimTime, SimTime, f64)>,
+    faults: SlowdownProfile,
     /// Extra wall-clock beyond the fault-free fetch times, accumulated.
     stalled: SimDuration,
 }
@@ -50,7 +49,7 @@ impl CheckpointStore {
             cached: Vec::new(),
             fetched: Bytes::ZERO,
             local_hits: 0,
-            faults: Vec::new(),
+            faults: SlowdownProfile::new(&[]),
             stalled: SimDuration::ZERO,
         }
     }
@@ -58,7 +57,7 @@ impl CheckpointStore {
     /// Install outage / latency-spike windows (the engine passes the fault
     /// plan's storage faults before the run starts).
     pub fn set_faults(&mut self, faults: &[StorageFault]) {
-        self.faults = faults
+        let windows: Vec<_> = faults
             .iter()
             .map(|f| {
                 let slowdown = match f.kind {
@@ -68,7 +67,7 @@ impl CheckpointStore {
                 (f.from, f.until, slowdown)
             })
             .collect();
-        self.faults.sort_by_key(|&(from, until, _)| (from, until));
+        self.faults = SlowdownProfile::new(&windows);
     }
 
     /// Charge a checkpoint access for `job` on `machine`: zero when the
@@ -109,10 +108,10 @@ impl CheckpointStore {
             .read_bandwidth
             .shared(concurrent_readers + 1)
             .transfer_time(bytes);
-        if self.faults.is_empty() {
+        if self.faults.is_trivial() {
             return clean;
         }
-        let wall = finish_over_windows(&self.faults, now, clean).saturating_since(now);
+        let wall = self.faults.finish_over(now, clean).saturating_since(now);
         self.stalled += wall.saturating_sub(clean);
         wall
     }

@@ -7,7 +7,7 @@
 //! of full end-to-end cases additionally runs Hare in every cell and
 //! checks the merged report completes each routed job.
 
-use hare_cluster::{Cluster, GpuKind, SimTime};
+use hare_cluster::{Cluster, GpuKind, Heterogeneity, SimTime};
 use hare_core::HareScheduler;
 use hare_sim::{GatewayConfig, OfflineReplay, ShardedTrace, SimWorkload, Simulation};
 use hare_workload::{large_scale_trace, DomainMix, JobId, ProfileDb};
@@ -23,11 +23,7 @@ fn cluster_strategy() -> impl Strategy<Value = Cluster> {
 }
 
 fn gateway_strategy() -> impl Strategy<Value = GatewayConfig> {
-    (0.0f64..4.0, 0.0f64..4.0, 0.0f64..2.0).prop_map(|(w_load, w_het, w_aff)| GatewayConfig {
-        w_load,
-        w_het,
-        w_aff,
-    })
+    (0.0f64..4.0, 0.0f64..4.0).prop_map(|(w_load, w_het)| GatewayConfig { w_load, w_het })
 }
 
 proptest::proptest! {
@@ -77,6 +73,59 @@ proptest::proptest! {
     }
 }
 
+/// The gateway balances. Striped cells of a high-heterogeneity cluster
+/// each hold every GPU kind, so the heterogeneity term is zero and each
+/// arrival goes to the cell whose best-case ms over summed
+/// `generic_speedup` ends lowest. That greedy rule leaves any two cells'
+/// loads within one job: the largest routed job's best-case ms over the
+/// smallest cell's summed speedup.
+#[test]
+fn striped_cells_end_within_one_job_of_each_other() {
+    for gpus in [128u32, 256, 512] {
+        let cluster = Cluster::with_heterogeneity(Heterogeneity::High, gpus);
+        let kinds = cluster.kinds_present();
+        for n_cells in [2usize, 4, 8] {
+            for seed in 0..20u64 {
+                let jobs = large_scale_trace(200, DomainMix::default(), seed);
+                let sharded =
+                    ShardedTrace::route(&cluster, n_cells, &GatewayConfig::default(), jobs);
+                let speed: Vec<f64> = sharded
+                    .partition()
+                    .cells()
+                    .iter()
+                    .map(|cell| {
+                        let cell = cell.cluster();
+                        assert_eq!(cell.kinds_present(), kinds, "a cell lacks a kind");
+                        cell.gpus().iter().map(|g| g.kind.generic_speedup()).sum()
+                    })
+                    .collect();
+                let load: Vec<f64> = sharded
+                    .cell_specs()
+                    .iter()
+                    .zip(&speed)
+                    .map(|(specs, s)| specs.iter().map(|j| j.best_case_ms(&kinds)).sum::<f64>() / s)
+                    .collect();
+                let largest_job = sharded
+                    .cell_specs()
+                    .iter()
+                    .flatten()
+                    .map(|j| j.best_case_ms(&kinds))
+                    .fold(0.0, f64::max);
+                let bound = largest_job / speed.iter().copied().fold(f64::INFINITY, f64::min);
+                let lo = load.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = load.iter().copied().fold(0.0, f64::max);
+                // The relative slack absorbs rounding in the gateway's
+                // `(queued + job) / speed` against this test's sums.
+                assert!(
+                    hi - lo <= bound * (1.0 + 1e-9),
+                    "{gpus} GPUs, {n_cells} cells, seed {seed}: loads {load:?} spread {} > {bound}",
+                    hi - lo
+                );
+            }
+        }
+    }
+}
+
 proptest::proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -105,6 +154,8 @@ proptest::proptest! {
         prop_assert_eq!(&merged.report.scheme, "Hare");
         let cell_jobs: usize = merged.cells.iter().map(|c| c.jobs).sum();
         prop_assert_eq!(cell_jobs, n_jobs as usize);
+        let max_jobs = merged.cells.iter().map(|c| c.jobs).max().unwrap_or(0);
+        prop_assert_eq!(merged.largest_cell_share(), max_jobs as f64 / n_jobs as f64);
         prop_assert!(merged.events_total > 0);
     }
 }
