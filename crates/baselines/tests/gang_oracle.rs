@@ -1,22 +1,32 @@
-//! The incremental gang core against the per-call oracle in
-//! `support/oracle.rs`: on small random workloads under random fault plans
-//! (transient and permanent GPU failures, stragglers with speculation
-//! armed, network and checkpoint-store faults), each of the four gang
-//! baselines must produce a report byte-identical to the policy it
-//! replaced, which rebuilt every decision from the view on every call.
+//! The policies that dispatch from the change log against the per-call
+//! oracles in `support/oracle.rs`: on small random workloads under random
+//! fault plans (transient and permanent GPU failures, stragglers with
+//! speculation armed, network and checkpoint-store faults), each of the
+//! four gang baselines and Hare's plan replay must produce a report
+//! byte-identical to the policy it replaced, which rebuilt every decision
+//! from the view on every call.
 
 mod support;
 
 use hare_baselines::{
     build_simulation, GavelFifo, RunOptions, SchedAllox, SchedHomo, Scheme, Srtf,
 };
-use hare_sim::{FaultPlan, Policy, SimWorkload};
+use hare_core::hare_schedule;
+use hare_sim::{FaultPlan, OfflineReplay, Policy, SimWorkload};
 use proptest::prelude::*;
 use support::oracle;
 
-/// The new policy and its oracle for one gang scheme.
-fn pair(scheme: Scheme) -> (Box<dyn Policy>, Box<dyn Policy>) {
+/// The new policy and its oracle for one scheme on `w`; Hare's pair
+/// replays the same plan.
+fn pair(scheme: Scheme, w: &SimWorkload) -> (Box<dyn Policy>, Box<dyn Policy>) {
     match scheme {
+        Scheme::Hare => {
+            let plan = hare_schedule(&w.problem).schedule;
+            (
+                Box::new(OfflineReplay::new("Hare", w, &plan)),
+                Box::new(oracle::OfflineReplay::new(w, &plan)),
+            )
+        }
         Scheme::GavelFifo => (
             Box::new(GavelFifo::new()),
             Box::<oracle::GavelFifo>::default(),
@@ -30,20 +40,19 @@ fn pair(scheme: Scheme) -> (Box<dyn Policy>, Box<dyn Policy>) {
             Box::new(SchedAllox::new()),
             Box::<oracle::SchedAllox>::default(),
         ),
-        Scheme::Hare => unreachable!("Hare replays a plan, it has no gang core"),
     }
 }
 
-/// Run every gang scheme and its oracle on one workload and plan; the
-/// reports (or errors) must agree byte for byte.
+/// Run every scheme and its oracle on one workload and plan; the reports
+/// (or errors) must agree byte for byte.
 fn assert_agree(w: &SimWorkload, plan: &FaultPlan, seed: u64) {
     let opts = RunOptions {
         seed,
         ..RunOptions::default()
     };
-    for scheme in Scheme::ALL.into_iter().filter(|&s| s != Scheme::Hare) {
+    for scheme in Scheme::ALL {
         let sim = build_simulation(scheme, w, opts, plan);
-        let (mut new, mut old) = pair(scheme);
+        let (mut new, mut old) = pair(scheme, w);
         let render = |p: &mut dyn Policy| match sim.run(p) {
             Ok(report) => report.to_json(),
             Err(e) => format!("error: {e:?}"),
@@ -59,7 +68,10 @@ fn assert_agree(w: &SimWorkload, plan: &FaultPlan, seed: u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    // 256 cases: a GPU that goes idle and is taken by a speculation twin
+    // before its queue head is released (the replay's `GpuBusy` path)
+    // first shows up at case 132.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn gang_core_matches_the_oracle_under_random_faults(

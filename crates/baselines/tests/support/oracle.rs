@@ -1,13 +1,18 @@
-//! The gang baselines as they dispatched before the incremental core: every
-//! call rebuilds its inputs from the view — a `BTreeMap` of the ready
-//! tasks, the sorted idle list, a scan for completed jobs and the repair
-//! pool — and decides from scratch. The dispatch logic is unchanged apart
-//! from reading the set views; it is the oracle the differential test
-//! holds `hare_baselines::common::GangPolicy` to.
+//! The policies as they dispatched before they read the change log. The
+//! gang baselines predate the incremental core: every call rebuilds its
+//! inputs from the view — a `BTreeMap` of the ready tasks, the sorted
+//! idle list, a scan for completed jobs and the repair pool — and decides
+//! from scratch. The dispatch logic is unchanged apart from reading the
+//! set views; it is the oracle the differential test holds
+//! `hare_baselines::common::GangPolicy` to. [`OfflineReplay`] is the
+//! plan replay that scans every idle GPU on every call, the oracle of
+//! `hare_sim::OfflineReplay`.
 
-use hare_sim::{Policy, SimView};
+use hare_cluster::SimTime;
+use hare_core::Schedule;
+use hare_sim::{Policy, SimView, SimWorkload};
 use hare_solver::min_cost_matching;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Group the ready tasks by owning job (every ready task of a job belongs
 /// to its single currently-released round).
@@ -493,5 +498,93 @@ impl Policy for SchedAllox {
 
     fn on_gpu_recovery(&mut self, gpu: usize) {
         self.down.remove(&gpu);
+    }
+}
+
+/// Replay a precomputed schedule's per-GPU sequences in order, scanning
+/// every idle GPU's queue head on every call.
+pub struct OfflineReplay {
+    /// Remaining task queue per GPU (planned order).
+    queues: Vec<VecDeque<usize>>,
+    /// Planned start per task; queues keep ascending planned starts.
+    planned: Vec<SimTime>,
+    /// Generic speedup per GPU (failure migration prefers faster, emptier
+    /// survivors).
+    speedup: Vec<f64>,
+    /// GPUs reported failed.
+    failed: Vec<usize>,
+}
+
+impl OfflineReplay {
+    /// The queues of `schedule`'s per-GPU sequences.
+    pub fn new(workload: &SimWorkload, schedule: &Schedule) -> Self {
+        OfflineReplay {
+            queues: schedule
+                .gpu_sequences(&workload.problem)
+                .into_iter()
+                .map(VecDeque::from)
+                .collect(),
+            planned: schedule.start.clone(),
+            speedup: workload
+                .cluster
+                .gpus()
+                .iter()
+                .map(|g| g.kind.generic_speedup())
+                .collect(),
+            failed: Vec::new(),
+        }
+    }
+
+    /// Put each orphan, in planned-start order, on the survivor with the
+    /// least speed-normalized backlog, inserted by planned start.
+    fn assign_by_planned_start(&mut self, orphans: Vec<usize>) {
+        for task in orphans {
+            let target = (0..self.queues.len())
+                .filter(|g| !self.failed.contains(g))
+                .min_by(|&a, &b| {
+                    let ka = (self.queues[a].len() as f64 + 1.0) / self.speedup[a];
+                    let kb = (self.queues[b].len() as f64 + 1.0) / self.speedup[b];
+                    ka.total_cmp(&kb).then(a.cmp(&b))
+                })
+                .expect("at least one surviving GPU");
+            let queue = &mut self.queues[target];
+            let pos = queue
+                .iter()
+                .position(|&t| self.planned[t] > self.planned[task])
+                .unwrap_or(queue.len());
+            queue.insert(pos, task);
+        }
+    }
+}
+
+impl Policy for OfflineReplay {
+    fn name(&self) -> String {
+        "Hare".into()
+    }
+
+    fn on_gpu_failure(&mut self, gpu: usize, requeued: &[usize]) {
+        let mut orphans: Vec<usize> = self.queues[gpu].drain(..).collect();
+        orphans.extend_from_slice(requeued);
+        orphans.sort_by_key(|&t| (self.planned[t], t));
+        self.failed.push(gpu);
+        self.assign_by_planned_start(orphans);
+    }
+
+    fn on_gpu_recovery(&mut self, gpu: usize) {
+        self.failed.retain(|&g| g != gpu);
+        let mut orphans: Vec<usize> = self.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
+        orphans.sort_by_key(|&t| (self.planned[t], t));
+        self.assign_by_planned_start(orphans);
+    }
+
+    fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
+        for gpu in view.idle_gpus.iter() {
+            if let Some(&head) = self.queues[gpu].front() {
+                if view.ready.contains(head) {
+                    self.queues[gpu].pop_front();
+                    out.push((head, gpu));
+                }
+            }
+        }
     }
 }

@@ -79,56 +79,41 @@ impl NetworkModel {
         self
     }
 
-    /// Synchronization time for each worker of one training round, under
-    /// the configured [`SyncScheme`].
+    /// Synchronization time of worker `worker` in one training round,
+    /// under the configured [`SyncScheme`]. Allocates nothing, so a
+    /// barrier folds it over the round's workers.
     ///
-    /// `worker_machines[i]` is the machine hosting worker `i`'s GPU.
-    /// Returns one duration per worker, in input order.
-    pub fn round_sync_times(
-        &self,
-        param_bytes: Bytes,
-        worker_machines: &[MachineId],
-    ) -> Vec<SimDuration> {
-        self.round_sync_times_contended(param_bytes, worker_machines, 0)
-    }
-
-    /// Like [`NetworkModel::round_sync_times`], but with `extra_flows`
-    /// unrelated gradient flows contending on every NIC — the cross-job
-    /// congestion a busy cluster exhibits (the simulator passes the number
-    /// of other jobs currently synchronizing).
-    pub fn round_sync_times_contended(
-        &self,
-        param_bytes: Bytes,
-        worker_machines: &[MachineId],
-        extra_flows: u32,
-    ) -> Vec<SimDuration> {
-        self.round_sync_times_degraded(param_bytes, worker_machines, extra_flows, &[], 1.0)
-    }
-
-    /// Like [`NetworkModel::round_sync_times_contended`], under NIC
-    /// degradation (fault injection): `machine_factors[m]` is the fraction
+    /// `machines[i]` is the machine hosting worker `i`'s GPU.
+    /// `extra_flows` unrelated gradient flows contend on every NIC — the
+    /// cross-job congestion a busy cluster exhibits (the simulator passes
+    /// the number of other jobs currently synchronizing). Under NIC
+    /// degradation (fault injection), `machine_factors[m]` is the fraction
     /// of machine `m`'s NIC bandwidth still delivered (missing entries =
     /// 1.0), and `backbone` scales every inter-machine link — the PS side
-    /// and all cross-machine flows. Factors must lie in (0, 1].
-    pub fn round_sync_times_degraded(
+    /// and all cross-machine flows. Factors must lie in (0, 1]; a healthy
+    /// network is `&[]` and 1.0.
+    pub fn worker_sync_time(
         &self,
         param_bytes: Bytes,
-        worker_machines: &[MachineId],
+        machines: &[MachineId],
+        worker: usize,
         extra_flows: u32,
         machine_factors: &[f64],
         backbone: f64,
-    ) -> Vec<SimDuration> {
+    ) -> SimDuration {
+        let machine = machines[worker];
         match self.scheme {
-            SyncScheme::ParameterServer => self.ps_sync_times(
+            SyncScheme::ParameterServer => self.ps_sync_time(
                 param_bytes,
-                worker_machines,
+                machines,
+                machine,
                 extra_flows,
                 machine_factors,
                 backbone,
             ),
-            SyncScheme::RingAllReduce => self.allreduce_sync_times(
+            SyncScheme::RingAllReduce => self.allreduce_sync_time(
                 param_bytes,
-                worker_machines,
+                machines,
                 extra_flows,
                 machine_factors,
                 backbone,
@@ -136,30 +121,20 @@ impl NetworkModel {
         }
     }
 
-    /// PS scheme: every worker pushes and pulls `payload(param_bytes)`; its
-    /// achievable rate is the minimum of its machine-NIC fair share and the
-    /// PS-side fair share.
-    fn ps_sync_times(
+    /// PS scheme: the worker on `machine` pushes and pulls
+    /// `payload(param_bytes)`; its achievable rate is the minimum of its
+    /// machine-NIC fair share (shared with its colocated co-workers) and
+    /// the PS-side fair share.
+    fn ps_sync_time(
         &self,
         param_bytes: Bytes,
-        worker_machines: &[MachineId],
+        machines: &[MachineId],
+        machine: MachineId,
         extra_flows: u32,
         machine_factors: &[f64],
         backbone: f64,
-    ) -> Vec<SimDuration> {
-        assert!(!worker_machines.is_empty(), "sync with zero workers");
-        let payload = self.payload(param_bytes);
-        let total_workers = worker_machines.len() as u32;
-
-        // Workers per machine (small vectors; avoid a hash map).
-        let mut machines: Vec<(MachineId, u32)> = Vec::new();
-        for &m in worker_machines {
-            match machines.iter_mut().find(|(id, _)| *id == m) {
-                Some((_, c)) => *c += 1,
-                None => machines.push((m, 1)),
-            }
-        }
-
+    ) -> SimDuration {
+        let colocated = machines.iter().filter(|&&m| m == machine).count() as u32;
         // PS-side aggregate: shards ride independent NICs, contended by
         // the other jobs' flows as well, throttled with the backbone.
         let ps_side = degrade(
@@ -168,97 +143,59 @@ impl NetworkModel {
                 .mul_f64(self.ps_shards as f64),
             backbone,
         )
-        .shared(total_workers + extra_flows);
-
-        worker_machines
-            .iter()
-            .map(|m| {
-                let colocated = machines
-                    .iter()
-                    .find(|(id, _)| id == m)
-                    .map(|(_, c)| *c)
-                    .expect("machine recorded above");
-                let factor = nic_factor(machine_factors, *m) * backbone;
-                let worker_side = degrade(self.nic.mul_f64(self.efficiency), factor)
-                    .shared(colocated + extra_flows);
-                let rate = worker_side.min(ps_side);
-                // Push + pull.
-                rate.transfer_time(payload) * 2
-            })
-            .collect()
+        .shared(machines.len() as u32 + extra_flows);
+        let factor = nic_factor(machine_factors, machine) * backbone;
+        let worker_side =
+            degrade(self.nic.mul_f64(self.efficiency), factor).shared(colocated + extra_flows);
+        let rate = worker_side.min(ps_side);
+        // Push + pull.
+        rate.transfer_time(self.payload(param_bytes)) * 2
     }
 
     /// Ring all-reduce: each worker transfers `2(k-1)/k` of the payload.
     /// Ring links between colocated workers run at the intra-machine rate;
     /// links crossing machines share the endpoints' NICs. The whole ring is
-    /// paced by its slowest link, so every worker reports the same time.
-    fn allreduce_sync_times(
+    /// paced by its slowest link, so every worker gets the same time.
+    fn allreduce_sync_time(
         &self,
         param_bytes: Bytes,
-        worker_machines: &[MachineId],
+        machines: &[MachineId],
         extra_flows: u32,
         machine_factors: &[f64],
         backbone: f64,
-    ) -> Vec<SimDuration> {
-        assert!(!worker_machines.is_empty(), "sync with zero workers");
-        let k = worker_machines.len();
+    ) -> SimDuration {
+        let k = machines.len();
         if k == 1 {
             // Nothing to exchange with a single worker.
-            return vec![SimDuration::ZERO];
+            return SimDuration::ZERO;
         }
         let volume = self
             .payload(param_bytes)
             .mul_f64(2.0 * (k as f64 - 1.0) / k as f64);
-
-        // Per-machine cross-machine ring degree: each machine's NIC carries
-        // one flow per ring edge leaving it.
-        let mut cross_flows: Vec<(MachineId, u32)> = Vec::new();
-        let mut slowest = self.intra_machine;
-        for i in 0..k {
-            let a = worker_machines[i];
-            let b = worker_machines[(i + 1) % k];
-            if a != b {
-                for m in [a, b] {
-                    match cross_flows.iter_mut().find(|(id, _)| *id == m) {
-                        Some((_, c)) => *c += 1,
-                        None => cross_flows.push((m, 1)),
-                    }
-                }
+        // Ring edge `i` joins worker `i` to worker `i + 1` (mod k).
+        let edge = |i: usize| (machines[i], machines[(i + 1) % k]);
+        // Cross-machine ring degree: each ring edge leaving a machine is
+        // one flow on its NIC.
+        let flows = |m: MachineId| {
+            (0..k)
+                .map(edge)
+                .filter(|&(a, b)| a != b && (a == m || b == m))
+                .count() as u32
+        };
+        let link = |(a, b): (MachineId, MachineId)| {
+            if a == b {
+                return self.intra_machine;
             }
-        }
-        for i in 0..k {
-            let a = worker_machines[i];
-            let b = worker_machines[(i + 1) % k];
-            let link = if a == b {
-                self.intra_machine
-            } else {
-                let flows = |m: MachineId| {
-                    cross_flows
-                        .iter()
-                        .find(|(id, _)| *id == m)
-                        .map(|(_, c)| *c)
-                        .unwrap_or(1)
-                };
-                let factor =
-                    nic_factor(machine_factors, a).min(nic_factor(machine_factors, b)) * backbone;
-                degrade(self.nic.mul_f64(self.efficiency), factor)
-                    .shared(flows(a).max(flows(b)) + extra_flows)
-            };
-            slowest = slowest.min(link);
-        }
-        vec![slowest.transfer_time(volume); k]
-    }
-
-    /// Worst-case (slowest worker) sync time for a round; the barrier time.
-    pub fn round_sync_barrier(
-        &self,
-        param_bytes: Bytes,
-        worker_machines: &[MachineId],
-    ) -> SimDuration {
-        self.round_sync_times(param_bytes, worker_machines)
-            .into_iter()
-            .max()
-            .expect("non-empty workers")
+            let factor =
+                nic_factor(machine_factors, a).min(nic_factor(machine_factors, b)) * backbone;
+            degrade(self.nic.mul_f64(self.efficiency), factor)
+                .shared(flows(a).max(flows(b)) + extra_flows)
+        };
+        let slowest = (0..k)
+            .map(edge)
+            .map(link)
+            .fold(self.intra_machine, Ord::min);
+        slowest.transfer_time(volume)
     }
 }
 
@@ -287,10 +224,34 @@ mod tests {
         MachineId(i)
     }
 
+    /// Every worker's sync time on a healthy, uncontended network.
+    fn sync_times(net: &NetworkModel, bytes: Bytes, machines: &[MachineId]) -> Vec<SimDuration> {
+        degraded_times(net, bytes, machines, 0, &[], 1.0)
+    }
+
+    /// Every worker's sync time, in input order.
+    fn degraded_times(
+        net: &NetworkModel,
+        bytes: Bytes,
+        machines: &[MachineId],
+        extra_flows: u32,
+        factors: &[f64],
+        backbone: f64,
+    ) -> Vec<SimDuration> {
+        (0..machines.len())
+            .map(|i| net.worker_sync_time(bytes, machines, i, extra_flows, factors, backbone))
+            .collect()
+    }
+
+    /// The slowest worker's sync time.
+    fn barrier(net: &NetworkModel, bytes: Bytes, machines: &[MachineId]) -> SimDuration {
+        sync_times(net, bytes, machines).into_iter().max().unwrap()
+    }
+
     #[test]
     fn lone_worker_uses_full_nic() {
         let net = NetworkModel::default();
-        let times = net.round_sync_times(Bytes::mib(100), &[m(0)]);
+        let times = sync_times(&net, Bytes::mib(100), &[m(0)]);
         assert_eq!(times.len(), 1);
         // payload = 50 MiB, rate = min(22.5 Gbps, 4*22.5/1) = 22.5 Gbps
         let expected = Bandwidth::gbps(22.5).transfer_time(Bytes::mib(50)) * 2;
@@ -300,8 +261,8 @@ mod tests {
     #[test]
     fn colocated_workers_share_nic() {
         let net = NetworkModel::default();
-        let alone = net.round_sync_times(Bytes::mib(100), &[m(0)])[0];
-        let shared = net.round_sync_times(Bytes::mib(100), &[m(0), m(0)]);
+        let alone = sync_times(&net, Bytes::mib(100), &[m(0)])[0];
+        let shared = sync_times(&net, Bytes::mib(100), &[m(0), m(0)]);
         assert_eq!(shared[0], shared[1]);
         assert!(shared[0] > alone, "sharing a NIC must slow the flow");
     }
@@ -315,8 +276,8 @@ mod tests {
         // 8 workers on 8 machines: worker side is full NIC but the single
         // PS shard splits its NIC 8 ways.
         let machines: Vec<MachineId> = (0..8).map(m).collect();
-        let times = net.round_sync_times(Bytes::mib(100), &machines);
-        let lone = net.round_sync_times(Bytes::mib(100), &[m(0)])[0];
+        let times = sync_times(&net, Bytes::mib(100), &machines);
+        let lone = sync_times(&net, Bytes::mib(100), &[m(0)])[0];
         assert!(times[0] > lone);
     }
 
@@ -324,11 +285,11 @@ mod tests {
     fn barrier_is_worst_worker() {
         let net = NetworkModel::default();
         let machines = [m(0), m(0), m(0), m(1)];
-        let times = net.round_sync_times(Bytes::mib(200), &machines);
-        let barrier = net.round_sync_barrier(Bytes::mib(200), &machines);
-        assert_eq!(barrier, *times.iter().max().unwrap());
-        // The three colocated workers are slower than the lone one.
+        let times = sync_times(&net, Bytes::mib(200), &machines);
+        // The three colocated workers are slower than the lone one, and
+        // the barrier waits for them.
         assert!(times[0] > times[3]);
+        assert_eq!(barrier(&net, Bytes::mib(200), &machines), times[0]);
     }
 
     #[test]
@@ -337,8 +298,7 @@ mod tests {
         let fast = NetworkModel::default().with_nic(Bandwidth::gbps(25.0));
         let machines = [m(0), m(1)];
         assert!(
-            slow.round_sync_barrier(Bytes::mib(100), &machines)
-                > fast.round_sync_barrier(Bytes::mib(100), &machines)
+            barrier(&slow, Bytes::mib(100), &machines) > barrier(&fast, Bytes::mib(100), &machines)
         );
     }
 
@@ -352,7 +312,7 @@ mod tests {
     fn allreduce_single_worker_is_free() {
         let net = NetworkModel::default().with_scheme(SyncScheme::RingAllReduce);
         assert_eq!(
-            net.round_sync_times(Bytes::mib(100), &[m(0)]),
+            sync_times(&net, Bytes::mib(100), &[m(0)]),
             vec![SimDuration::ZERO]
         );
     }
@@ -360,7 +320,7 @@ mod tests {
     #[test]
     fn allreduce_all_workers_finish_together() {
         let net = NetworkModel::default().with_scheme(SyncScheme::RingAllReduce);
-        let times = net.round_sync_times(Bytes::mib(200), &[m(0), m(0), m(1), m(2)]);
+        let times = sync_times(&net, Bytes::mib(200), &[m(0), m(0), m(1), m(2)]);
         for w in times.windows(2) {
             assert_eq!(w[0], w[1], "ring barrier must be uniform");
         }
@@ -371,17 +331,17 @@ mod tests {
     fn allreduce_volume_approaches_2x_payload() {
         let net = NetworkModel::default().with_scheme(SyncScheme::RingAllReduce);
         // k=2 -> 2*(1)/2 = 1x payload; k=8 -> 2*7/8 = 1.75x payload.
-        let two = net.round_sync_times(Bytes::mib(100), &[m(0), m(1)])[0];
+        let two = sync_times(&net, Bytes::mib(100), &[m(0), m(1)])[0];
         let eight: Vec<MachineId> = (0..8).map(m).collect();
-        let eight_t = net.round_sync_times(Bytes::mib(100), &eight)[0];
+        let eight_t = sync_times(&net, Bytes::mib(100), &eight)[0];
         assert!(eight_t > two, "larger rings move more data per worker");
     }
 
     #[test]
     fn intra_machine_ring_is_much_faster() {
         let net = NetworkModel::default().with_scheme(SyncScheme::RingAllReduce);
-        let local = net.round_sync_times(Bytes::mib(200), &[m(0), m(0)])[0];
-        let cross = net.round_sync_times(Bytes::mib(200), &[m(0), m(1)])[0];
+        let local = sync_times(&net, Bytes::mib(200), &[m(0), m(0)])[0];
+        let cross = sync_times(&net, Bytes::mib(200), &[m(0), m(1)])[0];
         assert!(
             local < cross,
             "PCIe ring ({local}) should beat the 25Gbps network ({cross})"
@@ -398,12 +358,8 @@ mod tests {
             ..NetworkModel::default()
         };
         let ar = ps.with_scheme(SyncScheme::RingAllReduce);
-        let ps_t = ps
-            .round_sync_times(Bytes::mib(400), &machines)
-            .into_iter()
-            .max()
-            .unwrap();
-        let ar_t = ar.round_sync_times(Bytes::mib(400), &machines)[0];
+        let ps_t = barrier(&ps, Bytes::mib(400), &machines);
+        let ar_t = sync_times(&ar, Bytes::mib(400), &machines)[0];
         assert!(
             ar_t < ps_t,
             "all-reduce {ar_t} should beat 1-shard PS {ps_t}"
@@ -414,9 +370,8 @@ mod tests {
     fn healthy_degraded_path_is_bit_identical() {
         let net = NetworkModel::default();
         let machines = [m(0), m(0), m(1)];
-        let plain = net.round_sync_times_contended(Bytes::mib(200), &machines, 2);
-        let degraded =
-            net.round_sync_times_degraded(Bytes::mib(200), &machines, 2, &[1.0, 1.0], 1.0);
+        let plain = degraded_times(&net, Bytes::mib(200), &machines, 2, &[], 1.0);
+        let degraded = degraded_times(&net, Bytes::mib(200), &machines, 2, &[1.0, 1.0], 1.0);
         assert_eq!(plain, degraded);
     }
 
@@ -424,8 +379,8 @@ mod tests {
     fn nic_degradation_slows_only_that_machine() {
         let net = NetworkModel::default();
         let machines = [m(0), m(1)];
-        let healthy = net.round_sync_times_contended(Bytes::mib(200), &machines, 0);
-        let degraded = net.round_sync_times_degraded(Bytes::mib(200), &machines, 0, &[0.25], 1.0);
+        let healthy = degraded_times(&net, Bytes::mib(200), &machines, 0, &[], 1.0);
+        let degraded = degraded_times(&net, Bytes::mib(200), &machines, 0, &[0.25], 1.0);
         assert!(degraded[0] > healthy[0], "machine 0's worker must slow");
         assert_eq!(degraded[1], healthy[1], "machine 1 is untouched");
     }
@@ -434,8 +389,8 @@ mod tests {
     fn backbone_degradation_slows_everyone() {
         let net = NetworkModel::default();
         let machines = [m(0), m(1), m(2)];
-        let healthy = net.round_sync_times_contended(Bytes::mib(200), &machines, 0);
-        let degraded = net.round_sync_times_degraded(Bytes::mib(200), &machines, 0, &[], 0.5);
+        let healthy = degraded_times(&net, Bytes::mib(200), &machines, 0, &[], 1.0);
+        let degraded = degraded_times(&net, Bytes::mib(200), &machines, 0, &[], 0.5);
         for (h, d) in healthy.iter().zip(&degraded) {
             assert!(d > h, "backbone cut must slow every worker");
         }

@@ -4,6 +4,10 @@
 //! microseconds** so that event ordering is exact and runs are bit-for-bit
 //! reproducible across platforms. Floating point appears only at the
 //! reporting boundary (`as_secs_f64` and friends).
+//!
+//! The arithmetic operators are `#[inline]`: the engine and the list
+//! scheduler in other crates call them per GPU per task, and without LTO
+//! a non-inlined operator is a function call around one overflow check.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -146,12 +150,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -161,6 +167,7 @@ impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     /// Panics (debug) if `rhs` is later than `self`; use
     /// [`SimTime::saturating_since`] when that is expected.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimTime subtraction underflow");
         SimDuration(self.0 - rhs.0)
@@ -169,12 +176,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -182,6 +191,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimDuration subtraction underflow");
         SimDuration(self.0 - rhs.0)
@@ -189,6 +199,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -196,6 +207,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
@@ -203,6 +215,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -291,12 +304,14 @@ impl Bytes {
 
 impl Add for Bytes {
     type Output = Bytes;
+    #[inline]
     fn add(self, rhs: Bytes) -> Bytes {
         Bytes(self.0.checked_add(rhs.0).expect("Bytes overflow"))
     }
 }
 
 impl AddAssign for Bytes {
+    #[inline]
     fn add_assign(&mut self, rhs: Bytes) {
         *self = *self + rhs;
     }
@@ -304,6 +319,7 @@ impl AddAssign for Bytes {
 
 impl Sub for Bytes {
     type Output = Bytes;
+    #[inline]
     fn sub(self, rhs: Bytes) -> Bytes {
         debug_assert!(self.0 >= rhs.0, "Bytes subtraction underflow");
         Bytes(self.0 - rhs.0)
@@ -311,6 +327,7 @@ impl Sub for Bytes {
 }
 
 impl SubAssign for Bytes {
+    #[inline]
     fn sub_assign(&mut self, rhs: Bytes) {
         *self = *self - rhs;
     }
@@ -379,8 +396,16 @@ impl Bandwidth {
     /// error, not a legitimate state.
     pub fn transfer_time(self, bytes: Bytes) -> SimDuration {
         assert!(self.0 > 0, "transfer over a zero-bandwidth link");
-        let us = (bytes.as_u64() as u128 * 1_000_000).div_ceil(self.0 as u128);
-        SimDuration::from_micros(us.try_into().expect("transfer time overflow"))
+        // Exact in u64 whenever `bytes × 10⁶` fits (below ~18 TB); wider
+        // products take the u128 path, with the same rounding.
+        let us = match bytes.as_u64().checked_mul(1_000_000) {
+            Some(scaled) => scaled.div_ceil(self.0),
+            None => (bytes.as_u64() as u128 * 1_000_000)
+                .div_ceil(self.0 as u128)
+                .try_into()
+                .expect("transfer time overflow"),
+        };
+        SimDuration::from_micros(us)
     }
 
     /// Fair share of this link among `flows` concurrent flows.
@@ -496,6 +521,28 @@ mod tests {
             bw.transfer_time(Bytes::new(1)),
             SimDuration::from_micros(333_334)
         );
+    }
+
+    #[test]
+    fn transfer_time_agrees_across_the_u64_boundary() {
+        // Byte counts on both sides of the largest `bytes × 10⁶` that fits
+        // in u64: the fast path and the u128 path round up identically.
+        let edge = u64::MAX / 1_000_000;
+        for bytes in [1, 999_999, edge - 1, edge, edge + 1, u64::MAX / 2] {
+            for rate in [1u64, 3, 3_125_000_000, u64::MAX / 3] {
+                let want = (bytes as u128 * 1_000_000).div_ceil(rate as u128);
+                let Ok(want) = u64::try_from(want) else {
+                    continue;
+                };
+                assert_eq!(
+                    Bandwidth::bytes_per_sec(rate)
+                        .transfer_time(Bytes::new(bytes))
+                        .as_micros(),
+                    want,
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use hare_cluster::Bytes;
 use hare_workload::JobId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What a device-memory region holds.
@@ -71,7 +70,10 @@ pub struct MemoryPool {
     peak: Bytes,
     wiped: Bytes,
     released_unwiped: Bytes,
-    regions: BTreeMap<AllocId, Region>,
+    /// Live regions in allocation order, so ids ascend. A GPU holds only
+    /// a handful, and every switch allocates and frees activations: a
+    /// vector does that without the tree's node churn.
+    regions: Vec<(AllocId, Region)>,
     next_id: u64,
 }
 
@@ -85,7 +87,7 @@ impl MemoryPool {
             peak: Bytes::ZERO,
             wiped: Bytes::ZERO,
             released_unwiped: Bytes::ZERO,
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
             next_id: 0,
         }
     }
@@ -136,7 +138,7 @@ impl MemoryPool {
         }
         let id = AllocId(self.next_id);
         self.next_id += 1;
-        self.regions.insert(id, Region { owner, kind, bytes });
+        self.regions.push((id, Region { owner, kind, bytes }));
         self.used += bytes;
         self.peak = self.peak.max(self.used);
         Ok(id)
@@ -148,47 +150,60 @@ impl MemoryPool {
     /// Returns the region's size. Panics on double-free / unknown ids —
     /// those are always bugs in the caller.
     pub fn free(&mut self, id: AllocId, wipe: bool) -> Bytes {
-        let region = self.regions.remove(&id).expect("free of unknown AllocId");
-        self.used -= region.bytes;
-        if wipe {
-            self.wiped += region.bytes;
-        } else {
-            self.released_unwiped += region.bytes;
-        }
+        let pos = self.position(id).expect("free of unknown AllocId");
+        let (_, region) = self.regions.remove(pos);
+        self.account_release(region.bytes, wipe);
         region.bytes
     }
 
     /// Release every region of one owner; returns the total freed.
     pub fn free_owner(&mut self, owner: JobId, wipe: bool) -> Bytes {
-        let ids: Vec<AllocId> = self
-            .regions
-            .iter()
-            .filter(|(_, r)| r.owner == owner)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.into_iter().map(|id| self.free(id, wipe)).sum()
+        let mut freed = Bytes::ZERO;
+        self.regions.retain(|(_, r)| {
+            let keep = r.owner != owner;
+            if !keep {
+                freed += r.bytes;
+            }
+            keep
+        });
+        self.account_release(freed, wipe);
+        freed
+    }
+
+    /// Move `bytes` from used to wiped or released-unwiped.
+    fn account_release(&mut self, bytes: Bytes, wipe: bool) {
+        self.used -= bytes;
+        if wipe {
+            self.wiped += bytes;
+        } else {
+            self.released_unwiped += bytes;
+        }
+    }
+
+    /// Index of a live region in `regions` (sorted by id).
+    fn position(&self, id: AllocId) -> Option<usize> {
+        self.regions.binary_search_by_key(&id, |&(i, _)| i).ok()
     }
 
     /// Look up a live region.
     pub fn region(&self, id: AllocId) -> Option<&Region> {
-        self.regions.get(&id)
+        self.position(id).map(|pos| &self.regions[pos].1)
     }
 
     /// Bytes held by one owner, optionally filtered by kind.
     pub fn owned_bytes(&self, owner: JobId, kind: Option<RegionKind>) -> Bytes {
-        self.regions
-            .values()
-            .filter(|r| r.owner == owner && kind.is_none_or(|k| r.kind == k))
-            .map(|r| r.bytes)
+        self.regions_of(owner)
+            .filter(|(_, r)| kind.is_none_or(|k| r.kind == k))
+            .map(|(_, r)| r.bytes)
             .sum()
     }
 
-    /// All live regions of one owner.
+    /// All live regions of one owner, in ascending id order.
     pub fn regions_of(&self, owner: JobId) -> impl Iterator<Item = (AllocId, &Region)> + '_ {
         self.regions
             .iter()
             .filter(move |(_, r)| r.owner == owner)
-            .map(|(&id, r)| (id, r))
+            .map(|(id, r)| (*id, r))
     }
 
     /// Number of live regions.

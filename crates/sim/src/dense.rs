@@ -55,6 +55,12 @@ impl DenseSet {
         true
     }
 
+    /// Remove every member.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
     /// Is `i` a member? Indices outside the universe are not.
     pub fn contains(&self, i: usize) -> bool {
         self.words
@@ -150,5 +156,8 @@ mod tests {
         s.remove(64);
         s.remove(70);
         assert_eq!(s.first(), Some(150));
+        s.clear();
+        assert_eq!((s.first(), s.len()), (None, 0));
+        assert!(s.insert(150), "a cleared member can rejoin");
     }
 }

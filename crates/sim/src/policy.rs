@@ -1,11 +1,10 @@
 //! The scheduling-policy interface of the simulator, and offline replay.
 //!
 //! Online baselines (FIFO, SRTF, …) implement [`Policy`] directly in
-//! `hare-baselines`; offline schedulers (Hare, Sched_Homo, Sched_Allox)
-//! compute a [`hare_core::Schedule`] first and replay its per-GPU task
-//! sequences through [`OfflineReplay`] — order is preserved, timing is
-//! whatever the simulated cluster actually delivers (noise, switching,
-//! network contention).
+//! `hare-baselines`; Hare computes a [`hare_core::Schedule`] first and
+//! replays its per-GPU task sequences through [`OfflineReplay`] — order
+//! is preserved, timing is whatever the simulated cluster actually
+//! delivers (noise, switching, network contention).
 
 use crate::build::SimWorkload;
 use crate::dense::DenseSet;
@@ -131,11 +130,22 @@ pub trait Policy {
     }
 }
 
-/// Replay a precomputed schedule's per-GPU sequences in order.
+/// Replay a precomputed schedule's per-GPU sequences in order: an idle
+/// GPU starts its queue head as soon as that task is ready.
+///
+/// The replay dispatches on what changed. It keeps the idle GPUs whose
+/// head is ready and updates them from [`SimView::changes`] — a GPU
+/// going idle or busy, a released round holding a queue head — so an
+/// offer costs the size of its log, not of the cluster. It reads the
+/// whole view only on its first call and after a failure or recovery,
+/// whose queue migration and requeued tasks the log does not carry.
 pub struct OfflineReplay {
     name: String,
     /// Remaining task queue per GPU (planned order).
     queues: Vec<VecDeque<usize>>,
+    /// Per task, the GPU whose queue holds it: where a released task may
+    /// be the head.
+    queue_of: Vec<u32>,
     /// Planned start per task — queue positions always keep ascending
     /// planned starts, which keeps the replay's wait graph acyclic even
     /// after failure migration.
@@ -145,6 +155,11 @@ pub struct OfflineReplay {
     speedup: Vec<f64>,
     /// GPUs reported failed.
     failed: Vec<usize>,
+    /// Idle GPUs whose queue head is ready; filled from the change log
+    /// within a call and emptied by its dispatches.
+    runnable: DenseSet,
+    /// Rebuild `runnable` from the whole view on the next call.
+    rescan: bool,
 }
 
 impl OfflineReplay {
@@ -160,6 +175,7 @@ impl OfflineReplay {
         OfflineReplay {
             name: name.into(),
             queues,
+            queue_of: schedule.gpu.iter().map(|&g| g as u32).collect(),
             planned: schedule.start.clone(),
             speedup: workload
                 .cluster
@@ -168,6 +184,9 @@ impl OfflineReplay {
                 .map(|g| g.kind.generic_speedup())
                 .collect(),
             failed: Vec::new(),
+            runnable: DenseSet::new(workload.problem.n_gpus),
+            // The engine's initial sets are not in the change log.
+            rescan: true,
         }
     }
 
@@ -198,7 +217,15 @@ impl OfflineReplay {
                 .position(|&t| self.planned[t] > self.planned[task])
                 .unwrap_or(queue.len());
             queue.insert(pos, task);
+            self.queue_of[task] = target as u32;
         }
+    }
+
+    /// Is `gpu`'s queue head ready to start?
+    fn head_ready(&self, gpu: usize, view: &SimView<'_>) -> bool {
+        self.queues[gpu]
+            .front()
+            .is_some_and(|&head| view.ready.contains(head))
     }
 }
 
@@ -218,6 +245,7 @@ impl Policy for OfflineReplay {
         orphans.sort_by_key(|&t| (self.planned[t], t));
         self.failed.push(gpu);
         self.assign_by_planned_start(orphans);
+        self.rescan = true;
     }
 
     /// A transiently-failed GPU rejoined: take every undispatched task
@@ -228,17 +256,51 @@ impl Policy for OfflineReplay {
         let mut orphans: Vec<usize> = self.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
         orphans.sort_by_key(|&t| (self.planned[t], t));
         self.assign_by_planned_start(orphans);
+        self.rescan = true;
     }
 
+    /// Start every idle GPU whose queue head is ready, in ascending GPU
+    /// order. Every such GPU starts, so `runnable` is empty between calls
+    /// and the next call's log says all that can refill it.
     fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
-        for gpu in view.idle_gpus.iter() {
-            if let Some(&head) = self.queues[gpu].front() {
-                if view.ready.contains(head) {
-                    self.queues[gpu].pop_front();
-                    out.push((head, gpu));
+        if std::mem::take(&mut self.rescan) {
+            for gpu in view.idle_gpus.iter() {
+                if self.head_ready(gpu, view) {
+                    self.runnable.insert(gpu);
+                }
+            }
+        } else {
+            for change in view.changes {
+                match change {
+                    Change::GpuIdle { gpu } => {
+                        if self.head_ready(*gpu, view) {
+                            self.runnable.insert(*gpu);
+                        }
+                    }
+                    Change::GpuBusy { gpu } => {
+                        self.runnable.remove(*gpu);
+                    }
+                    Change::Released { tasks, .. } => {
+                        for task in tasks.clone() {
+                            let gpu = self.queue_of[task] as usize;
+                            if self.queues[gpu].front() == Some(&task)
+                                && view.idle_gpus.contains(gpu)
+                            {
+                                self.runnable.insert(gpu);
+                            }
+                        }
+                    }
+                    Change::Completed { .. } => {}
                 }
             }
         }
+        for gpu in self.runnable.iter() {
+            let head = self.queues[gpu]
+                .pop_front()
+                .expect("runnable GPU has a head");
+            out.push((head, gpu));
+        }
+        self.runnable.clear();
     }
 }
 
@@ -292,18 +354,35 @@ mod tests {
         };
         assert!(dispatch(&mut replay, &view).is_empty());
 
-        // Make the heads of two queues ready; they dispatch to their own GPUs.
+        // Release the rounds that hold the queue heads, logged as the engine
+        // logs a release; the heads dispatch to their own GPUs.
         let seqs = out.schedule.gpu_sequences(&w.problem);
-        let heads = set(
+        let mut rounds: Vec<(usize, u32)> = seqs
+            .iter()
+            .filter_map(|q| q.first())
+            .map(|&t| (w.problem.tasks[t].job, w.problem.tasks[t].round))
+            .collect();
+        rounds.sort_unstable();
+        rounds.dedup();
+        let released: Vec<Change> = rounds
+            .iter()
+            .map(|&(job, round)| Change::Released {
+                job,
+                tasks: w.problem.round_range(job, round),
+            })
+            .collect();
+        let ready = set(
             w.problem.n_tasks(),
-            seqs.iter().filter_map(|q| q.first().copied()),
+            rounds
+                .iter()
+                .flat_map(|&(job, round)| w.problem.round_range(job, round)),
         );
         let view = SimView {
             now: SimTime::ZERO,
             workload: &w,
-            ready: &heads,
+            ready: &ready,
             idle_gpus: &idle,
-            changes: &[],
+            changes: &released,
             synced_rounds: &vec![0; w.problem.jobs.len()],
             arrived: &vec![true; w.problem.jobs.len()],
             solver_budget_frac: 1.0,
@@ -314,6 +393,55 @@ mod tests {
             assert_eq!(seqs[*gpu].first(), Some(task));
         }
         assert_eq!(replay.pending(), total - assignments.len());
+    }
+
+    #[test]
+    fn replay_skips_a_gpu_that_left_the_idle_set() {
+        let w = tiny_workload();
+        let out = hare_core::hare_schedule(&w.problem);
+        let mut replay = OfflineReplay::new("hare", &w, &out.schedule);
+        let seqs = out.schedule.gpu_sequences(&w.problem);
+        let gpu = (0..15).find(|&g| !seqs[g].is_empty()).expect("a busy GPU");
+        let head = seqs[gpu][0];
+        let (job, round) = (w.problem.tasks[head].job, w.problem.tasks[head].round);
+        let n_jobs = w.problem.jobs.len();
+        let mut offer = |ready: &DenseSet, idle: &DenseSet, changes: &[Change]| {
+            let mut out = Vec::new();
+            replay.dispatch(
+                &SimView {
+                    now: SimTime::ZERO,
+                    workload: &w,
+                    ready,
+                    idle_gpus: idle,
+                    changes,
+                    synced_rounds: &vec![0; n_jobs],
+                    arrived: &vec![true; n_jobs],
+                    solver_budget_frac: 1.0,
+                },
+                &mut out,
+            );
+            out
+        };
+        // First call: nothing ready, `gpu` busy.
+        let nothing = DenseSet::new(w.problem.n_tasks());
+        let others = set(15, (0..15).filter(|&g| g != gpu));
+        assert!(offer(&nothing, &others, &[]).is_empty());
+        // `gpu` went idle, a speculation twin took it, then its head's
+        // round was released: one log, and `gpu` is busy at the end.
+        let ready = set(w.problem.n_tasks(), w.problem.round_range(job, round));
+        let log = [
+            Change::GpuIdle { gpu },
+            Change::GpuBusy { gpu },
+            Change::Released {
+                job,
+                tasks: w.problem.round_range(job, round),
+            },
+        ];
+        let started = offer(&ready, &others, &log);
+        assert!(
+            started.iter().all(|&(_, g)| g != gpu),
+            "dispatched to busy GPU {gpu}: {started:?}"
+        );
     }
 
     #[test]

@@ -27,8 +27,11 @@ pub struct ParameterServer {
     rounds: u32,
     /// Round currently collecting gradients.
     round: u32,
-    /// (train finish time, worker machine) of this round's pushes.
-    pushes: Vec<(SimTime, MachineId)>,
+    /// Train finish time of each of this round's pushes.
+    finished: Vec<SimTime>,
+    /// Worker machine of each of this round's pushes, parallel to
+    /// `finished`.
+    machines: Vec<MachineId>,
     /// Relaxed scale-fixed admission: `sync_scale` gradients per round.
     quorum: QuorumTracker,
 }
@@ -56,7 +59,8 @@ impl ParameterServer {
             sync_scale,
             rounds,
             round: 0,
-            pushes: Vec::with_capacity(sync_scale as usize),
+            finished: Vec::with_capacity(sync_scale as usize),
+            machines: Vec::with_capacity(sync_scale as usize),
             quorum: QuorumTracker::new(sync_scale),
         }
     }
@@ -77,7 +81,7 @@ impl ParameterServer {
         if self.round >= self.rounds {
             0
         } else {
-            self.sync_scale - self.pushes.len() as u32
+            self.sync_scale - self.finished.len() as u32
         }
     }
 
@@ -119,8 +123,8 @@ impl ParameterServer {
 
     /// Like [`ParameterServer::push_gradient_contended`], under NIC
     /// degradation: `machine_factors` / `backbone` are forwarded to
-    /// [`NetworkModel::round_sync_times_degraded`] when this push closes
-    /// the round. A push beyond the job's rounds is dropped by the quorum
+    /// [`NetworkModel::worker_sync_time`] when this push closes the
+    /// round. A push beyond the job's rounds is dropped by the quorum
     /// and returns `None` (count via [`ParameterServer::dropped`]).
     pub fn push_gradient_degraded(
         &mut self,
@@ -135,34 +139,37 @@ impl ParameterServer {
             Contribution::Dropped => return None,
             Contribution::Accepted { completes_round } => completes_round,
         };
-        self.pushes.push((at, machine));
-        debug_assert!(self.pushes.len() <= self.sync_scale as usize);
+        self.finished.push(at);
+        self.machines.push(machine);
+        debug_assert!(self.finished.len() <= self.sync_scale as usize);
         if !completes {
             return None;
         }
 
         // All gradients of the round are in: each worker's sync spans
         // [train finish, finish + its transfer time], and the barrier is
-        // the slowest worker.
-        let machines: Vec<MachineId> = self.pushes.iter().map(|&(_, m)| m).collect();
-        let times = net.round_sync_times_degraded(
-            self.param_bytes,
-            &machines,
-            extra_flows,
-            machine_factors,
-            backbone,
-        );
+        // the slowest worker. The fold allocates nothing.
         let done_at = self
-            .pushes
+            .finished
             .iter()
-            .zip(&times)
-            .map(|(&(t, _), &d)| t + d)
+            .enumerate()
+            .map(|(i, &t)| {
+                t + net.worker_sync_time(
+                    self.param_bytes,
+                    &self.machines,
+                    i,
+                    extra_flows,
+                    machine_factors,
+                    backbone,
+                )
+            })
             .max()
             .expect("non-empty round");
 
         let round = self.round;
         self.round += 1;
-        self.pushes.clear();
+        self.finished.clear();
+        self.machines.clear();
         Some(SyncOutcome {
             round,
             done_at,

@@ -80,6 +80,10 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded below.
     Unbounded,
+    /// The simplex lost the accuracy to decide: Phase I, whose objective
+    /// is bounded below by 0, found no leaving row. The program's status
+    /// is unknown; long banded programs end here.
+    IllConditioned,
 }
 
 impl LinearProgram {
@@ -361,7 +365,8 @@ impl RevisedSimplex {
 
     /// Solve from the current basis: a Phase I over any positive artificials
     /// (skipped when none), then Phase II on the real objective. Warm when
-    /// called after [`add_constraint`](Self::add_constraint).
+    /// called after [`add_constraint`](Self::add_constraint). A solve that
+    /// loses its accuracy returns [`LpOutcome::IllConditioned`].
     pub fn solve(&mut self) -> LpOutcome {
         self.solve_impl(u64::MAX, None, None)
             .expect("uncapped solve cannot abort")
@@ -412,7 +417,8 @@ impl RevisedSimplex {
             match self.optimize(&cost, true, max_pivots, deadline, cancel) {
                 SimplexEnd::Optimal(v) if v > 1e-7 => return Some(LpOutcome::Infeasible),
                 SimplexEnd::Optimal(_) => {}
-                SimplexEnd::Unbounded => unreachable!("phase 1 bounded below by 0"),
+                // Phase I is bounded below by 0: only lost accuracy gets here.
+                SimplexEnd::Unbounded => return Some(LpOutcome::IllConditioned),
                 SimplexEnd::Aborted => return None,
             }
             self.expel_artificials();

@@ -297,7 +297,8 @@ const SOLVE_PIVOT_CAP: u64 = 20_000;
 /// the base program, then add the most violated cut and re-solve until
 /// separation finds none or `opts.max_cut_rounds` cuts were added. Under
 /// an unlimited budget each solve may spend `solve_cap` pivots, and a
-/// solve that hits it hands over to the combinatorial sweep.
+/// solve that hits it — or, under any budget, one that ends
+/// [`LpOutcome::IllConditioned`] — hands over to the combinatorial sweep.
 fn lp_mode(
     inst: &Instance,
     opts: &RelaxOptions,
@@ -336,10 +337,10 @@ fn lp_mode(
         }
         let x_hat = match outcome {
             Some(LpOutcome::Optimal { x, .. }) => x[..t].to_vec(),
-            // The per-solve cap tripped: Algorithm 1 needs only a midpoint
-            // order, which the sweep supplies as it does for every instance
-            // above `lp_task_limit`.
-            None => {
+            // The per-solve cap tripped, or the simplex lost its accuracy:
+            // Algorithm 1 needs only a midpoint order, which the sweep
+            // supplies as it does for every instance above `lp_task_limit`.
+            None | Some(LpOutcome::IllConditioned) => {
                 return Some((
                     combinatorial_mode(inst, opts, trace),
                     RelaxMode::Combinatorial,

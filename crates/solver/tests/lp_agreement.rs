@@ -234,6 +234,22 @@ fn many_warm_cuts_stay_consistent() {
     }
 }
 
+/// The banded covering program over `n` variables:
+/// `x_i + 2x_{i+1} + 0.5x_{i+7} ≥ 3 + i mod 5` (indices mod n).
+fn banded_cover(n: usize) -> LinearProgram {
+    let mut lp = LinearProgram::minimize(vec![1.0; n]);
+    for i in 0..n {
+        let j = (i + 1) % n;
+        let k = (i + 7) % n;
+        lp.constrain(
+            vec![(i, 1.0), (j, 2.0), (k, 0.5)],
+            Cmp::Ge,
+            3.0 + (i % 5) as f64,
+        );
+    }
+    lp
+}
+
 #[test]
 fn refactorization_keeps_long_runs_accurate() {
     // Banded covering programs. The 30-row one finishes in 60 pivots,
@@ -241,16 +257,7 @@ fn refactorization_keeps_long_runs_accurate() {
     // lp.rs, 64 here); the 64-row one crosses it twice, so the rebuilt
     // basis inverse must stay as accurate as the product form.
     for (n, refactors) in [(30, 0), (64, 2)] {
-        let mut lp = LinearProgram::minimize(vec![1.0; n]);
-        for i in 0..n {
-            let j = (i + 1) % n;
-            let k = (i + 7) % n;
-            lp.constrain(
-                vec![(i, 1.0), (j, 2.0), (k, 0.5)],
-                Cmp::Ge,
-                3.0 + (i % 5) as f64,
-            );
-        }
+        let lp = banded_cover(n);
         let mut s = RevisedSimplex::new(&lp);
         let LpOutcome::Optimal { objective, .. } = s.solve() else {
             panic!()
@@ -270,4 +277,21 @@ fn refactorization_keeps_long_runs_accurate() {
             s.refactorizations()
         );
     }
+}
+
+#[test]
+fn ill_conditioned_band_is_an_outcome_not_a_panic() {
+    // At 90 rows the band's Phase I finds no leaving row although its
+    // objective is bounded below by 0: the accuracy is gone. Both entry
+    // points say so; the relaxation's cut loop hands such a solve to its
+    // combinatorial sweep, as it does when the per-solve cap trips. The
+    // dense tableau still solves the program.
+    let lp = banded_cover(90);
+    assert_opt(&dense::solve(&lp), 131.048_780_48, None);
+    assert_eq!(RevisedSimplex::new(&lp).solve(), LpOutcome::IllConditioned);
+    let (unlimited, token) = (SolveBudget::UNLIMITED, CancelToken::new());
+    assert_eq!(
+        RevisedSimplex::new(&lp).solve_under(u64::MAX, &unlimited, &token),
+        Some(LpOutcome::IllConditioned)
+    );
 }
