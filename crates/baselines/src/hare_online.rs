@@ -24,32 +24,27 @@
 //! [`SimView::solver_budget_frac`] (shrunk by
 //! [`hare_sim::SolverDegradation`] windows), and the new priorities only
 //! take effect once the plan's deterministic work, priced at
-//! [`ReplanBudget::cost_per_work`], has elapsed on the simulation clock.
+//! [`hare_sim::SECS_PER_WORK_UNIT`], has elapsed on the simulation clock.
 //! Until then dispatch continues under the previous priorities — exactly
 //! what a real control plane does while its solver is still thinking.
 
 use hare_cluster::{SimDuration, SimTime};
 use hare_core::{
-    anytime_schedule_traced, AnytimeOptions, HareScheduler, JobInfo, PlanProvenance, Rung,
-    SchedProblem, StalePlan,
+    anytime_schedule, AnytimeOptions, HareScheduler, JobInfo, PlanProvenance, Rung, SchedProblem,
+    StalePlan,
 };
-use hare_sim::{Policy, SimView, TraceSink};
-use hare_solver::{CancelToken, SolveBudget, SolveTrace};
+use hare_sim::{Policy, SimView, TraceSink, SECS_PER_WORK_UNIT};
+use hare_solver::{SolveBudget, SolveTrace};
 use std::sync::Arc;
 
-/// Opt-in configuration for deadline-budgeted replanning.
+/// Opt-in configuration for work-budgeted replanning.
 #[derive(Copy, Clone, Debug)]
 pub struct ReplanBudget {
-    /// Per-replan budget at full control-plane health. Only the
-    /// deterministic caps matter in simulation (wall-clock deadlines would
-    /// break reproducibility); the engine's live
+    /// Per-replan budget at full control-plane health; the engine's live
     /// [`SimView::solver_budget_frac`] scales it before every solve.
     pub budget: SolveBudget,
     /// Anytime-pipeline options (ladder configuration).
     pub options: AnytimeOptions,
-    /// Simulated seconds charged per unit of solver work (pivots, B&B
-    /// nodes, or per-task passes — the pipeline's common currency).
-    pub cost_per_work: f64,
 }
 
 impl Default for ReplanBudget {
@@ -57,8 +52,6 @@ impl Default for ReplanBudget {
         ReplanBudget {
             budget: SolveBudget::capped(200_000, 100_000),
             options: AnytimeOptions::default(),
-            // 100k pivots ≈ 1 simulated second of solver latency.
-            cost_per_work: 1e-5,
         }
     }
 }
@@ -239,19 +232,12 @@ impl HareOnline {
                     h: globals.iter().map(|&g| self.priority[g]).collect(),
                 };
                 let scaled = cfg.budget.scaled(view.solver_budget_frac);
-                let out = anytime_schedule_traced(
-                    &sub,
-                    &cfg.options,
-                    &scaled,
-                    &CancelToken::new(),
-                    Some(&stale),
-                    solve_trace,
-                );
+                let out = anytime_schedule(&sub, &cfg.options, &scaled, Some(&stale), solve_trace);
                 if let Some(i) = Rung::ALL.iter().position(|r| *r == out.provenance.chosen) {
                     self.rung_hits[i] += 1;
                 }
                 let latency =
-                    SimDuration::from_secs_f64(out.provenance.work as f64 * cfg.cost_per_work);
+                    SimDuration::from_secs_f64(out.provenance.work as f64 * SECS_PER_WORK_UNIT);
                 self.solver_latency += latency;
                 self.forward_spans(
                     view.now,

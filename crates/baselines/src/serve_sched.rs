@@ -13,7 +13,7 @@
 use hare_cluster::{Cluster, SimDuration, SimTime};
 use hare_core::{anytime_schedule, AnytimeOptions, JobInfo, SchedProblem, StalePlan};
 use hare_sim::{PendingJob, PlanOutcome, QueueScheduler};
-use hare_solver::{CancelToken, SolveBudget};
+use hare_solver::SolveBudget;
 use std::collections::BTreeMap;
 
 /// Build the single-task-per-job sub-problem for one planning window.
@@ -167,13 +167,7 @@ impl QueueScheduler for LadderServe {
                 .collect(),
         };
         let scaled = self.budget.scaled(budget_frac);
-        let out = anytime_schedule(
-            &sub,
-            &self.options,
-            &scaled,
-            &CancelToken::new(),
-            Some(&stale),
-        );
+        let out = anytime_schedule(&sub, &self.options, &scaled, Some(&stale), None);
         if let Some(i) = hare_core::Rung::ALL
             .iter()
             .position(|r| *r == out.provenance.chosen)

@@ -72,6 +72,10 @@ fn process(opts: &Options) -> Result<ArrivalProcess, String> {
     }
 }
 
+/// Highest offered arrival rate `hare serve` accepts: one job per
+/// microsecond of simulated time.
+const MAX_OFFERED_JOBS_PER_SEC: f64 = 1e6;
+
 /// Build the serve configuration from the command line.
 fn config(opts: &Options) -> Result<ServeConfig, String> {
     let cluster = opts.cluster()?;
@@ -97,6 +101,16 @@ fn config(opts: &Options) -> Result<ServeConfig, String> {
     };
     let counts: Vec<_> = cluster.count_by_kind().into_iter().collect();
     arrivals.capacity_jobs_per_sec = estimate_capacity_jobs_per_sec(&counts, &arrivals, 256);
+    // Above this offered rate the mean inter-arrival gap falls below the
+    // simulator's 1 µs clock: gaps round to zero and simulated time never
+    // reaches the next decision epoch.
+    let rate = arrivals.rate_jobs_per_sec();
+    if rate > MAX_OFFERED_JOBS_PER_SEC {
+        return Err(format!(
+            "--load {} offers {rate:.3e} jobs/s, above the simulator's limit of {MAX_OFFERED_JOBS_PER_SEC:.0e} jobs/s (1 µs clock)",
+            opts.get("load", "")
+        ));
+    }
     let mut cfg = ServeConfig {
         arrivals,
         horizon: SimTime::from_secs(horizon_secs),
@@ -110,11 +124,12 @@ fn config(opts: &Options) -> Result<ServeConfig, String> {
         if timeout == 0 {
             return Err("--lease-timeout must be positive".into());
         }
-        cfg.lease = Some(LeaseConfig {
+        let lease = LeaseConfig {
             heartbeat: SimDuration::from_secs(opts.num("heartbeat", 10)?),
             timeout: SimDuration::from_secs(timeout),
-            ..LeaseConfig::default()
-        });
+        };
+        lease.validate()?;
+        cfg.lease = Some(lease);
     } else if opts.has("heartbeat") {
         return Err("--heartbeat needs --lease-timeout (leases are off without it)".into());
     }

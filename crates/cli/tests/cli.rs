@@ -1,6 +1,8 @@
 //! End-to-end tests of the `hare` binary.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn hare(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_hare"))
@@ -176,6 +178,57 @@ fn bad_cluster_and_bandwidth_flags_exit_1_without_panicking() {
             stderr.lines().next(),
             Some(format!("error: {message}").as_str()),
             "{args:?}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn bad_serve_lease_and_load_flags_exit_1_without_panicking() {
+    let cases = [
+        (
+            "serve --horizon 30 --lease-timeout 5 --heartbeat 10",
+            "lease timeout must be at least one heartbeat",
+        ),
+        (
+            "serve --horizon 30 --lease-timeout 60 --heartbeat 0",
+            "lease heartbeat must be positive",
+        ),
+        ("serve --load 1e308 --horizon 30", "--load 1e308 offers"),
+    ];
+    for (args, message) in cases {
+        // Polled rather than waited on: a load whose arrival gaps round to
+        // zero would otherwise never return.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hare"))
+            .args(args.split_whitespace())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let give_up = Instant::now() + Duration::from_secs(60);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("child status") {
+                break status;
+            }
+            if Instant::now() > give_up {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{args:?}: still running after 60 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("stderr is piped")
+            .read_to_string(&mut stderr)
+            .expect("stderr is UTF-8");
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("error: {message}")),
+            "{args:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }

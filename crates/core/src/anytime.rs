@@ -1,4 +1,4 @@
-//! Deadline-budgeted anytime scheduling: the graceful-degradation ladder.
+//! Work-budgeted anytime scheduling: the graceful-degradation ladder.
 //!
 //! A production control plane must produce *some* plan inside its replan
 //! window regardless of optimizer health (the discipline of Gavel's
@@ -29,9 +29,7 @@ use crate::algorithm::{list_schedule, smith_priorities, AssignmentRule};
 use crate::problem::{SchedProblem, TaskIdx};
 use crate::schedule::Schedule;
 use hare_solver::relax::{self, RelaxMode, RelaxOptions};
-use hare_solver::{
-    bb, certified_lower_bound, midpoints, CancelToken, SolveBudget, SolveStats, SolveTrace,
-};
+use hare_solver::{bb, midpoints, SolveBudget, SolveStats, SolveTrace};
 use serde::{Deserialize, Serialize};
 
 /// Options for the anytime pipeline.
@@ -139,8 +137,6 @@ pub struct AnytimeOutput {
     pub h: Vec<f64>,
     /// Dispatch order of the selected plan.
     pub pi: Vec<TaskIdx>,
-    /// Certified lower bound on the optimal Σ wₙCₙ (budget-independent).
-    pub lower_bound: f64,
     /// Ladder record.
     pub provenance: PlanProvenance,
 }
@@ -187,33 +183,23 @@ fn flat_work(p: &SchedProblem) -> u64 {
 }
 
 /// Run the degradation ladder. Never fails: the Greedy rung is pure
-/// arithmetic and ignores the budget (and cancellation), so even a zero
-/// budget yields a valid plan — degraded in quality, not in availability.
+/// arithmetic and ignores the budget, so even a zero budget yields a valid
+/// plan — degraded in quality, not in availability.
 ///
 /// With an unlimited `budget` and default `opts` this reproduces
 /// [`crate::HareScheduler`]'s relaxation midpoints bit-for-bit whenever the
 /// relaxation's plan wins selection (ties go to the higher rung).
+///
+/// Solver-phase spans are recorded into `trace` on its deterministic
+/// work-unit clock: the Exact and Relaxation rungs emit their own
+/// fine-grained spans (`"bb_root"`, `"lp_round"`, ...) through the solvers'
+/// `trace` argument, and every other attempt — skipped, exhausted, or one
+/// of the flat-cost rungs — gets one span named after its rung (detail:
+/// 0 = completed, 1 = skipped, 2 = exhausted).
 pub fn anytime_schedule(
     p: &SchedProblem,
     opts: &AnytimeOptions,
     budget: &SolveBudget,
-    cancel: &CancelToken,
-    stale: Option<&StalePlan>,
-) -> AnytimeOutput {
-    anytime_schedule_traced(p, opts, budget, cancel, stale, None)
-}
-
-/// [`anytime_schedule`] with solver-phase spans recorded into `trace` on
-/// its deterministic work-unit clock: the Exact and Relaxation rungs emit
-/// their own fine-grained spans (`"bb_root"`, `"lp_round"`, ...) through
-/// the solvers' `trace` argument, and every other attempt — skipped,
-/// exhausted, or one of the flat-cost rungs — gets one span named after
-/// its rung (detail: 0 = completed, 1 = skipped, 2 = exhausted).
-pub fn anytime_schedule_traced(
-    p: &SchedProblem,
-    opts: &AnytimeOptions,
-    budget: &SolveBudget,
-    cancel: &CancelToken,
     stale: Option<&StalePlan>,
     trace: Option<&SolveTrace>,
 ) -> AnytimeOutput {
@@ -236,7 +222,7 @@ pub fn anytime_schedule_traced(
             work: 0,
         });
     } else {
-        match bb::solve_exact_budgeted(&inst, budget, cancel, trace) {
+        match bb::solve_exact_budgeted(&inst, budget, trace) {
             Some(sol) => {
                 // The exact start times are folded back into the ladder's
                 // common currency — midpoint priorities — so dispatch
@@ -261,7 +247,7 @@ pub fn anytime_schedule_traced(
     }
 
     // Rung 2: the relaxation (pivot_cap axis).
-    match relax::solve_budgeted(&inst, &opts.relax, budget, cancel, trace) {
+    match relax::solve_budgeted(&inst, &opts.relax, budget, trace) {
         Some(sol) => {
             stats = sol.stats;
             let work = match sol.mode {
@@ -385,7 +371,6 @@ pub fn anytime_schedule_traced(
     }
 
     AnytimeOutput {
-        lower_bound: certified_lower_bound(&inst),
         provenance: PlanProvenance {
             chosen: best.rung,
             attempts,
@@ -456,7 +441,7 @@ mod tests {
             &p,
             &AnytimeOptions::default(),
             &SolveBudget::capped(0, 0),
-            &CancelToken::new(),
+            None,
             None,
         );
         assert!(out.schedule.validate(&p, SyncMode::Relaxed).is_ok());
@@ -478,14 +463,13 @@ mod tests {
             &p,
             &AnytimeOptions::default(),
             &SolveBudget::UNLIMITED,
-            &CancelToken::new(),
+            None,
             None,
         );
         assert_eq!(out.provenance.chosen, Rung::Relaxation);
         assert_eq!(out.h, today.h);
         assert_eq!(out.pi, today.pi);
         assert_eq!(out.schedule, today.schedule);
-        assert_eq!(out.lower_bound, today.lower_bound);
     }
 
     #[test]
@@ -499,8 +483,8 @@ mod tests {
             &p,
             &AnytimeOptions::default(),
             &SolveBudget::capped(0, 0), // upper rungs cannot run
-            &CancelToken::new(),
             Some(&StalePlan { h: stale_h.clone() }),
+            None,
         );
         assert!(out.schedule.validate(&p, SyncMode::Relaxed).is_ok());
         let stale_attempt = out
@@ -531,13 +515,7 @@ mod tests {
             exact_task_limit: 16,
             ..AnytimeOptions::default()
         };
-        let out = anytime_schedule(
-            &p,
-            &opts,
-            &SolveBudget::UNLIMITED,
-            &CancelToken::new(),
-            None,
-        );
+        let out = anytime_schedule(&p, &opts, &SolveBudget::UNLIMITED, None, None);
         let exact = out
             .provenance
             .attempts
@@ -558,12 +536,11 @@ mod tests {
     fn ladder_is_deterministic_and_monotone_in_budget() {
         let p = fig1();
         let opts = AnytimeOptions::default();
-        let token = CancelToken::new();
         let mut last_objective = f64::INFINITY;
         for cap in [0u64, 10, 100, 1_000, 100_000] {
             let budget = SolveBudget::capped(cap, cap);
-            let a = anytime_schedule(&p, &opts, &budget, &token, None);
-            let b = anytime_schedule(&p, &opts, &budget, &token, None);
+            let a = anytime_schedule(&p, &opts, &budget, None, None);
+            let b = anytime_schedule(&p, &opts, &budget, None, None);
             assert_eq!(a.provenance.chosen, b.provenance.chosen, "cap {cap}");
             assert_eq!(a.h, b.h, "cap {cap}");
             assert!(

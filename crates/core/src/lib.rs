@@ -18,8 +18,8 @@ pub use algorithm::{
     hare_schedule, relaxed_round_assign, AssignmentRule, HareOutput, HareScheduler, PriorityOrder,
 };
 pub use anytime::{
-    anytime_schedule, anytime_schedule_traced, AnytimeOptions, AnytimeOutput, PlanProvenance, Rung,
-    RungAttempt, RungOutcome, StalePlan,
+    anytime_schedule, AnytimeOptions, AnytimeOutput, PlanProvenance, Rung, RungAttempt,
+    RungOutcome, StalePlan,
 };
 pub use gantt::render as render_gantt;
 pub use problem::{GpuIdx, JobIdx, JobInfo, SchedProblem, TaskIdx, TaskInfo};

@@ -13,7 +13,7 @@
 
 use hare_cluster::{SimDuration, SimTime};
 use hare_core::{anytime_schedule, AnytimeOptions, JobInfo, SchedProblem, SyncMode};
-use hare_solver::{CancelToken, SolveBudget};
+use hare_solver::SolveBudget;
 use proptest::prelude::*;
 
 /// Small random healthy problems: 2–4 GPUs, 1–3 jobs, ≤ 2 rounds × ≤ 2
@@ -75,9 +75,8 @@ proptest! {
     #[test]
     fn ladder_is_total_and_deterministic(p in problems()) {
         for budget in budgets() {
-            let cancel = CancelToken::new();
-            let a = anytime_schedule(&p, &opts(), &budget, &cancel, None);
-            let b = anytime_schedule(&p, &opts(), &budget, &cancel, None);
+            let a = anytime_schedule(&p, &opts(), &budget, None, None);
+            let b = anytime_schedule(&p, &opts(), &budget, None, None);
             prop_assert_eq!(&a, &b, "identical inputs must replay bit for bit");
             // Totality: whatever the budget, the plan is valid and every
             // attempt is accounted for (one per rung).
@@ -90,10 +89,9 @@ proptest! {
 
     #[test]
     fn planned_objective_is_monotone_in_budget(p in problems()) {
-        let cancel = CancelToken::new();
         let mut prev = f64::INFINITY;
         for budget in budgets() {
-            let out = anytime_schedule(&p, &opts(), &budget, &cancel, None);
+            let out = anytime_schedule(&p, &opts(), &budget, None, None);
             let obj = out.provenance.objective;
             // Each rung is all-or-nothing, so a larger budget only grows
             // the candidate set: the selected minimum cannot regress.

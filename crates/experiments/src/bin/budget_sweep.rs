@@ -46,7 +46,6 @@ fn run_cell(w: &SimWorkload, seed: u64, budget: Option<SolveBudget>) -> (f64, St
                 exact_task_limit: 9,
                 ..AnytimeOptions::default()
             },
-            ..ReplanBudget::default()
         }),
         None => HareOnline::new(),
     };

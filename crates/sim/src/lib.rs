@@ -43,7 +43,7 @@ pub use metrics::{
     completion_stats, completion_stats_parts, jct_cdf, sim_registry, CompletionStats, FaultMetrics,
     GpuReport, SimReport, UtilSpan,
 };
-pub use policy::{Change, OfflineReplay, Policy, SimView};
+pub use policy::{Change, OfflineReplay, Policy, SimView, SECS_PER_WORK_UNIT};
 pub use ps::{ParameterServer, SyncOutcome};
 pub use recovery::{crc32, LeaseConfig, RecoveryError, RecoveryStats, WalFile, WalOptions};
 pub use registry::{Histogram, MetricsRegistry};

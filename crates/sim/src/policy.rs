@@ -46,6 +46,12 @@ pub struct SimView<'a> {
     pub solver_budget_frac: f64,
 }
 
+/// Simulated seconds charged per unit of deterministic solver work (a
+/// simplex pivot, a branch-and-bound node or a per-task pass): 100k units
+/// ≈ 1 s of decision latency. Budgeted online Hare and [`crate::ServeLoop`]
+/// both price their plans at this rate.
+pub const SECS_PER_WORK_UNIT: f64 = 1e-5;
+
 /// One entry of [`SimView::changes`]: a change to the dispatch inputs
 /// that the engine made on its own.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -440,23 +440,16 @@ impl<'a> WalSession<'a> {
 ///
 /// Every worker heartbeats every `heartbeat`; the scheduler holds a
 /// lease per worker that expires `timeout` after the last heartbeat.
-/// Expiry requeues the worker's in-flight job with exponential backoff
-/// (`requeue_backoff · 2^attempt`, capped at `backoff_cap`); a job
-/// requeued more than `max_requeues` times is shed as lost. A worker
-/// whose heartbeats resume rejoins through the scheduler's
-/// `on_gpu_recovery` hook.
+/// Expiry requeues the worker's in-flight job with exponential backoff,
+/// and a job requeued too often is shed as lost (both policies are
+/// constants of the serve loop). A worker whose heartbeats resume rejoins
+/// through the scheduler's `on_gpu_recovery` hook.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LeaseConfig {
     /// Worker heartbeat interval.
     pub heartbeat: SimDuration,
     /// Lease lifetime after the last heartbeat (≥ `heartbeat`).
     pub timeout: SimDuration,
-    /// Base backoff before a requeued job is eligible to dispatch again.
-    pub requeue_backoff: SimDuration,
-    /// Upper bound on the exponential backoff.
-    pub backoff_cap: SimDuration,
-    /// Requeues after which a job is shed as lost.
-    pub max_requeues: u32,
 }
 
 impl Default for LeaseConfig {
@@ -464,15 +457,12 @@ impl Default for LeaseConfig {
         LeaseConfig {
             heartbeat: SimDuration::from_secs(10),
             timeout: SimDuration::from_secs(60),
-            requeue_backoff: SimDuration::from_secs(5),
-            backoff_cap: SimDuration::from_secs(300),
-            max_requeues: 8,
         }
     }
 }
 
 impl LeaseConfig {
-    /// Basic sanity checks (positive intervals, timeout ≥ heartbeat).
+    /// Basic sanity checks (positive heartbeat, timeout ≥ heartbeat).
     pub fn validate(&self) -> Result<(), String> {
         if self.heartbeat.is_zero() {
             return Err("lease heartbeat must be positive".into());
@@ -480,18 +470,7 @@ impl LeaseConfig {
         if self.timeout < self.heartbeat {
             return Err("lease timeout must be at least one heartbeat".into());
         }
-        if self.requeue_backoff.is_zero() || self.backoff_cap < self.requeue_backoff {
-            return Err("requeue backoff must be positive and below its cap".into());
-        }
         Ok(())
-    }
-
-    /// Backoff before requeue attempt `attempt` (0-based) re-enters the
-    /// queue: `requeue_backoff · 2^attempt`, capped.
-    pub(crate) fn backoff(&self, attempt: u32) -> SimDuration {
-        let base = self.requeue_backoff.as_micros().max(1);
-        let mult = 1u64.checked_shl(attempt.min(63)).unwrap_or(u64::MAX);
-        SimDuration::from_micros(base.saturating_mul(mult).min(self.backoff_cap.as_micros()))
     }
 }
 
@@ -660,16 +639,6 @@ mod tests {
         assert_eq!(last_heartbeat(t(62), hb, &deaths), Some(t(60)));
         // Dead from t=0 forever: never heartbeated.
         assert_eq!(last_heartbeat(t(99), hb, &[(t(0), None)]), None);
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let cfg = LeaseConfig::default(); // base 5s, cap 300s
-        assert_eq!(cfg.backoff(0), SimDuration::from_secs(5));
-        assert_eq!(cfg.backoff(1), SimDuration::from_secs(10));
-        assert_eq!(cfg.backoff(3), SimDuration::from_secs(40));
-        assert_eq!(cfg.backoff(10), SimDuration::from_secs(300), "capped");
-        assert_eq!(cfg.backoff(200), SimDuration::from_secs(300), "no overflow");
     }
 
     #[test]

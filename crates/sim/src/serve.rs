@@ -17,8 +17,8 @@
 //!   (with hysteresis), a pluggable [`QueueScheduler`] ranks the fair-
 //!   queue head window under that fraction, and ranked jobs dispatch to
 //!   idle GPUs. The decision's deterministic work is priced into
-//!   simulated latency (the `cost_per_work` convention shared with the
-//!   online baselines) and charged before the dispatched jobs start;
+//!   simulated latency at [`SECS_PER_WORK_UNIT`] (the rate the online
+//!   baselines charge too) and charged before the dispatched jobs start;
 //! * a **drain** (arrival horizon exhausted, or an external stop flag —
 //!   SIGTERM in `hare serve`) stops admission, *drains* the pending
 //!   queue (counted separately from overload shedding), lets in-flight
@@ -46,7 +46,7 @@
 //! worker's in-flight job with capped exponential backoff, and stops
 //! dispatching to the GPU until heartbeats resume
 //! ([`QueueScheduler::on_gpu_recovery`]). Jobs requeued more than
-//! `max_requeues` times are counted lost.
+//! `MAX_REQUEUES` times are counted lost.
 //!
 //! Decision-latency p50/p99 (via [`Histogram::quantile`]) and
 //! decisions/sec are first-class [`MetricsRegistry`] series. Everything
@@ -60,6 +60,7 @@ use crate::admission::{
 use crate::dense::DenseSet;
 use crate::faults::{SchedulerCrash, ServeFaultPlan};
 use crate::metrics::{push_f64, push_json_str};
+use crate::policy::SECS_PER_WORK_UNIT;
 use crate::recovery::{
     crc32, dead_at, dead_during, f64_from_hex, f64_hex, last_heartbeat, LeaseConfig, RecoveryError,
     RecoveryStats, WalFile, WalOptions, WalSession,
@@ -130,22 +131,10 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// Backpressure → budget mapping.
     pub pressure: PressureCurve,
-    /// Hysteresis dwell (decision epochs of calm before ascending one
-    /// budget level).
-    pub ascend_dwell: u32,
     /// Decision epoch length.
     pub decision_interval: SimDuration,
     /// Stop generating arrivals at this simulated instant, then drain.
     pub horizon: SimTime,
-    /// Maximum jobs the scheduler sees per decision (the fair-queue
-    /// head; bounds per-decision solve cost).
-    pub plan_window: usize,
-    /// Simulated seconds charged per unit of scheduler work (the
-    /// `ReplanBudget::cost_per_work` convention: 1e-5 ⇒ 100k work units
-    /// ≈ 1 s of decision latency).
-    pub cost_per_work: f64,
-    /// Recent-decision window feeding the pressure controller's p99.
-    pub latency_window: usize,
     /// Lease-based worker liveness; `None` trusts every GPU forever
     /// (required `Some` to inject silent-worker faults).
     pub lease: Option<LeaseConfig>,
@@ -159,12 +148,8 @@ impl Default for ServeConfig {
             arrivals: OpenArrivalConfig::default(),
             admission: AdmissionConfig::default(),
             pressure: PressureCurve::default(),
-            ascend_dwell: 5,
             decision_interval: SimDuration::from_secs(5),
             horizon: SimTime::from_secs(3_600),
-            plan_window: 16,
-            cost_per_work: 1e-5,
-            latency_window: 64,
             lease: None,
             faults: ServeFaultPlan::default(),
         }
@@ -182,6 +167,14 @@ impl ServeConfig {
     }
 }
 
+/// Maximum jobs the scheduler sees per decision: the fair-queue head,
+/// which bounds per-decision solve cost.
+const PLAN_WINDOW: usize = 16;
+/// Recent decisions whose latency feeds the pressure controller's p99.
+const LATENCY_WINDOW: usize = 64;
+/// Hysteresis dwell: decision epochs of calm before the budget ascends
+/// one level.
+const ASCEND_DWELL: u32 = 5;
 /// Decision-latency histogram buckets (seconds).
 const LATENCY_BUCKETS_SECS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 20.0, 60.0];
 /// Queue-wait histogram buckets (seconds).
@@ -447,13 +440,27 @@ fn outcome_code(o: AdmissionOutcome) -> String {
     }
 }
 
+/// Requeues after which a job coming off a dead worker is counted lost.
+const MAX_REQUEUES: u32 = 8;
+/// Base backoff before a requeued job is eligible to dispatch again.
+const REQUEUE_BACKOFF: SimDuration = SimDuration::from_secs(5);
+/// Upper bound on the exponential requeue backoff.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(300);
+
+/// Backoff before requeue attempt `attempt` (0-based) re-enters the
+/// queue: `REQUEUE_BACKOFF · 2^attempt`, capped at `BACKOFF_CAP`.
+fn requeue_backoff(attempt: u32) -> SimDuration {
+    let base = REQUEUE_BACKOFF.as_micros();
+    let mult = 1u64.checked_shl(attempt.min(63)).unwrap_or(u64::MAX);
+    SimDuration::from_micros(base.saturating_mul(mult).min(BACKOFF_CAP.as_micros()))
+}
+
 /// Route a job coming off a dead worker: drained if the run is winding
 /// down, lost if it exhausted its requeue budget, otherwise into the
 /// backoff pool.
 fn requeue_job(
     st: &mut ServeState,
     session: &mut Option<&mut WalSession<'_>>,
-    lease: &LeaseConfig,
     now: SimTime,
     job: PendingJob,
     prev_requeues: u32,
@@ -462,11 +469,11 @@ fn requeue_job(
     if st.admission.is_draining() {
         st.admission.count_drained(1);
         wal_log(session, || format!("dreq {id}"))?;
-    } else if prev_requeues >= lease.max_requeues {
+    } else if prev_requeues >= MAX_REQUEUES {
         st.lease_lost += 1;
         wal_log(session, || format!("lost {id}"))?;
     } else {
-        let ready_at = now + lease.backoff(prev_requeues);
+        let ready_at = now + requeue_backoff(prev_requeues);
         st.requeued += 1;
         wal_log(session, || {
             format!("req {id} {} {prev_requeues}", ready_at.as_micros())
@@ -489,13 +496,7 @@ pub struct ServeLoop {
 impl ServeLoop {
     /// A loop serving `cfg.arrivals` on `cluster`.
     pub fn new(cluster: Cluster, cfg: ServeConfig) -> Self {
-        assert!(cfg.plan_window > 0, "empty plan window");
         assert!(!cfg.decision_interval.is_zero(), "zero decision interval");
-        assert!(
-            cfg.cost_per_work >= 0.0 && cfg.cost_per_work.is_finite(),
-            "cost_per_work must be non-negative and finite"
-        );
-        assert!(cfg.latency_window > 0, "empty latency window");
         if let Some(lease) = &cfg.lease {
             if let Err(e) = lease.validate() {
                 panic!("invalid lease config: {e}");
@@ -545,14 +546,14 @@ impl ServeLoop {
             now: SimTime::ZERO,
             epoch_index: 0,
             admission: AdmissionController::new(self.cfg.admission.clone()),
-            budget: BudgetController::new(self.cfg.pressure, self.cfg.ascend_dwell),
+            budget: BudgetController::new(self.cfg.pressure, ASCEND_DWELL),
             running: vec![None; n],
             lease_expired: vec![false; n],
             pool: Vec::new(),
             requeue_tags: BTreeMap::new(),
             latency_hist: Histogram::new(&LATENCY_BUCKETS_SECS),
             wait_hist: Histogram::new(&WAIT_BUCKETS_SECS),
-            recent: Vec::with_capacity(self.cfg.latency_window),
+            recent: Vec::with_capacity(LATENCY_WINDOW),
             recent_at: 0,
             decisions: 0,
             rung_hits: BTreeMap::new(),
@@ -847,7 +848,7 @@ impl ServeLoop {
                             wal_log(&mut session, || format!("exp {gpu}"))?;
                             idle.remove(gpu);
                             if let Some(r) = st.running[gpu].take() {
-                                requeue_job(st, &mut session, lease, st.now, r.job, r.requeues)?;
+                                requeue_job(st, &mut session, st.now, r.job, r.requeues)?;
                             }
                         }
                         // A revived worker's heartbeat reveals it lost
@@ -859,7 +860,7 @@ impl ServeLoop {
                         if doomed {
                             let r = st.running[gpu].take().expect("checked some");
                             wal_log(&mut session, || format!("wlost {gpu} {}", r.job.spec.id.0))?;
-                            requeue_job(st, &mut session, lease, st.now, r.job, r.requeues)?;
+                            requeue_job(st, &mut session, st.now, r.job, r.requeues)?;
                             // The worker is back (not dead now, lease
                             // intact) and its old job is requeued: idle.
                             idle.insert(gpu);
@@ -946,19 +947,19 @@ impl ServeLoop {
                 }
 
                 // Plan over the fair-queue head window.
-                let window = st.admission.peek_window(self.cfg.plan_window);
+                let window = st.admission.peek_window(PLAN_WINDOW);
                 let window_seqs: Vec<u64> = window.iter().map(|p| p.seq).collect();
                 let outcome = scheduler.plan(&window, &self.cluster, frac);
-                let latency_secs = outcome.work as f64 * self.cfg.cost_per_work;
+                let latency_secs = outcome.work as f64 * SECS_PER_WORK_UNIT;
                 let latency = SimDuration::from_secs_f64(latency_secs);
                 st.decisions += 1;
                 st.work_total += outcome.work;
                 st.latency_hist.record(latency_secs);
-                if st.recent.len() < self.cfg.latency_window {
+                if st.recent.len() < LATENCY_WINDOW {
                     st.recent.push(latency_secs);
                 } else {
                     st.recent[st.recent_at] = latency_secs;
-                    st.recent_at = (st.recent_at + 1) % self.cfg.latency_window;
+                    st.recent_at = (st.recent_at + 1) % LATENCY_WINDOW;
                 }
                 *st.rung_hits.entry(outcome.rung.to_string()).or_insert(0) += 1;
                 wal_log(&mut session, || {
@@ -1262,9 +1263,8 @@ impl ServeLoop {
         };
         st.admission = AdmissionController::decode_state(self.cfg.admission.clone(), get("ac")?)
             .map_err(|why| corrupt(format!("admission state: {why}")))?;
-        st.budget =
-            BudgetController::decode_state(self.cfg.pressure, self.cfg.ascend_dwell, get("bc")?)
-                .map_err(|why| corrupt(format!("budget state: {why}")))?;
+        st.budget = BudgetController::decode_state(self.cfg.pressure, ASCEND_DWELL, get("bc")?)
+            .map_err(|why| corrupt(format!("budget state: {why}")))?;
 
         let n_gpus = self.cluster.gpu_count();
         let run = get("run")?;
@@ -1345,11 +1345,10 @@ impl ServeLoop {
                     .push(f64_from_hex(v).ok_or_else(|| corrupt(format!("recent latency {v:?}")))?);
             }
         }
-        if st.recent.len() > self.cfg.latency_window {
+        if st.recent.len() > LATENCY_WINDOW {
             return Err(corrupt(format!(
-                "snapshot recent window {} exceeds latency_window {}",
+                "snapshot recent window {} exceeds the latency window {LATENCY_WINDOW}",
                 st.recent.len(),
-                self.cfg.latency_window
             )));
         }
         st.recent_at = pu64("ra", get("ra")?)? as usize;
@@ -1446,6 +1445,20 @@ mod tests {
                 rung: "fifo",
             }
         }
+    }
+
+    #[test]
+    fn backoff_is_exponential_and_capped() {
+        // Base 5 s, cap 300 s.
+        assert_eq!(requeue_backoff(0), SimDuration::from_secs(5));
+        assert_eq!(requeue_backoff(1), SimDuration::from_secs(10));
+        assert_eq!(requeue_backoff(3), SimDuration::from_secs(40));
+        assert_eq!(requeue_backoff(10), SimDuration::from_secs(300), "capped");
+        assert_eq!(
+            requeue_backoff(200),
+            SimDuration::from_secs(300),
+            "no overflow"
+        );
     }
 
     fn config(load: f64, horizon_secs: u64) -> ServeConfig {
@@ -1615,7 +1628,7 @@ mod tests {
             .run_with_wal(&mut Fifo, &wal, &stop, None)
             .unwrap();
         let mut other = cfg;
-        other.plan_window += 1;
+        other.horizon += SimDuration::from_secs(1);
         let err = ServeLoop::new(Cluster::testbed15(), other)
             .recover(&mut Fifo, &wal, &stop, None)
             .expect_err("fingerprint mismatch");

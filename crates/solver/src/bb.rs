@@ -30,7 +30,7 @@
 //! bound of Theorem 4, and [`crate::relax::certified_lower_bound`] is
 //! checked to sit below the optimum.
 
-use crate::budget::{CancelToken, SolveBudget};
+use crate::budget::SolveBudget;
 use crate::instance::Instance;
 use crate::trace::SolveTrace;
 use serde::{Deserialize, Serialize};
@@ -54,29 +54,24 @@ pub struct ExactSolution {
 /// Solve exactly. Exponential — intended for ≤ ~14 tasks and ≤ 4 machines;
 /// panics above a hard safety limit of [`MAX_TASKS`] tasks.
 pub fn solve_exact(inst: &Instance) -> ExactSolution {
-    solve_exact_budgeted(inst, &SolveBudget::UNLIMITED, &CancelToken::new(), None)
-        .expect("an unlimited, uncancelled search cannot abort")
+    solve_exact_budgeted(inst, &SolveBudget::UNLIMITED, None)
+        .expect("an unlimited search cannot abort")
 }
 
-/// [`solve_exact`] under a [`SolveBudget`] and [`CancelToken`], recording
-/// one `"bb_root"` span per completed root branch into `trace` (work =
-/// nodes explored, detail = branch index), in branch-index order.
+/// [`solve_exact`] under a [`SolveBudget`], recording one `"bb_root"` span
+/// per completed root branch into `trace` (work = nodes explored, detail =
+/// branch index), in branch-index order.
 ///
-/// Aborts with `None` once `budget.node_cap` search nodes have been
-/// explored in total, or at the first (periodic) check finding the
-/// deadline passed or the token cancelled; the spans of the branches that
-/// completed stay in `trace`. Every budget runs the same search, so a
-/// generous cap returns exactly what an unlimited budget does, node count
-/// included, and a node cap aborts at a reproducible point.
+/// Aborts with `None` once more than `budget.node_cap` search nodes have
+/// been explored in total; the spans of the branches that completed stay
+/// in `trace`. Every budget runs the same search, so a generous cap returns
+/// exactly what an unlimited budget does, node count included, and a node
+/// cap aborts at a reproducible point.
 pub fn solve_exact_budgeted(
     inst: &Instance,
     budget: &SolveBudget,
-    cancel: &CancelToken,
     trace: Option<&SolveTrace>,
 ) -> Option<ExactSolution> {
-    if cancel.is_cancelled() || budget.deadline_passed() {
-        return None;
-    }
     inst.validate().expect("invalid instance");
     assert!(
         inst.n_tasks() <= MAX_TASKS,
@@ -85,7 +80,7 @@ pub fn solve_exact_budgeted(
     );
 
     let sym = Symmetry::analyze(inst);
-    let mut s = Search::new(inst, &sym, budget, cancel);
+    let mut s = Search::new(inst, &sym, budget);
     let branches = s.root_branches();
     assert!(!branches.is_empty(), "instance has no schedulable task");
     for (bi, (task, machine)) in branches.into_iter().enumerate() {
@@ -171,20 +166,14 @@ struct Search<'a> {
     best_machine: Vec<usize>,
     /// Search nodes explored so far, the root included.
     nodes: u64,
-    /// Node cap, deadline and cancellation sources.
+    /// The search aborts once `nodes` exceeds its `node_cap`.
     budget: &'a SolveBudget,
-    cancel: &'a CancelToken,
-    /// Set when the budget tripped; the search result is then meaningless.
+    /// Set when the node cap tripped; the search result is then meaningless.
     aborted: bool,
 }
 
 impl<'a> Search<'a> {
-    fn new(
-        inst: &'a Instance,
-        sym: &'a Symmetry,
-        budget: &'a SolveBudget,
-        cancel: &'a CancelToken,
-    ) -> Search<'a> {
+    fn new(inst: &'a Instance, sym: &'a Symmetry, budget: &'a SolveBudget) -> Search<'a> {
         let t = inst.n_tasks();
         Search {
             inst,
@@ -199,20 +188,8 @@ impl<'a> Search<'a> {
             best_machine: vec![usize::MAX; t],
             nodes: 1,
             budget,
-            cancel,
             aborted: false,
         }
-    }
-
-    /// Cooperative budget check at one search node. The node cap is exact;
-    /// cancellation and the wall-clock deadline are polled every 512 nodes
-    /// to keep the per-node cost a counter comparison.
-    fn over_budget(&self) -> bool {
-        if self.nodes > self.budget.node_cap {
-            return true;
-        }
-        self.nodes.is_multiple_of(512)
-            && (self.cancel.is_cancelled() || self.budget.deadline_passed())
     }
 
     /// Enumerate the root's (task, machine) branches after symmetry
@@ -271,7 +248,7 @@ impl<'a> Search<'a> {
 
     fn dfs(&mut self, scheduled_count: usize) {
         self.nodes += 1;
-        if self.over_budget() {
+        if self.nodes > self.budget.node_cap {
             self.aborted = true;
             return;
         }
@@ -397,26 +374,18 @@ mod tests {
     #[test]
     fn budgeted_search_aborts_and_matches_when_generous() {
         let inst = fig1_instance();
-        let token = CancelToken::new();
 
         // A handful of nodes is nowhere near enough for Fig. 1.
         assert_eq!(
-            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 5), &token, None),
-            None
-        );
-        // A pre-cancelled token aborts before any search.
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        assert_eq!(
-            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &cancelled, None),
+            solve_exact_budgeted(&inst, &SolveBudget::capped(0, 5), None),
             None
         );
 
         // A generous finite cap runs the search an unlimited budget does:
         // the whole solution matches, node counter included.
-        let budgeted = solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), &token, None)
+        let budgeted = solve_exact_budgeted(&inst, &SolveBudget::capped(0, 1 << 40), None)
             .expect("cap is plenty");
-        let unlimited = solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, &token, None)
+        let unlimited = solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, None)
             .expect("unlimited cannot abort");
         assert_eq!(budgeted, unlimited);
     }
@@ -424,29 +393,27 @@ mod tests {
     #[test]
     fn budgeted_search_is_deterministic() {
         let inst = fig1_instance();
-        let token = CancelToken::new();
         let budget = SolveBudget::capped(0, 1 << 40);
-        let a = solve_exact_budgeted(&inst, &budget, &token, None).expect("cap is plenty");
+        let a = solve_exact_budgeted(&inst, &budget, None).expect("cap is plenty");
         for _ in 0..3 {
-            let b = solve_exact_budgeted(&inst, &budget, &token, None).expect("cap is plenty");
+            let b = solve_exact_budgeted(&inst, &budget, None).expect("cap is plenty");
             // Sequential search: even the node counter is reproducible.
             assert_eq!(a, b);
         }
         // And the abort point is too: the largest insufficient cap yields
         // None every time.
         let short = SolveBudget::capped(0, a.nodes - 1);
-        assert_eq!(solve_exact_budgeted(&inst, &short, &token, None), None);
-        assert_eq!(solve_exact_budgeted(&inst, &short, &token, None), None);
+        assert_eq!(solve_exact_budgeted(&inst, &short, None), None);
+        assert_eq!(solve_exact_budgeted(&inst, &short, None), None);
     }
 
     #[test]
     fn aborted_search_keeps_a_strict_prefix_of_the_generous_spans() {
         let inst = fig1_instance();
-        let token = CancelToken::new();
         let run = |node_cap: u64| {
             let trace = SolveTrace::new();
             let budget = SolveBudget::capped(0, node_cap);
-            let sol = solve_exact_budgeted(&inst, &budget, &token, Some(&trace));
+            let sol = solve_exact_budgeted(&inst, &budget, Some(&trace));
             (sol, trace.drain())
         };
         let (sol, full) = run(1 << 40);
@@ -458,7 +425,7 @@ mod tests {
         }
         // An unlimited budget records the very same spans.
         let trace = SolveTrace::new();
-        solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, &token, Some(&trace))
+        solve_exact_budgeted(&inst, &SolveBudget::UNLIMITED, Some(&trace))
             .expect("unlimited cannot abort");
         assert_eq!(trace.drain(), full);
         for cap in [1, sol.nodes / 2, sol.nodes - 1] {
@@ -621,7 +588,7 @@ mod tests {
         // breaking explores more.
         let budgeted: fn(&Instance) -> u64 = |inst| {
             let budget = SolveBudget::capped(u64::MAX - 1, u64::MAX - 1);
-            solve_exact_budgeted(inst, &budget, &CancelToken::new(), None)
+            solve_exact_budgeted(inst, &budget, None)
                 .expect("cap is plenty")
                 .nodes
         };

@@ -1,21 +1,16 @@
-//! Cooperative solve budgets and cancellation.
+//! Deterministic solve budgets.
 //!
 //! A production scheduler cannot let one pathological instance stall a
 //! replan indefinitely: every solver in this crate — the revised simplex,
 //! the Queyranne cut loop, and branch-and-bound — checks a [`SolveBudget`]
-//! and a [`CancelToken`] cooperatively (on every pivot, cut round, and
-//! search node) so a solve can be bounded up front or aborted mid-flight.
-//! An aborted solve returns `None`; callers fall down the degradation
-//! ladder (see `hare-core::anytime`) instead of panicking or hanging.
+//! cooperatively (on every pivot and search node) so a solve can be
+//! bounded up front. An aborted solve returns `None`; callers fall down the
+//! degradation ladder (see `hare-core::anytime`) instead of panicking or
+//! hanging.
 //!
-//! Determinism note: `pivot_cap`/`node_cap` are deterministic — the same
-//! instance under the same caps always aborts at the same point — while
-//! `deadline` and cancellation are wall-clock driven. The simulator only
-//! ever uses the caps, so simulated runs stay bit-for-bit reproducible.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+//! Both caps count work units, not wall time: the same instance under the
+//! same caps always aborts at the same point, so a budgeted solve is a pure
+//! function of its instance, options and budget.
 
 /// A budget for one solve: how much work it may do before aborting.
 ///
@@ -23,10 +18,6 @@ use std::time::Instant;
 /// entry point behaves exactly like its unbudgeted counterpart.
 #[derive(Copy, Clone, Debug)]
 pub struct SolveBudget {
-    /// Wall-clock deadline; the solve aborts at the first cooperative
-    /// check past it. `None` = no deadline. Nondeterministic by nature —
-    /// simulated/replayable callers should use the caps instead.
-    pub deadline: Option<Instant>,
     /// Maximum simplex pivots across the whole solve (Phase I + II and
     /// every cut-round re-solve combined). `u64::MAX` = unlimited.
     pub pivot_cap: u64,
@@ -43,15 +34,13 @@ impl Default for SolveBudget {
 impl SolveBudget {
     /// No limits: budgeted solves behave exactly like unbudgeted ones.
     pub const UNLIMITED: SolveBudget = SolveBudget {
-        deadline: None,
         pivot_cap: u64::MAX,
         node_cap: u64::MAX,
     };
 
-    /// A deterministic cap on pivots and nodes (no wall-clock deadline).
+    /// A cap on pivots and nodes.
     pub fn capped(pivot_cap: u64, node_cap: u64) -> Self {
         SolveBudget {
-            deadline: None,
             pivot_cap,
             node_cap,
         }
@@ -59,7 +48,7 @@ impl SolveBudget {
 
     /// True when nothing can ever trip this budget.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.pivot_cap == u64::MAX && self.node_cap == u64::MAX
+        self.pivot_cap == u64::MAX && self.node_cap == u64::MAX
     }
 
     /// The budget with every cap scaled by `frac` (clamped to `[0, 1]`);
@@ -75,40 +64,9 @@ impl SolveBudget {
             }
         };
         SolveBudget {
-            deadline: self.deadline,
             pivot_cap: scale(self.pivot_cap),
             node_cap: scale(self.node_cap),
         }
-    }
-
-    /// Whether the wall-clock deadline (if any) has passed.
-    pub fn deadline_passed(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// A shared flag for aborting a solve from another thread mid-flight.
-///
-/// Cloning shares the flag; every solver in this crate polls it at each
-/// cooperative checkpoint (pivot / cut round / search node).
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Request cancellation; every solve holding a clone aborts at its
-    /// next cooperative check.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -124,7 +82,6 @@ mod tests {
         let s = b.scaled(0.25);
         assert_eq!(s.pivot_cap, u64::MAX);
         assert_eq!(s.node_cap, u64::MAX);
-        assert!(!b.deadline_passed());
     }
 
     #[test]
@@ -136,24 +93,5 @@ mod tests {
         // Clamped domain: garbage fractions cannot inflate the budget.
         assert_eq!(b.scaled(7.0).pivot_cap, 1000);
         assert_eq!(b.scaled(-1.0).pivot_cap, 0);
-    }
-
-    #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!u.is_cancelled());
-        t.cancel();
-        assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn past_deadline_is_detected() {
-        let b = SolveBudget {
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..SolveBudget::UNLIMITED
-        };
-        assert!(b.deadline_passed());
-        assert!(!b.is_unlimited());
     }
 }

@@ -12,8 +12,8 @@
 //!   small instances, a combinatorial sweep for large ones) plus a
 //!   certified lower bound on the optimum;
 //! * [`bb`] — exact branch-and-bound ground truth for tiny instances;
-//! * [`budget`] — cooperative solve budgets and cancellation, honored by
-//!   every solver above so a solve can be bounded or aborted mid-flight;
+//! * [`budget`] — deterministic solve budgets in work units, honored by
+//!   every solver above so a solve can be bounded up front;
 //! * [`trace`] — deterministic work-unit span recording for the
 //!   observability layer (cut rounds, B&B branches, ladder rungs).
 
@@ -29,7 +29,7 @@ pub mod relax;
 pub mod trace;
 
 pub use bb::{solve_exact, solve_exact_budgeted, ExactSolution};
-pub use budget::{CancelToken, SolveBudget};
+pub use budget::SolveBudget;
 pub use instance::{
     fig1_instance, Instance, InstanceBuilder, JobMeta, ProblemError, Row, TaskMeta,
 };

@@ -20,9 +20,7 @@
 //! deterministic. Conventions: minimize `c·x` subject to sparse row
 //! constraints with `<=`, `>=` or `=` senses, and `x >= 0`.
 
-use crate::budget::{CancelToken, SolveBudget};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Constraint sense.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -368,37 +366,18 @@ impl RevisedSimplex {
     /// called after [`add_constraint`](Self::add_constraint). A solve that
     /// loses its accuracy returns [`LpOutcome::IllConditioned`].
     pub fn solve(&mut self) -> LpOutcome {
-        self.solve_impl(u64::MAX, None, None)
+        self.solve_under(u64::MAX)
             .expect("uncapped solve cannot abort")
     }
 
-    /// [`RevisedSimplex::solve`] under an absolute pivot cap plus a
-    /// [`SolveBudget`]'s deadline and a [`CancelToken`], all checked
-    /// cooperatively before every pivot. `max_pivots` caps the *total*
-    /// [`RevisedSimplex::pivots`] of this object; the budget's own
-    /// `pivot_cap` is *not* consulted here — the caller (the cut loop)
-    /// apportions it across re-solves. Returns `None` on abort (the cap
-    /// exhausted by cycling or a pathological cut sequence, the deadline,
-    /// or cancellation), leaving the simplex mid-flight.
-    pub fn solve_under(
-        &mut self,
-        max_pivots: u64,
-        budget: &SolveBudget,
-        cancel: &CancelToken,
-    ) -> Option<LpOutcome> {
-        self.solve_impl(max_pivots, budget.deadline, Some(cancel))
-    }
-
-    /// The pivot loop behind both entry points: it aborts with `None`
-    /// before a pivot once [`RevisedSimplex::pivots`] reaches `max_pivots`,
-    /// `cancel` fires or `deadline` passes. A `None` deadline never reads
-    /// the clock.
-    fn solve_impl(
-        &mut self,
-        max_pivots: u64,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-    ) -> Option<LpOutcome> {
+    /// [`RevisedSimplex::solve`] under an absolute pivot cap, checked
+    /// before every pivot: it returns `None` once
+    /// [`RevisedSimplex::pivots`] reaches `max_pivots` (the cap exhausted
+    /// by cycling or a pathological cut sequence), leaving the simplex
+    /// mid-flight. The cap counts the *total* pivots of this object; the
+    /// cut loop in [`crate::relax`] apportions a
+    /// [`SolveBudget`](crate::SolveBudget)'s `pivot_cap` across re-solves.
+    pub fn solve_under(&mut self, max_pivots: u64) -> Option<LpOutcome> {
         // Phase I only if some artificial is basic at a positive value.
         let needs_phase1 = self
             .basis
@@ -414,7 +393,7 @@ impl RevisedSimplex {
                     _ => 0.0,
                 })
                 .collect();
-            match self.optimize(&cost, true, max_pivots, deadline, cancel) {
+            match self.optimize(&cost, true, max_pivots) {
                 SimplexEnd::Optimal(v) if v > 1e-7 => return Some(LpOutcome::Infeasible),
                 SimplexEnd::Optimal(_) => {}
                 // Phase I is bounded below by 0: only lost accuracy gets here.
@@ -426,7 +405,7 @@ impl RevisedSimplex {
 
         let mut cost = vec![0.0; self.cols.len()];
         cost[..self.n_struct].copy_from_slice(&self.objective);
-        match self.optimize(&cost, false, max_pivots, deadline, cancel) {
+        match self.optimize(&cost, false, max_pivots) {
             SimplexEnd::Optimal(_) => {
                 let x = self.structural_values();
                 let objective = x.iter().zip(&self.objective).map(|(xi, ci)| xi * ci).sum();
@@ -438,16 +417,9 @@ impl RevisedSimplex {
     }
 
     /// Primal simplex with Bland's rule. `allow_artificial` admits
-    /// artificial columns into pricing (Phase I only); the stop arguments
-    /// are [`RevisedSimplex::solve_impl`]'s.
-    fn optimize(
-        &mut self,
-        cost: &[f64],
-        allow_artificial: bool,
-        max_pivots: u64,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-    ) -> SimplexEnd {
+    /// artificial columns into pricing (Phase I only); `max_pivots` is
+    /// [`RevisedSimplex::solve_under`]'s.
+    fn optimize(&mut self, cost: &[f64], allow_artificial: bool, max_pivots: u64) -> SimplexEnd {
         let m = self.rhs.len();
         if m == 0 {
             // Unconstrained: optimum 0 unless some objective coefficient is
@@ -519,10 +491,7 @@ impl RevisedSimplex {
             }
             match leave {
                 Some(r) => {
-                    if self.pivots >= max_pivots
-                        || cancel.is_some_and(CancelToken::is_cancelled)
-                        || deadline.is_some_and(|d| Instant::now() >= d)
-                    {
+                    if self.pivots >= max_pivots {
                         return SimplexEnd::Aborted;
                     }
                     let refactors = self.refactorizations;
@@ -728,8 +697,7 @@ impl RevisedSimplex {
 enum SimplexEnd {
     Optimal(f64),
     Unbounded,
-    /// The pivot cap, deadline or cancellation stopped the solve before
-    /// optimality.
+    /// The pivot cap stopped the solve before optimality.
     Aborted,
 }
 
@@ -738,34 +706,17 @@ enum SimplexEnd {
 mod tests {
     use super::*;
     #[test]
-    fn budgeted_solve_honors_cancel_and_deadline() {
+    fn budgeted_solve_matches_the_plain_solve() {
         let mut lp = LinearProgram::minimize(vec![1.0, 1.0]);
         lp.constrain(vec![(0, 1.0), (1, 2.0)], Cmp::Ge, 4.0);
         lp.constrain(vec![(0, 3.0), (1, 1.0)], Cmp::Ge, 6.0);
 
-        // A pre-cancelled token aborts before the first pivot.
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        let mut s = RevisedSimplex::new(&lp);
-        assert_eq!(
-            s.solve_under(u64::MAX, &SolveBudget::UNLIMITED, &cancelled),
-            None
-        );
-
-        // An already-passed deadline aborts likewise.
-        let expired = SolveBudget {
-            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-            ..SolveBudget::UNLIMITED
-        };
-        let mut s = RevisedSimplex::new(&lp);
-        assert_eq!(s.solve_under(u64::MAX, &expired, &CancelToken::new()), None);
-
-        // A healthy budget matches the plain solve bit-for-bit, and the
-        // budget state does not linger into the next plain solve.
+        // An uncapped budgeted solve matches the plain solve bit-for-bit,
+        // and the cap does not linger into the next plain solve.
         let mut s = RevisedSimplex::new(&lp);
         let budgeted = s
-            .solve_under(u64::MAX, &SolveBudget::UNLIMITED, &CancelToken::new())
-            .expect("unlimited budget cannot abort");
+            .solve_under(u64::MAX)
+            .expect("an uncapped solve cannot abort");
         let mut u = RevisedSimplex::new(&lp);
         assert_eq!(u.solve(), budgeted);
         assert_eq!(s.solve(), budgeted);

@@ -31,7 +31,7 @@
 //! solve computes it: `hare-core` computes it once per plan, and its tests
 //! check Algorithm 1 against it and against exact branch-and-bound optima.
 
-use crate::budget::{CancelToken, SolveBudget};
+use crate::budget::SolveBudget;
 use crate::instance::Instance;
 use crate::lp::{Cmp, LinearProgram, LpOutcome, RevisedSimplex};
 use crate::trace::SolveTrace;
@@ -112,22 +112,16 @@ pub fn solve_traced(
     opts: &RelaxOptions,
     trace: Option<&SolveTrace>,
 ) -> RelaxSolution {
-    solve_budgeted(
-        inst,
-        opts,
-        &SolveBudget::UNLIMITED,
-        &CancelToken::new(),
-        trace,
-    )
-    .expect("an unlimited, uncancelled solve cannot abort")
+    solve_budgeted(inst, opts, &SolveBudget::UNLIMITED, trace)
+        .expect("an unlimited solve cannot abort")
 }
 
-/// Solve the relaxation under a [`SolveBudget`] and [`CancelToken`],
-/// recording per-phase work spans into `trace` (see [`solve_traced`]).
+/// Solve the relaxation under a [`SolveBudget`], recording per-phase work
+/// spans into `trace` (see [`solve_traced`]).
 ///
-/// `None` means the budget ran out (or cancellation / the deadline fired)
-/// before a solution existed; the spans of the rounds that did complete
-/// stay in `trace`, which shows where the budget ran out.
+/// `None` means a finite budget ran out before a solution existed; the
+/// spans of the rounds that did complete stay in `trace`, which shows
+/// where the budget ran out. An unlimited budget never returns `None`.
 ///
 /// Budget accounting is in simplex-pivot units, and the budget decides
 /// the one branch of the LP cut loop that differs:
@@ -151,15 +145,11 @@ pub fn solve_budgeted(
     inst: &Instance,
     opts: &RelaxOptions,
     budget: &SolveBudget,
-    cancel: &CancelToken,
     trace: Option<&SolveTrace>,
 ) -> Option<RelaxSolution> {
-    if cancel.is_cancelled() || budget.deadline_passed() {
-        return None;
-    }
     inst.validate().expect("invalid instance");
     let (x_hat, mode, stats) = if inst.n_tasks() <= opts.lp_task_limit {
-        lp_mode(inst, opts, budget, cancel, trace, SOLVE_PIVOT_CAP)?
+        lp_mode(inst, opts, budget, trace, SOLVE_PIVOT_CAP)?
     } else if combinatorial_work(inst, opts) > budget.pivot_cap {
         return None;
     } else {
@@ -303,7 +293,6 @@ fn lp_mode(
     inst: &Instance,
     opts: &RelaxOptions,
     budget: &SolveBudget,
-    cancel: &CancelToken,
     trace: Option<&SolveTrace>,
     solve_cap: u64,
 ) -> Option<(Vec<f64>, RelaxMode, SolveStats)> {
@@ -322,11 +311,10 @@ fn lp_mode(
         } else {
             budget.pivot_cap
         };
-        let outcome = simplex.solve_under(cap, budget, cancel);
-        // A finite budget, the deadline or cancellation aborts the solve;
-        // only the per-solve cap of an unlimited one falls through to the
-        // sweep below.
-        if outcome.is_none() && (!unlimited || cancel.is_cancelled()) {
+        let outcome = simplex.solve_under(cap);
+        // A finite budget aborts the solve; only the per-solve cap of an
+        // unlimited one falls through to the sweep below.
+        if outcome.is_none() && !unlimited {
             return None;
         }
         // One span per LP solve: work = pivots spent, detail = cuts so far.
@@ -352,9 +340,6 @@ fn lp_mode(
         stats.lp_solves += 1;
         if stats.cuts == opts.max_cut_rounds {
             break x_hat;
-        }
-        if cancel.is_cancelled() || budget.deadline_passed() {
-            return None;
         }
         let Some((terms, rhs)) = separate_cut(inst, &x_hat) else {
             break x_hat;
@@ -551,16 +536,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lp_mode_adds_cuts_on_contended_instances() {
-        // Many unit tasks on one machine: without cuts every x̂ = 0; the
-        // volume cuts must push starts apart.
+    /// Eight contended unit tasks on one machine, so the cut loop runs
+    /// several rounds.
+    fn contended_unit_tasks() -> Instance {
         let mut b = InstanceBuilder::new(1);
         for _ in 0..8 {
             let j = b.job(1.0, 0.0);
             b.round(j, &[vec![1.0]]);
         }
-        let inst = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn lp_mode_adds_cuts_on_contended_instances() {
+        // Many unit tasks on one machine: without cuts every x̂ = 0; the
+        // volume cuts must push starts apart.
+        let inst = contended_unit_tasks();
         let sol = solve(&inst, &RelaxOptions::default());
         match sol.mode {
             RelaxMode::Lp { cuts } => assert!(cuts >= 1, "expected cuts"),
@@ -715,14 +706,8 @@ mod tests {
     fn warm_cut_rounds_preserve_midpoint_order_on_seed_instances() {
         assert_warm_matches_cold(&fig1_instance(), "fig1");
 
-        // The contended single-machine seed instance that forces cuts
-        // (mirrors `lp_mode_adds_cuts_on_contended_instances`).
-        let mut b = InstanceBuilder::new(1);
-        for _ in 0..8 {
-            let j = b.job(1.0, 0.0);
-            b.round(j, &[vec![1.0]]);
-        }
-        assert_warm_matches_cold(&b.build(), "contended_8");
+        // The contended single-machine seed instance that forces cuts.
+        assert_warm_matches_cold(&contended_unit_tasks(), "contended_8");
 
         // Heterogeneous two-machine seed instance with rounds and releases
         // (mirrors `heavier_jobs_do_not_change_validity`).
@@ -746,14 +731,8 @@ mod tests {
             },
         ] {
             let plain = solve(&inst, &opts);
-            let budgeted = solve_budgeted(
-                &inst,
-                &opts,
-                &SolveBudget::UNLIMITED,
-                &CancelToken::new(),
-                None,
-            )
-            .expect("unlimited budget cannot abort");
+            let budgeted = solve_budgeted(&inst, &opts, &SolveBudget::UNLIMITED, None)
+                .expect("unlimited budget cannot abort");
             assert_eq!(plain, budgeted);
         }
     }
@@ -764,26 +743,7 @@ mod tests {
         let opts = RelaxOptions::default();
         // One pivot is never enough for the relaxation LP.
         assert_eq!(
-            solve_budgeted(
-                &inst,
-                &opts,
-                &SolveBudget::capped(1, 0),
-                &CancelToken::new(),
-                None
-            ),
-            None
-        );
-        // A cancelled token aborts before any work.
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        assert_eq!(
-            solve_budgeted(
-                &inst,
-                &opts,
-                &SolveBudget::capped(u64::MAX - 1, 0),
-                &cancelled,
-                None
-            ),
+            solve_budgeted(&inst, &opts, &SolveBudget::capped(1, 0), None),
             None
         );
     }
@@ -797,14 +757,8 @@ mod tests {
             matches!(plain.mode, RelaxMode::Lp { .. }),
             "healthy instance"
         );
-        let budgeted = solve_budgeted(
-            &inst,
-            &opts,
-            &SolveBudget::capped(1_000_000, 0),
-            &CancelToken::new(),
-            None,
-        )
-        .expect("budget is plenty");
+        let budgeted = solve_budgeted(&inst, &opts, &SolveBudget::capped(1_000_000, 0), None)
+            .expect("budget is plenty");
         // Same pivoting sequence — only the cap differs — so the solution
         // and work counters agree exactly.
         assert_eq!(plain, budgeted);
@@ -812,13 +766,7 @@ mod tests {
 
     #[test]
     fn unlimited_and_generous_budgets_record_identical_spans() {
-        // Contended unit tasks, so the cut loop runs several rounds.
-        let mut b = InstanceBuilder::new(1);
-        for _ in 0..8 {
-            let j = b.job(1.0, 0.0);
-            b.round(j, &[vec![1.0]]);
-        }
-        let inst = b.build();
+        let inst = contended_unit_tasks();
         let opts = RelaxOptions::default();
         let (unlimited, finite) = (SolveTrace::new(), SolveTrace::new());
         let plain = solve_traced(&inst, &opts, Some(&unlimited));
@@ -826,7 +774,6 @@ mod tests {
             &inst,
             &opts,
             &SolveBudget::capped(1_000_000, 0),
-            &CancelToken::new(),
             Some(&finite),
         )
         .expect("budget is plenty");
@@ -835,6 +782,39 @@ mod tests {
         let spans = unlimited.drain();
         assert_eq!(spans.len(), plain.stats.lp_solves);
         assert_eq!(spans, finite.drain());
+    }
+
+    #[test]
+    fn lp_mode_stops_exactly_at_its_pivot_cap() {
+        let inst = contended_unit_tasks();
+        let opts = RelaxOptions::default();
+        let unlimited = SolveTrace::new();
+        let plain = solve_traced(&inst, &opts, Some(&unlimited));
+        assert!(plain.stats.cuts >= 1, "the cut loop must run");
+        let spans = unlimited.drain();
+        let p = plain.stats.revised_pivots;
+
+        // Exactly the pivots the unlimited solve spends: the same solution
+        // and the same spans, bit for bit.
+        let at_cap = SolveTrace::new();
+        let sol = solve_budgeted(&inst, &opts, &SolveBudget::capped(p, 0), Some(&at_cap))
+            .expect("exactly the pivots needed: runs");
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sol.x_hat), bits(&plain.x_hat));
+        assert_eq!(bits(&sol.h), bits(&plain.h));
+        assert_eq!(sol, plain);
+        assert_eq!(at_cap.drain(), spans);
+
+        // One pivot fewer aborts, keeping the spans of the rounds that
+        // finished: a strict prefix of the unlimited run's.
+        let short = SolveTrace::new();
+        assert_eq!(
+            solve_budgeted(&inst, &opts, &SolveBudget::capped(p - 1, 0), Some(&short)),
+            None
+        );
+        let prefix = short.drain();
+        assert!(prefix.len() < spans.len());
+        assert_eq!(prefix[..], spans[..prefix.len()]);
     }
 
     #[test]
@@ -850,15 +830,8 @@ mod tests {
         );
         // A zero per-solve cap trips on the first pivot of the first round.
         let trace = SolveTrace::new();
-        let (x_hat, mode, stats) = lp_mode(
-            &inst,
-            &opts,
-            &SolveBudget::UNLIMITED,
-            &CancelToken::new(),
-            Some(&trace),
-            0,
-        )
-        .expect("an unlimited solve falls back instead of aborting");
+        let (x_hat, mode, stats) = lp_mode(&inst, &opts, &SolveBudget::UNLIMITED, Some(&trace), 0)
+            .expect("an unlimited solve falls back instead of aborting");
         assert_eq!(mode, RelaxMode::Combinatorial);
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&x_hat), bits(&sweep.x_hat));
@@ -869,14 +842,6 @@ mod tests {
         assert_eq!(
             spans[1].end - spans[1].start,
             combinatorial_work(&inst, &opts)
-        );
-
-        // Cancellation still aborts rather than falling back.
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        assert_eq!(
-            lp_mode(&inst, &opts, &SolveBudget::UNLIMITED, &cancelled, None, 0),
-            None
         );
     }
 
@@ -893,19 +858,12 @@ mod tests {
             inst.n_tasks() as u64 * (opts.passes as u64 + 1),
             "cost model"
         );
-        let token = CancelToken::new();
         assert_eq!(
-            solve_budgeted(
-                &inst,
-                &opts,
-                &SolveBudget::capped(work - 1, 0),
-                &token,
-                None
-            ),
+            solve_budgeted(&inst, &opts, &SolveBudget::capped(work - 1, 0), None),
             None,
             "under the charge: abort"
         );
-        let sol = solve_budgeted(&inst, &opts, &SolveBudget::capped(work, 0), &token, None)
+        let sol = solve_budgeted(&inst, &opts, &SolveBudget::capped(work, 0), None)
             .expect("exactly the charge: runs");
         assert_eq!(sol.mode, RelaxMode::Combinatorial);
         assert_eq!(sol, solve(&inst, &opts));

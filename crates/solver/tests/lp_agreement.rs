@@ -11,7 +11,7 @@
 
 mod support;
 
-use hare_solver::{relax, CancelToken, Cmp, LinearProgram, LpOutcome, RevisedSimplex, SolveBudget};
+use hare_solver::{relax, Cmp, LinearProgram, LpOutcome, RevisedSimplex};
 use proptest::prelude::*;
 use support::dense;
 
@@ -189,17 +189,14 @@ fn capped_solve_aborts_and_dense_oracle_agrees() {
     lp.constrain(vec![(3, 1.0), (1, -1.0)], Cmp::Ge, 5.0);
     lp.constrain(vec![(0, 3.0), (1, 5.0)], Cmp::Ge, 7.5);
 
-    let (unlimited, token) = (SolveBudget::UNLIMITED, CancelToken::new());
     // Zero cap: the solve cannot pivot at all.
     let mut s = RevisedSimplex::new(&lp);
-    assert_eq!(s.solve_under(0, &unlimited, &token), None);
+    assert_eq!(s.solve_under(0), None);
     // The oracle solves the same program.
     assert_opt(&dense::solve(&lp), 12.5, None);
     // A generous cap behaves exactly like the uncapped solve.
     let mut s = RevisedSimplex::new(&lp);
-    let capped = s
-        .solve_under(1_000_000, &unlimited, &token)
-        .expect("cap is plenty");
+    let capped = s.solve_under(1_000_000).expect("cap is plenty");
     assert_opt(&capped, 12.5, None);
     let mut u = RevisedSimplex::new(&lp);
     assert_eq!(u.solve(), capped);
@@ -289,9 +286,8 @@ fn ill_conditioned_band_is_an_outcome_not_a_panic() {
     let lp = banded_cover(90);
     assert_opt(&dense::solve(&lp), 131.048_780_48, None);
     assert_eq!(RevisedSimplex::new(&lp).solve(), LpOutcome::IllConditioned);
-    let (unlimited, token) = (SolveBudget::UNLIMITED, CancelToken::new());
     assert_eq!(
-        RevisedSimplex::new(&lp).solve_under(u64::MAX, &unlimited, &token),
+        RevisedSimplex::new(&lp).solve_under(u64::MAX),
         Some(LpOutcome::IllConditioned)
     );
 }
