@@ -368,7 +368,7 @@ impl Policy for HareOnline {
 mod tests {
     use super::*;
     use hare_cluster::Cluster;
-    use hare_sim::{SimWorkload, Simulation};
+    use hare_sim::{FaultPlan, GpuFault, SimWorkload, Simulation};
     use hare_workload::{testbed_trace, ProfileDb};
 
     fn workload(n: usize, seed: u64) -> SimWorkload {
@@ -432,6 +432,22 @@ mod tests {
         assert!(online.weighted_jct < fifo.weighted_jct);
     }
 
+    /// A plan of GPU failures, each `(at_secs, gpu, down_secs)`.
+    fn gpu_faults(faults: &[(u64, usize, Option<u64>)]) -> FaultPlan {
+        let gpu_faults = faults
+            .iter()
+            .map(|&(at, gpu, down)| GpuFault {
+                gpu,
+                at: SimTime::from_secs(at),
+                recover_after: down.map(SimDuration::from_secs),
+            })
+            .collect();
+        FaultPlan {
+            gpu_faults,
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn survives_gpu_failures_without_a_migration_hook() {
         // HareOnline re-derives every decision from the live view, so the
@@ -440,8 +456,7 @@ mod tests {
         let w = workload(10, 21);
         let report = Simulation::new(&w)
             .with_noise(0.0)
-            .with_gpu_failure(hare_cluster::SimTime::from_secs(20), 0)
-            .with_gpu_failure(hare_cluster::SimTime::from_secs(40), 8)
+            .with_fault_plan(&gpu_faults(&[(20, 0, None), (40, 8, None)]))
             .run(&mut HareOnline::new())
             .expect("simulation");
         assert_eq!(report.completion.len(), 10);
@@ -464,11 +479,7 @@ mod tests {
         let mut policy = HareOnline::new();
         let report = Simulation::new(&w)
             .with_noise(0.0)
-            .with_transient_gpu_failure(
-                hare_cluster::SimTime::from_secs(20),
-                0,
-                hare_cluster::SimDuration::from_secs(60),
-            )
+            .with_fault_plan(&gpu_faults(&[(20, 0, Some(60))]))
             .run(&mut policy)
             .expect("simulation");
         assert_eq!(report.completion.len(), 10);

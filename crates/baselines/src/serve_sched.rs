@@ -12,6 +12,7 @@
 
 use hare_cluster::{Cluster, SimDuration, SimTime};
 use hare_core::{anytime_schedule, AnytimeOptions, JobInfo, SchedProblem, StalePlan};
+use hare_sim::snapshot::{Reader, Writer};
 use hare_sim::{PendingJob, PlanOutcome, QueueScheduler};
 use hare_solver::SolveBudget;
 use std::collections::BTreeMap;
@@ -102,53 +103,32 @@ impl QueueScheduler for LadderServe {
     }
 
     /// The ladder's plans depend on the stale-plan cache (and the rung
-    /// tallies feed reports), so both must survive a crash snapshot:
-    /// `hits:hits:hits:hits|id:priority_bits,…` — only `:,|` separators,
-    /// as the serve snapshot framing requires.
+    /// tallies feed reports), so both must survive a crash snapshot: the
+    /// four tallies, then a `|` group of `job id:priority` items, in the
+    /// grammar of [`hare_sim::snapshot`].
     fn save_state(&self) -> String {
-        let mut s = String::with_capacity(32 + 24 * self.prev_h.len());
-        use std::fmt::Write as _;
-        let _ = write!(
-            s,
-            "{}:{}:{}:{}|",
-            self.rung_hits[0], self.rung_hits[1], self.rung_hits[2], self.rung_hits[3]
-        );
-        for (i, (id, h)) in self.prev_h.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{id}:{:016x}", h.to_bits());
+        let mut w = Writer::default();
+        for &hits in &self.rung_hits {
+            w.int(hits);
         }
-        s
+        w.group()
+            .list(&self.prev_h, |w, (&id, &h)| w.int(id).f64(h));
+        w.finish()
     }
 
     fn load_state(&mut self, state: &str) {
-        let parsed = (|| -> Option<(Vec<u64>, BTreeMap<u32, f64>)> {
-            let (hits, prev) = state.split_once('|')?;
-            let hits: Vec<u64> = hits
-                .split(':')
-                .map(|h| h.parse::<u64>().ok())
-                .collect::<Option<_>>()?;
-            if hits.len() != 4 {
-                return None;
+        let loaded = Reader::value(state, |r| {
+            let mut hits = [0; 4];
+            for h in &mut hits {
+                *h = r.int("rung hits")?;
             }
-            let mut prev_h = BTreeMap::new();
-            if !prev.is_empty() {
-                for entry in prev.split(',') {
-                    let (id, bits) = entry.split_once(':')?;
-                    prev_h.insert(
-                        id.parse::<u32>().ok()?,
-                        f64::from_bits(u64::from_str_radix(bits, 16).ok()?),
-                    );
-                }
-            }
-            Some((hits, prev_h))
-        })();
-        let Some((hits, prev_h)) = parsed else {
-            panic!("corrupt LadderServe snapshot state: {state:?}");
-        };
-        self.rung_hits = [hits[0], hits[1], hits[2], hits[3]];
-        self.prev_h = prev_h;
+            let prev_h = r
+                .group()?
+                .list(|r| Some((r.int("job id")?, r.f64("priority")?)))?;
+            Some((hits, prev_h.into_iter().collect()))
+        });
+        (self.rung_hits, self.prev_h) =
+            loaded.unwrap_or_else(|e| panic!("corrupt LadderServe snapshot state: {e}"));
     }
 
     fn plan(&mut self, window: &[&PendingJob], cluster: &Cluster, budget_frac: f64) -> PlanOutcome {

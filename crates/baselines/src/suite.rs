@@ -100,12 +100,10 @@ pub fn build_simulation<'a>(
     let mut sim = Simulation::new(workload)
         .with_switch_policy(scheme.switch_policy())
         .with_noise(opts.noise)
-        .with_seed(opts.seed);
+        .with_seed(opts.seed)
+        .with_fault_plan(plan);
     if opts.timelines {
         sim = sim.with_timelines();
-    }
-    if !plan.is_empty() {
-        sim = sim.with_fault_plan(plan);
     }
     sim
 }

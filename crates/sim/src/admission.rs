@@ -26,12 +26,11 @@
 //! Everything here is pure state-machine code driven by simulation time —
 //! deterministic, no clocks, no threads.
 
-use crate::recovery::{f64_from_hex, f64_hex};
+use crate::snapshot::{Reader, Writer};
 use hare_cluster::{SimDuration, SimTime};
-use hare_workload::{JobId, JobSpec, ModelKind};
+use hare_workload::JobSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Dense tenant identifier.
 #[derive(
@@ -434,244 +433,116 @@ impl AdmissionController {
         Some(job)
     }
 
-    /// Bit-exact single-line encoding of the complete controller state
-    /// (counters, virtual time, token buckets, pending queue, deferral
-    /// pool) for the crash-tolerance snapshots of DESIGN.md §13. Floats
-    /// are hex bit patterns, times integer microseconds; the encoding
-    /// uses only `:|,` separators so it can nest inside the serve
-    /// snapshot's `;`/`=` framing.
-    pub(crate) fn encode_state(&self) -> String {
+    /// Save the complete controller state for a crash snapshot
+    /// (DESIGN.md §13) as seven `|` groups: counters, virtual time, next
+    /// seq, the draining flag, token buckets, the pending queue and the
+    /// deferral pool.
+    pub(crate) fn save(&self, w: &mut Writer) {
         let c = &self.counters;
-        let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-            c.offered,
-            c.admitted,
-            c.rejected_rate_limited,
-            c.rejected_queue_full,
-            c.rejected_draining,
-            c.deferred_pending,
-            c.deferrals,
-            c.shed,
-            c.drained,
-            c.readmitted,
-        );
-        let _ = write!(
-            s,
-            "|{}|{}|{}",
-            f64_hex(self.vtime),
-            self.next_seq,
-            u8::from(self.draining)
-        );
-        s.push('|');
-        for (i, (t, ts)) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{}:{}:{}:{}:{}",
-                t.0,
-                f64_hex(ts.tokens),
-                ts.last_refill.as_micros(),
-                f64_hex(ts.last_finish),
-                u8::from(ts.initialized)
-            );
-        }
-        s.push('|');
-        for (i, (key, job)) in self.queue.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{:016x}:{}", key.0, job.encode());
-        }
-        s.push('|');
-        for (i, d) in self.deferred.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{}:{}:{}",
-                d.tenant.0,
-                encode_job(&d.spec),
-                d.retry_at.as_micros()
-            );
-        }
-        s
+        w.int(c.offered)
+            .int(c.admitted)
+            .int(c.rejected_rate_limited)
+            .int(c.rejected_queue_full)
+            .int(c.rejected_draining)
+            .int(c.deferred_pending)
+            .int(c.deferrals)
+            .int(c.shed)
+            .int(c.drained)
+            .int(c.readmitted)
+            .group()
+            .f64(self.vtime)
+            .group()
+            .int(self.next_seq)
+            .group()
+            .int(self.draining)
+            .group()
+            .list(&self.tenants, |w, (t, ts)| {
+                w.int(t.0)
+                    .f64(ts.tokens)
+                    .time(ts.last_refill)
+                    .f64(ts.last_finish)
+                    .int(ts.initialized)
+            })
+            .group()
+            .list(&self.queue, |w, (key, job)| {
+                job.save(w.f64(f64::from_bits(key.0)))
+            })
+            .group()
+            .list(&self.deferred, |w, d| {
+                w.int(d.tenant.0).job(&d.spec).time(d.retry_at)
+            });
     }
 
-    /// Inverse of [`Self::encode_state`]: rebuild a controller with the
-    /// given configuration from an encoded snapshot section.
-    pub(crate) fn decode_state(cfg: AdmissionConfig, s: &str) -> Result<Self, String> {
-        let sections: Vec<&str> = s.split('|').collect();
-        let [counters, vtime, next_seq, draining, tenants, queue, deferred] = sections[..] else {
-            return Err(format!(
-                "admission state has {} sections, want 7",
-                sections.len()
-            ));
-        };
-        let cn: Vec<u64> = counters
-            .split(':')
-            .map(|x| {
-                x.parse::<u64>()
-                    .map_err(|e| format!("bad counter {x:?}: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        let [offered, admitted, rr, rqf, rd, dp, df, shed, drained, readmitted] = cn[..] else {
-            return Err(format!("admission counters: {} fields, want 10", cn.len()));
-        };
+    /// Inverse of [`Self::save`]: a controller with configuration `cfg`
+    /// in the saved state.
+    pub(crate) fn load(cfg: AdmissionConfig, r: &mut Reader<'_>) -> Option<Self> {
         let mut a = AdmissionController::new(cfg);
         a.counters = AdmissionCounters {
-            offered,
-            admitted,
-            rejected_rate_limited: rr,
-            rejected_queue_full: rqf,
-            rejected_draining: rd,
-            deferred_pending: dp,
-            deferrals: df,
-            shed,
-            drained,
-            readmitted,
+            offered: r.int("offered")?,
+            admitted: r.int("admitted")?,
+            rejected_rate_limited: r.int("rejected_rate_limited")?,
+            rejected_queue_full: r.int("rejected_queue_full")?,
+            rejected_draining: r.int("rejected_draining")?,
+            deferred_pending: r.int("deferred_pending")?,
+            deferrals: r.int("deferrals")?,
+            shed: r.int("shed")?,
+            drained: r.int("drained")?,
+            readmitted: r.int("readmitted")?,
         };
-        a.vtime = f64_from_hex(vtime).ok_or_else(|| format!("bad vtime {vtime:?}"))?;
-        a.next_seq = next_seq
-            .parse::<u64>()
-            .map_err(|e| format!("bad next_seq {next_seq:?}: {e}"))?;
-        a.draining = draining == "1";
-        for item in tenants.split(',').filter(|i| !i.is_empty()) {
-            let f: Vec<&str> = item.split(':').collect();
-            let [id, tokens, refill, finish, init] = f[..] else {
-                return Err(format!("tenant item {item:?}"));
+        a.vtime = r.group()?.f64("vtime")?;
+        a.next_seq = r.group()?.int("next_seq")?;
+        a.draining = r.group()?.flag("draining")?;
+        let tenants = r.group()?.list(|r| {
+            let t = TenantId(r.int("tenant")?);
+            let ts = TenantState {
+                tokens: r.f64("tokens")?,
+                last_refill: r.time("last_refill")?,
+                last_finish: r.f64("last_finish")?,
+                initialized: r.flag("initialized")?,
             };
-            let tid = TenantId(id.parse::<u32>().map_err(|e| format!("tenant id: {e}"))?);
-            a.tenants.insert(
-                tid,
-                TenantState {
-                    tokens: f64_from_hex(tokens).ok_or_else(|| format!("tokens {tokens:?}"))?,
-                    last_refill: SimTime::from_micros(
-                        refill.parse::<u64>().map_err(|e| format!("refill: {e}"))?,
-                    ),
-                    last_finish: f64_from_hex(finish)
-                        .ok_or_else(|| format!("finish {finish:?}"))?,
-                    initialized: init == "1",
-                },
-            );
-        }
-        for item in queue.split(',').filter(|i| !i.is_empty()) {
-            let (key_hex, rest) = item
-                .split_once(':')
-                .ok_or_else(|| format!("queue item {item:?}"))?;
-            let key_bits =
-                u64::from_str_radix(key_hex, 16).map_err(|e| format!("queue key: {e}"))?;
-            let job = PendingJob::decode(rest)?;
-            let key = (key_bits, job.seq);
-            a.by_seq.insert(job.seq, key);
-            a.queue.insert(key, job);
-        }
-        for item in deferred.split(',').filter(|i| !i.is_empty()) {
-            let f: Vec<&str> = item.split(':').collect();
-            if f.len() != 10 {
-                return Err(format!(
-                    "deferred item {item:?}: {} fields, want 10",
-                    f.len()
-                ));
+            Some((t, ts))
+        })?;
+        a.tenants = tenants.into_iter().collect();
+        let queue = r
+            .group()?
+            .list(|r| Some((r.f64("finish tag")?.to_bits(), PendingJob::load(r)?)))?;
+        for (tag, job) in queue {
+            // Each pending job has its own dispatch handle.
+            if a.by_seq.insert(job.seq, (tag, job.seq)).is_some() {
+                return None;
             }
-            let tenant = TenantId(
-                f[0].parse::<u32>()
-                    .map_err(|e| format!("deferred tenant: {e}"))?,
-            );
-            let spec = decode_job(&f[1..9])?;
-            let retry_at =
-                SimTime::from_micros(f[9].parse::<u64>().map_err(|e| format!("retry_at: {e}"))?);
-            a.deferred.push(Deferred {
-                tenant,
-                spec,
-                retry_at,
-            });
+            a.queue.insert((tag, job.seq), job);
         }
-        Ok(a)
+        a.deferred = r.group()?.list(|r| {
+            Some(Deferred {
+                tenant: TenantId(r.int("tenant")?),
+                spec: r.job()?,
+                retry_at: r.time("retry_at")?,
+            })
+        })?;
+        Some(a)
     }
-}
-
-/// Encode a [`JobSpec`] as 8 `:`-separated fields (model as its index in
-/// [`ModelKind::ALL`], weight as hex bits, arrival in microseconds).
-pub(crate) fn encode_job(s: &JobSpec) -> String {
-    let model_idx = ModelKind::ALL
-        .iter()
-        .position(|&m| m == s.model)
-        .expect("every ModelKind is in ALL");
-    format!(
-        "{}:{}:{}:{}:{}:{}:{}:{}",
-        s.id.0,
-        model_idx,
-        s.batch_size,
-        s.rounds,
-        s.sync_scale,
-        s.batches_per_task,
-        f64_hex(s.weight),
-        s.arrival.as_micros()
-    )
-}
-
-/// Inverse of [`encode_job`] over exactly 8 already-split fields.
-pub(crate) fn decode_job(parts: &[&str]) -> Result<JobSpec, String> {
-    let [id, model, batch, rounds, sync, bpt, weight, arrival] = *parts else {
-        return Err(format!("job: {} fields, want 8", parts.len()));
-    };
-    let pu32 = |x: &str| x.parse::<u32>().map_err(|e| format!("bad u32 {x:?}: {e}"));
-    let model_idx = model
-        .parse::<usize>()
-        .map_err(|e| format!("bad model index {model:?}: {e}"))?;
-    let model = *ModelKind::ALL
-        .get(model_idx)
-        .ok_or_else(|| format!("model index {model_idx} out of range"))?;
-    Ok(JobSpec {
-        id: JobId(pu32(id)?),
-        model,
-        batch_size: pu32(batch)?,
-        rounds: pu32(rounds)?,
-        sync_scale: pu32(sync)?,
-        batches_per_task: pu32(bpt)?,
-        weight: f64_from_hex(weight).ok_or_else(|| format!("bad weight {weight:?}"))?,
-        arrival: SimTime::from_micros(
-            arrival
-                .parse::<u64>()
-                .map_err(|e| format!("bad arrival {arrival:?}: {e}"))?,
-        ),
-    })
 }
 
 impl PendingJob {
-    /// 12 `:`-separated fields: tenant, the 8 job fields, admission
-    /// instant, start tag bits, seq.
-    pub(crate) fn encode(&self) -> String {
-        format!(
-            "{}:{}:{}:{}:{}",
-            self.tenant.0,
-            encode_job(&self.spec),
-            self.admitted_at.as_micros(),
-            f64_hex(self.start_tag),
-            self.seq
-        )
+    /// Save as 12 fields: tenant, the 8 job fields, admission instant,
+    /// start tag, seq.
+    pub(crate) fn save<'w>(&self, w: &'w mut Writer) -> &'w mut Writer {
+        w.int(self.tenant.0)
+            .job(&self.spec)
+            .time(self.admitted_at)
+            .f64(self.start_tag)
+            .int(self.seq)
     }
 
-    /// Inverse of [`Self::encode`].
-    pub(crate) fn decode(s: &str) -> Result<PendingJob, String> {
-        let f: Vec<&str> = s.split(':').collect();
-        if f.len() != 12 {
-            return Err(format!("pending job {s:?}: {} fields, want 12", f.len()));
-        }
-        Ok(PendingJob {
-            tenant: TenantId(f[0].parse::<u32>().map_err(|e| format!("tenant: {e}"))?),
-            spec: decode_job(&f[1..9])?,
-            admitted_at: SimTime::from_micros(
-                f[9].parse::<u64>()
-                    .map_err(|e| format!("admitted_at: {e}"))?,
-            ),
-            start_tag: f64_from_hex(f[10]).ok_or_else(|| format!("start_tag {:?}", f[10]))?,
-            seq: f[11].parse::<u64>().map_err(|e| format!("seq: {e}"))?,
+    /// Inverse of [`Self::save`].
+    pub(crate) fn load(r: &mut Reader<'_>) -> Option<PendingJob> {
+        Some(PendingJob {
+            tenant: TenantId(r.int("tenant")?),
+            spec: r.job()?,
+            admitted_at: r.time("admitted_at")?,
+            start_tag: r.f64("start_tag")?,
+            seq: r.int("seq")?,
         })
     }
 }
@@ -820,38 +691,28 @@ impl BudgetController {
         self.idx
     }
 
-    /// Snapshot encoding of the hysteresis state (4 `:`-joined fields).
-    pub(crate) fn encode_state(&self) -> String {
-        format!(
-            "{}:{}:{}:{}",
-            self.idx, self.dwell, self.transitions, self.min_idx
-        )
+    /// Save the hysteresis state as 4 fields: level, dwell, transitions,
+    /// deepest level.
+    pub(crate) fn save(&self, w: &mut Writer) {
+        w.int(self.idx as u64)
+            .int(self.dwell)
+            .int(self.transitions)
+            .int(self.min_idx as u64);
     }
 
-    /// Inverse of [`Self::encode_state`].
-    pub(crate) fn decode_state(
+    /// Inverse of [`Self::save`].
+    pub(crate) fn load(
         curve: PressureCurve,
         ascend_dwell: u32,
-        s: &str,
-    ) -> Result<Self, String> {
-        let f: Vec<&str> = s.split(':').collect();
-        let [idx, dwell, transitions, min_idx] = f[..] else {
-            return Err(format!("budget state {s:?}: {} fields, want 4", f.len()));
-        };
-        let pi = |x: &str| {
-            x.parse::<usize>()
-                .map_err(|e| format!("bad index {x:?}: {e}"))
-        };
-        let pu = |x: &str| x.parse::<u32>().map_err(|e| format!("bad u32 {x:?}: {e}"));
+        r: &mut Reader<'_>,
+    ) -> Option<Self> {
+        let level = |i: &usize| *i < BUDGET_LEVELS.len();
         let mut b = BudgetController::new(curve, ascend_dwell);
-        b.idx = pi(idx)?;
-        b.min_idx = pi(min_idx)?;
-        if b.idx >= BUDGET_LEVELS.len() || b.min_idx >= BUDGET_LEVELS.len() {
-            return Err(format!("budget level index out of range in {s:?}"));
-        }
-        b.dwell = pu(dwell)?;
-        b.transitions = pu(transitions)?;
-        Ok(b)
+        b.idx = r.int("level").filter(level)?;
+        b.dwell = r.int("dwell")?;
+        b.transitions = r.int("transitions")?;
+        b.min_idx = r.int("deepest level").filter(level)?;
+        Some(b)
     }
 }
 
@@ -867,6 +728,13 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The line `save` writes.
+    fn saved(save: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer::default();
+        save(&mut w);
+        w.finish()
     }
 
     #[test]
@@ -1071,20 +939,21 @@ mod tests {
             a.offer(t(i as u64 * 2), TenantId(i % 3), job(i));
         }
         let _ = a.pop();
-        let encoded = a.encode_state();
-        let mut b = AdmissionController::decode_state(cfg, &encoded).unwrap();
-        assert_eq!(b.encode_state(), encoded, "decode∘encode is the identity");
+        let encoded = saved(|w| a.save(w));
+        let mut b = Reader::value(&encoded, |r| AdmissionController::load(cfg, r)).unwrap();
+        assert_eq!(saved(|w| b.save(w)), encoded, "load∘save is the identity");
         assert_eq!(b.counters(), a.counters());
         assert_eq!(b.depth(), a.depth());
         // Behavioral equivalence: both controllers drain identically.
         let from_a: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
         let from_b: Vec<_> = std::iter::from_fn(|| b.pop()).collect();
         assert_eq!(from_a, from_b);
-        // And job encode/decode is exact, including float weights.
+        // And a job round-trips exactly, including float weights.
         let spec = job(9).with_weight(2.5).arriving_at(t(17));
-        let enc = encode_job(&spec);
-        let parts: Vec<&str> = enc.split(':').collect();
-        assert_eq!(decode_job(&parts).unwrap(), spec);
+        let enc = saved(|w| {
+            w.job(&spec);
+        });
+        assert_eq!(Reader::value(&enc, Reader::job).unwrap(), spec);
     }
 
     #[test]
@@ -1092,13 +961,17 @@ mod tests {
         let mut b = BudgetController::new(PressureCurve::default(), 3);
         b.update(1000, 0.0);
         b.update(0, 0.0);
-        let enc = b.encode_state();
-        let c = BudgetController::decode_state(PressureCurve::default(), 3, &enc).unwrap();
-        assert_eq!(c.encode_state(), enc);
+        let enc = saved(|w| b.save(w));
+        let load = |r: &mut Reader<'_>| BudgetController::load(PressureCurve::default(), 3, r);
+        let c = Reader::value(&enc, load).unwrap();
+        assert_eq!(saved(|w| c.save(w)), enc);
         assert_eq!(c.level(), b.level());
         assert_eq!(c.min_level(), b.min_level());
         assert_eq!(c.transitions(), b.transitions());
-        assert!(BudgetController::decode_state(PressureCurve::default(), 3, "9:0:0:0").is_err());
+        assert!(
+            Reader::value("9:0:0:0", load).is_err(),
+            "level out of range"
+        );
     }
 
     #[test]

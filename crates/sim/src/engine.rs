@@ -26,7 +26,7 @@
 use crate::build::SimWorkload;
 use crate::dense::DenseSet;
 use crate::event::{Event, EventQueue};
-use crate::faults::{FaultPlan, GpuFault, SimError, SlowdownProfile};
+use crate::faults::{FaultPlan, SimError, SlowdownProfile};
 use crate::metrics::{FaultMetrics, GpuReport, SimReport, UtilSpan};
 use crate::policy::{Change, Policy, SimView};
 use crate::ps::ParameterServer;
@@ -102,56 +102,13 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Inject a permanent GPU failure at `at`: the GPU leaves service
-    /// forever; a task running there is re-executed elsewhere (its
-    /// gradient had not reached the PS). The policy is notified through
-    /// [`crate::policy::Policy::on_gpu_failure`]. Malformed injections
-    /// (out-of-range GPU, overlapping outages) surface as
-    /// [`SimError::InvalidFaultPlan`] from [`Simulation::run`].
-    pub fn with_gpu_failure(mut self, at: SimTime, gpu: usize) -> Self {
-        self.faults.gpu_faults.push(GpuFault {
-            gpu,
-            at,
-            recover_after: None,
-        });
-        self
-    }
-
-    /// Inject a transient GPU failure at `at`: the GPU is down for
-    /// `recover_after`, then rejoins with cold caches; the policy hears
-    /// about it via [`crate::policy::Policy::on_gpu_recovery`].
-    pub fn with_transient_gpu_failure(
-        mut self,
-        at: SimTime,
-        gpu: usize,
-        recover_after: SimDuration,
-    ) -> Self {
-        self.faults.gpu_faults.push(GpuFault {
-            gpu,
-            at,
-            recover_after: Some(recover_after),
-        });
-        self
-    }
-
-    /// Merge a whole [`FaultPlan`] into the simulation (event lists are
-    /// appended to anything injected so far; a speculation config in
-    /// `plan` wins over a previously set one). The plan is borrowed —
-    /// callers running the same plan across many simulations share one
-    /// copy. Validated at [`Simulation::run`].
+    /// Inject a [`FaultPlan`]. The plan is borrowed — callers running
+    /// the same plan across many simulations share one copy — and is
+    /// validated at [`Simulation::run`]: malformed injections (an
+    /// out-of-range GPU, overlapping outages) surface as
+    /// [`SimError::InvalidFaultPlan`].
     pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Self {
-        self.faults.gpu_faults.extend_from_slice(&plan.gpu_faults);
-        self.faults.stragglers.extend_from_slice(&plan.stragglers);
-        self.faults
-            .network_faults
-            .extend_from_slice(&plan.network_faults);
-        self.faults
-            .storage_faults
-            .extend_from_slice(&plan.storage_faults);
-        self.faults
-            .solver_degradations
-            .extend_from_slice(&plan.solver_degradations);
-        self.faults.speculation = plan.speculation.or(self.faults.speculation);
+        self.faults = plan.clone();
         self
     }
 
@@ -500,23 +457,18 @@ impl<'a, 'b> Engine<'a, 'b> {
                 }
                 let machine = w.cluster.gpus()[gpu].machine;
                 let mut factors = std::mem::take(&mut self.net_scratch);
-                let backbone = self.fill_net_factors(&mut factors);
-                let outcome = match backbone {
-                    None => self.ps[job].push_gradient_contended(
-                        self.now,
-                        machine,
-                        w.cluster.network(),
-                        self.active_syncs,
-                    ),
-                    Some(backbone) => self.ps[job].push_gradient_degraded(
-                        self.now,
-                        machine,
-                        w.cluster.network(),
-                        self.active_syncs,
-                        &factors,
-                        backbone,
-                    ),
+                let (machine_factors, backbone) = match self.fill_net_factors(&mut factors) {
+                    Some(backbone) => (&factors[..], backbone),
+                    None => (&[][..], 1.0),
                 };
+                let outcome = self.ps[job].push_gradient(
+                    self.now,
+                    machine,
+                    w.cluster.network(),
+                    self.active_syncs,
+                    machine_factors,
+                    backbone,
+                );
                 self.net_scratch = factors;
                 if let Some(outcome) = outcome {
                     self.active_syncs += 1;
@@ -939,7 +891,7 @@ pub fn planned_report(workload: &SimWorkload, schedule: &Schedule, name: &str) -
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::faults::StragglerWindow;
+    use crate::faults::{GpuFault, StragglerWindow};
     use crate::policy::OfflineReplay;
     use hare_cluster::Cluster;
     use hare_workload::{testbed_trace, ProfileDb};
@@ -949,6 +901,22 @@ mod tests {
         let mut trace = testbed_trace(11);
         trace.truncate(n_jobs);
         SimWorkload::build(Cluster::testbed15(), trace, &db)
+    }
+
+    /// A plan of GPU failures, each `(at, gpu, recover_after)`.
+    fn gpu_faults(faults: &[(SimTime, usize, Option<SimDuration>)]) -> FaultPlan {
+        let gpu_faults = faults
+            .iter()
+            .map(|&(at, gpu, recover_after)| GpuFault {
+                gpu,
+                at,
+                recover_after,
+            })
+            .collect();
+        FaultPlan {
+            gpu_faults,
+            ..FaultPlan::default()
+        }
     }
 
     fn run_hare(w: &SimWorkload, noise: f64, seed: u64) -> SimReport {
@@ -1137,7 +1105,7 @@ mod tests {
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let failed = Simulation::new(&w)
             .with_noise(0.0)
-            .with_gpu_failure(SimTime::from_secs(30), victim)
+            .with_fault_plan(&gpu_faults(&[(SimTime::from_secs(30), victim, None)]))
             .run(&mut replay)
             .expect("simulation");
         // All jobs still complete; losing a GPU cannot help.
@@ -1161,7 +1129,7 @@ mod tests {
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let report = Simulation::new(&w)
             .with_noise(0.0)
-            .with_gpu_failure(SimTime::ZERO, idle_victim)
+            .with_fault_plan(&gpu_faults(&[(SimTime::ZERO, idle_victim, None)]))
             .run(&mut replay)
             .expect("simulation");
         assert_eq!(report.completion.len(), 5);
@@ -1178,8 +1146,10 @@ mod tests {
             let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
             Simulation::new(&w)
                 .with_seed(9)
-                .with_gpu_failure(SimTime::from_secs(10), 0)
-                .with_gpu_failure(SimTime::from_secs(50), 3)
+                .with_fault_plan(&gpu_faults(&[
+                    (SimTime::from_secs(10), 0, None),
+                    (SimTime::from_secs(50), 3, None),
+                ]))
                 .run(&mut replay)
                 .expect("simulation")
         };
@@ -1193,15 +1163,17 @@ mod tests {
         let out = hare_core::hare_schedule(&w.problem);
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let err = Simulation::new(&w)
-            .with_gpu_failure(SimTime::from_secs(1), 99)
+            .with_fault_plan(&gpu_faults(&[(SimTime::from_secs(1), 99, None)]))
             .run(&mut replay)
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidFaultPlan(_)));
         // Duplicate failure of an already-dead GPU.
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let err = Simulation::new(&w)
-            .with_gpu_failure(SimTime::from_secs(1), 2)
-            .with_gpu_failure(SimTime::from_secs(2), 2)
+            .with_fault_plan(&gpu_faults(&[
+                (SimTime::from_secs(1), 2, None),
+                (SimTime::from_secs(2), 2, None),
+            ]))
             .run(&mut replay)
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidFaultPlan(_)));
@@ -1225,13 +1197,13 @@ mod tests {
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let permanent = Simulation::new(&w)
             .with_noise(0.0)
-            .with_gpu_failure(at, victim)
+            .with_fault_plan(&gpu_faults(&[(at, victim, None)]))
             .run(&mut replay)
             .expect("simulation");
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let transient = Simulation::new(&w)
             .with_noise(0.0)
-            .with_transient_gpu_failure(at, victim, down)
+            .with_fault_plan(&gpu_faults(&[(at, victim, Some(down))]))
             .run(&mut replay)
             .expect("simulation");
 
@@ -1261,7 +1233,7 @@ mod tests {
         let mut replay = OfflineReplay::new("Hare", &w, &out.schedule);
         let again = Simulation::new(&w)
             .with_noise(0.0)
-            .with_transient_gpu_failure(at, victim, down)
+            .with_fault_plan(&gpu_faults(&[(at, victim, Some(down))]))
             .run(&mut replay)
             .expect("simulation");
         assert_eq!(transient, again);

@@ -190,15 +190,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.gpu_faults.is_empty()
-            && self.stragglers.is_empty()
-            && self.network_faults.is_empty()
-            && self.storage_faults.is_empty()
-            && self.solver_degradations.is_empty()
-    }
-
     /// Check the plan against a cluster of `n_gpus` GPUs on `n_machines`
     /// machines: indices in range, factors in their domains, and no GPU
     /// with overlapping down-windows (a GPU cannot fail while already
@@ -770,10 +761,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_validates_and_is_empty() {
-        let plan = FaultPlan::default();
-        assert!(plan.is_empty());
-        assert!(plan.validate(4, 2).is_ok());
+    fn empty_plan_validates() {
+        assert!(FaultPlan::default().validate(4, 2).is_ok());
     }
 
     #[test]
@@ -899,7 +888,6 @@ mod tests {
             ],
             ..FaultPlan::default()
         };
-        assert!(!plan.is_empty());
         assert!(plan.validate(4, 2).is_ok());
         assert_eq!(plan.solver_frac_at(t(0)), 1.0);
         assert_eq!(plan.solver_frac_at(t(20)), 0.5);
@@ -1053,7 +1041,11 @@ mod tests {
         let a = profile.generate(7, d(3000), 15, 4);
         let b = profile.generate(7, d(3000), 15, 4);
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "harsh profile over 3000s must inject faults");
+        assert_ne!(
+            a,
+            FaultPlan::default(),
+            "harsh profile over 3000s must inject faults"
+        );
         assert!(a.validate(15, 4).is_ok());
         let c = profile.generate(8, d(3000), 15, 4);
         assert_ne!(a, c, "different seeds must differ");
@@ -1063,7 +1055,7 @@ mod tests {
     fn scaled_zero_disables_everything() {
         let none = FaultProfile::harsh().scaled(0.0);
         let plan = none.generate(3, d(5000), 15, 4);
-        assert!(plan.is_empty());
+        assert_eq!(plan, FaultPlan::default());
         // Higher intensity means more GPU faults on average.
         let calm = FaultProfile::harsh().generate(3, d(5000), 15, 4);
         let wild = FaultProfile::harsh()

@@ -8,7 +8,6 @@
 
 pub mod admission;
 pub mod build;
-pub mod control;
 mod dense;
 pub mod engine;
 pub mod event;
@@ -20,6 +19,7 @@ pub mod recovery;
 pub mod registry;
 pub mod serve;
 pub mod shard;
+pub mod snapshot;
 pub mod storage;
 pub mod trace;
 
@@ -28,9 +28,6 @@ pub use admission::{
     PendingJob, PressureCurve, RejectReason, TenantId, TokenBucketConfig, BUDGET_LEVELS,
 };
 pub use build::SimWorkload;
-pub use control::{
-    broadcast_schedule, broadcast_schedule_with_failures, ControlLog, ExecutorMsg, SchedulerMsg,
-};
 pub use dense::DenseSet;
 pub use engine::{planned_report, Simulation};
 pub use event::{Event, EventQueue};

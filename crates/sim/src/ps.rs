@@ -98,35 +98,14 @@ impl ParameterServer {
 
     /// A worker finished training a task of the current round at `at` on
     /// `machine`. When this was the round's last push, returns the sync
-    /// outcome and advances to the next round.
-    pub fn push_gradient(
-        &mut self,
-        at: SimTime,
-        machine: MachineId,
-        net: &NetworkModel,
-    ) -> Option<SyncOutcome> {
-        self.push_gradient_contended(at, machine, net, 0)
-    }
-
-    /// Like [`ParameterServer::push_gradient`], with `extra_flows` other
+    /// outcome and advances to the next round; the transfer times come
+    /// from [`NetworkModel::worker_sync_time`] with `extra_flows` other
     /// jobs' gradient flows contending on the network (the engine passes
-    /// the number of concurrently synchronizing jobs).
-    pub fn push_gradient_contended(
-        &mut self,
-        at: SimTime,
-        machine: MachineId,
-        net: &NetworkModel,
-        extra_flows: u32,
-    ) -> Option<SyncOutcome> {
-        self.push_gradient_degraded(at, machine, net, extra_flows, &[], 1.0)
-    }
-
-    /// Like [`ParameterServer::push_gradient_contended`], under NIC
-    /// degradation: `machine_factors` / `backbone` are forwarded to
-    /// [`NetworkModel::worker_sync_time`] when this push closes the
-    /// round. A push beyond the job's rounds is dropped by the quorum
+    /// the number of concurrently synchronizing jobs) and NIC degradation
+    /// `machine_factors` / `backbone` (`&[]` and 1.0 for a healthy
+    /// network). A push beyond the job's rounds is dropped by the quorum
     /// and returns `None` (count via [`ParameterServer::dropped`]).
-    pub fn push_gradient_degraded(
+    pub fn push_gradient(
         &mut self,
         at: SimTime,
         machine: MachineId,
@@ -193,14 +172,14 @@ mod tests {
         let n = net();
         assert_eq!(ps.missing(), 3);
         assert!(ps
-            .push_gradient(SimTime::from_secs(1), MachineId(0), &n)
+            .push_gradient(SimTime::from_secs(1), MachineId(0), &n, 0, &[], 1.0)
             .is_none());
         assert_eq!(ps.missing(), 2);
         assert!(ps
-            .push_gradient(SimTime::from_secs(2), MachineId(1), &n)
+            .push_gradient(SimTime::from_secs(2), MachineId(1), &n, 0, &[], 1.0)
             .is_none());
         let out = ps
-            .push_gradient(SimTime::from_secs(5), MachineId(2), &n)
+            .push_gradient(SimTime::from_secs(5), MachineId(2), &n, 0, &[], 1.0)
             .expect("third push completes the round");
         assert_eq!(out.round, 0);
         assert!(!out.job_complete);
@@ -213,7 +192,7 @@ mod tests {
     fn final_round_flags_completion() {
         let mut ps = ParameterServer::new(3, 1, 1, Bytes::mib(10));
         let out = ps
-            .push_gradient(SimTime::from_secs(4), MachineId(0), &net())
+            .push_gradient(SimTime::from_secs(4), MachineId(0), &net(), 0, &[], 1.0)
             .unwrap();
         assert!(out.job_complete);
     }
@@ -223,8 +202,8 @@ mod tests {
         let n = net();
         let run = |machines: [MachineId; 2]| {
             let mut ps = ParameterServer::new(0, 2, 1, Bytes::mib(200));
-            ps.push_gradient(SimTime::ZERO, machines[0], &n);
-            ps.push_gradient(SimTime::ZERO, machines[1], &n)
+            ps.push_gradient(SimTime::ZERO, machines[0], &n, 0, &[], 1.0);
+            ps.push_gradient(SimTime::ZERO, machines[1], &n, 0, &[], 1.0)
                 .unwrap()
                 .done_at
         };
@@ -240,9 +219,15 @@ mod tests {
         // relaxed quorum drops it instead of corrupting PS state.
         let mut ps = ParameterServer::new(0, 1, 2, Bytes::mib(1));
         let n = net();
-        assert!(ps.push_gradient(SimTime::ZERO, MachineId(0), &n).is_some());
-        assert!(ps.push_gradient(SimTime::ZERO, MachineId(0), &n).is_some());
-        assert!(ps.push_gradient(SimTime::ZERO, MachineId(0), &n).is_none());
+        assert!(ps
+            .push_gradient(SimTime::ZERO, MachineId(0), &n, 0, &[], 1.0)
+            .is_some());
+        assert!(ps
+            .push_gradient(SimTime::ZERO, MachineId(0), &n, 0, &[], 1.0)
+            .is_some());
+        assert!(ps
+            .push_gradient(SimTime::ZERO, MachineId(0), &n, 0, &[], 1.0)
+            .is_none());
         assert_eq!(ps.dropped(), 1);
         assert_eq!(ps.accepted(), 2);
         assert_eq!(ps.current_round(), 2);
@@ -254,8 +239,8 @@ mod tests {
         let n = net();
         let run = |factors: &[f64]| {
             let mut ps = ParameterServer::new(0, 2, 1, Bytes::mib(200));
-            ps.push_gradient_degraded(SimTime::ZERO, MachineId(0), &n, 0, factors, 1.0);
-            ps.push_gradient_degraded(SimTime::ZERO, MachineId(1), &n, 0, factors, 1.0)
+            ps.push_gradient(SimTime::ZERO, MachineId(0), &n, 0, factors, 1.0);
+            ps.push_gradient(SimTime::ZERO, MachineId(1), &n, 0, factors, 1.0)
                 .unwrap()
                 .done_at
         };

@@ -108,17 +108,6 @@ pub fn load_line_log(path: &Path, mut accept: impl FnMut(&[u8]) -> bool) -> io::
         .count())
 }
 
-/// Bit-exact hex encoding of an `f64` (the snapshot/WAL float format —
-/// no decimal round-tripping).
-pub(crate) fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Inverse of [`f64_hex`].
-pub(crate) fn f64_from_hex(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
 /// Why a recovery attempt (or a WAL-logged run) failed.
 #[derive(Debug)]
 pub enum RecoveryError {

@@ -62,10 +62,11 @@ use crate::faults::{SchedulerCrash, ServeFaultPlan};
 use crate::metrics::{push_f64, push_json_str};
 use crate::policy::SECS_PER_WORK_UNIT;
 use crate::recovery::{
-    crc32, dead_at, dead_during, f64_from_hex, f64_hex, last_heartbeat, LeaseConfig, RecoveryError,
-    RecoveryStats, WalFile, WalOptions, WalSession,
+    crc32, dead_at, dead_during, last_heartbeat, LeaseConfig, RecoveryError, RecoveryStats,
+    WalFile, WalOptions, WalSession,
 };
 use crate::registry::{Histogram, MetricsRegistry};
+use crate::snapshot::{Reader, Writer};
 use hare_cluster::{Cluster, GpuKind, SimDuration, SimTime};
 use hare_workload::{ArrivalStream, JobSpec, OpenArrival, OpenArrivalConfig};
 use std::collections::BTreeMap;
@@ -101,10 +102,11 @@ pub trait QueueScheduler {
 
     /// Scheduler-private state for crash snapshots, as one line using
     /// only `:,|` separators (it nests inside the snapshot's `;`/`=`
-    /// framing). Stateless schedulers (the default) return `""`; a
-    /// scheduler whose plans depend on mutable state (e.g. the ladder's
-    /// stale-plan cache) must round-trip it here or recovery will
-    /// diverge.
+    /// framing; [`crate::snapshot`]'s `Writer` and `Reader` write and
+    /// read that grammar). Stateless schedulers (the default) return
+    /// `""`; a scheduler whose plans depend on mutable state (e.g. the
+    /// ladder's stale-plan cache) must round-trip it here or recovery
+    /// will diverge.
     fn save_state(&self) -> String {
         String::new()
     }
@@ -627,14 +629,7 @@ impl ServeLoop {
         let mut stream = self.cfg.arrivals.stream();
         let mut next_arrival = stream.next().filter(|a| a.spec.arrival < self.cfg.horizon);
         // Initial snapshot: recovery works from the first record on.
-        let blob = self.encode_snapshot(
-            &st,
-            &scheduler.save_state(),
-            scheduler.name(),
-            stream.cursor(),
-            next_arrival.is_some(),
-        );
-        session.snapshot(&blob)?;
+        session.snapshot(&self.encode_snapshot(&st, scheduler, &stream, next_arrival.is_some()))?;
         self.drive(
             scheduler,
             &mut st,
@@ -664,10 +659,18 @@ impl ServeLoop {
     ) -> Result<(ServeReport, RecoveryStats), RecoveryError> {
         assert!(wal.snapshot_every >= 1, "snapshot_every must be ≥ 1");
         let (mut file, blob, suffix) = WalFile::open_for_recovery(&wal.path)?;
-        let (mut st, sched_state, cursor, buffered) =
-            self.decode_snapshot(&blob, self.fingerprint(scheduler.name()))?;
-        scheduler.load_state(&sched_state);
+        let (mut st, cursor, buffered) = self.decode_snapshot(&blob, scheduler)?;
 
+        // Every arrival drawn was offered except the last one, which is
+        // buffered, past the horizon or dropped at the drain. Checking
+        // that bounds the fast-forward below by the snapshot's own count.
+        let offered = st.admission.counters().offered;
+        if cursor != offered + 1 {
+            return Err(RecoveryError::Corrupt {
+                line: 0,
+                why: format!("arrival cursor {cursor} after {offered} offered arrivals"),
+            });
+        }
         // Resume the arrival stream at the snapshot's cursor. The last
         // draw is re-drawn (same seed ⇒ same value) so the horizon
         // filter re-applies; a draining snapshot pinned arrivals off.
@@ -676,12 +679,6 @@ impl ServeLoop {
             stream.fast_forward(cursor);
             None
         } else {
-            if cursor == 0 {
-                return Err(RecoveryError::Corrupt {
-                    line: 0,
-                    why: "arrival cursor 0 in a non-draining snapshot".to_string(),
-                });
-            }
             stream.fast_forward(cursor - 1);
             stream.next().filter(|a| a.spec.arrival < self.cfg.horizon)
         };
@@ -1006,13 +1003,7 @@ impl ServeLoop {
             // group-commit otherwise. Both are no-ops during replay.
             if session.is_some() && !finished {
                 if st.epoch_index.is_multiple_of(snapshot_every) {
-                    let blob = self.encode_snapshot(
-                        st,
-                        &scheduler.save_state(),
-                        scheduler.name(),
-                        stream.cursor(),
-                        next_arrival.is_some(),
-                    );
+                    let blob = self.encode_snapshot(st, scheduler, stream, next_arrival.is_some());
                     if let Some(s) = session.as_deref_mut() {
                         s.snapshot(&blob)?;
                     }
@@ -1106,285 +1097,159 @@ impl ServeLoop {
         }
     }
 
-    /// Encode the complete loop state as the single-line snapshot blob:
-    /// `;`-separated `key=value` sections, nesting the admission/budget
-    /// encodings (which use only `:,|`).
+    /// Encode the complete loop state as the single-line snapshot blob
+    /// (the grammar is [`crate::snapshot`]'s).
     fn encode_snapshot(
         &self,
         st: &ServeState,
-        sched_state: &str,
-        scheme: &str,
-        cursor: u64,
+        scheduler: &dyn QueueScheduler,
+        stream: &ArrivalStream,
         buffered: bool,
     ) -> String {
+        let sched_state = scheduler.save_state();
         assert!(
             !sched_state.contains([';', '=', ' ', '\n']),
             "scheduler state must avoid the snapshot framing characters"
         );
-        let mut s = String::with_capacity(1024);
-        let _ = write!(s, "v={SNAPSHOT_VERSION}");
-        let _ = write!(s, ";fp={:08x}", self.fingerprint(scheme));
-        let _ = write!(s, ";now={}", st.now.as_micros());
-        let _ = write!(s, ";ei={}", st.epoch_index);
-        let _ = write!(s, ";cur={cursor}");
-        let _ = write!(s, ";buf={}", u8::from(buffered));
-        let _ = write!(s, ";ac={}", st.admission.encode_state());
-        let _ = write!(s, ";bc={}", st.budget.encode_state());
-        s.push_str(";run=");
-        for (i, slot) in st.running.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match slot {
-                None => s.push('-'),
-                Some(r) => {
-                    let _ = write!(
-                        s,
-                        "{}:{}:{}:{}",
-                        r.job.encode(),
-                        r.started.as_micros(),
-                        r.done_at.as_micros(),
-                        r.requeues
-                    );
-                }
-            }
-        }
-        s.push_str(";ls=");
-        for &e in &st.lease_expired {
-            s.push(if e { '1' } else { '0' });
-        }
-        s.push_str(";pool=");
-        for (i, e) in st.pool.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{}:{}:{}",
-                e.job.encode(),
-                e.ready_at.as_micros(),
-                e.requeues
-            );
-        }
-        s.push_str(";rt=");
-        for (i, (seq, req)) in st.requeue_tags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{seq}:{req}");
-        }
-        let _ = write!(s, ";lh={}", encode_hist(&st.latency_hist));
-        let _ = write!(s, ";wh={}", encode_hist(&st.wait_hist));
-        s.push_str(";rc=");
-        for (i, v) in st.recent.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&f64_hex(*v));
-        }
-        let _ = write!(s, ";ra={}", st.recent_at);
-        let _ = write!(
-            s,
-            ";ct={}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-            st.decisions,
-            st.completed,
-            f64_hex(st.jct_sum),
-            st.depth_max,
-            st.depth_at_drain,
-            st.work_total,
-            st.requeued,
-            st.lease_expiries,
-            st.lease_rejoins,
-            st.lease_lost
-        );
-        s.push_str(";rh=");
-        for (i, (rung, hits)) in st.rung_hits.iter().enumerate() {
+        let mut w = Writer::default();
+        w.section("v").int(SNAPSHOT_VERSION);
+        w.section("fp")
+            .hex(self.fingerprint(scheduler.name()).into(), 8);
+        w.section("now").time(st.now);
+        w.section("ei").int(st.epoch_index);
+        w.section("cur").int(stream.cursor());
+        w.section("buf").int(buffered);
+        st.admission.save(w.section("ac"));
+        st.budget.save(w.section("bc"));
+        w.section("run").list(&st.running, |w, slot| match slot {
+            None => w.text("-"),
+            Some(r) => r
+                .job
+                .save(w)
+                .time(r.started)
+                .time(r.done_at)
+                .int(r.requeues),
+        });
+        w.section("ls").flags(st.lease_expired.iter().copied());
+        w.section("pool").list(&st.pool, |w, e| {
+            e.job.save(w).time(e.ready_at).int(e.requeues)
+        });
+        w.section("rt")
+            .list(&st.requeue_tags, |w, (&seq, &req)| w.int(seq).int(req));
+        w.section("lh").hist(&st.latency_hist);
+        w.section("wh").hist(&st.wait_hist);
+        w.section("rc").list(&st.recent, |w, &v| w.f64(v));
+        w.section("ra").int(st.recent_at as u64);
+        w.section("ct")
+            .int(st.decisions)
+            .int(st.completed)
+            .f64(st.jct_sum)
+            .int(st.depth_max as u64)
+            .int(st.depth_at_drain as u64)
+            .int(st.work_total)
+            .int(st.requeued)
+            .int(st.lease_expiries)
+            .int(st.lease_rejoins)
+            .int(st.lease_lost);
+        w.section("rh").list(&st.rung_hits, |w, (rung, &hits)| {
             assert!(
                 !rung.contains([':', ',', ';', '=']),
                 "rung names must avoid snapshot framing characters"
             );
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{rung}:{hits}");
-        }
-        let _ = write!(s, ";ss={sched_state}");
-        s
+            w.text(rung).int(hits)
+        });
+        w.section("ss").text(&sched_state);
+        w.finish()
     }
 
-    /// Inverse of [`Self::encode_snapshot`]: `(state, scheduler_state,
-    /// arrival_cursor, arrival_buffered)`.
+    /// Inverse of [`Self::encode_snapshot`]: restores `scheduler` and
+    /// returns `(state, arrival_cursor, arrival_buffered)`.
     fn decode_snapshot(
         &self,
         blob: &str,
-        expected_fp: u32,
-    ) -> Result<(ServeState, String, u64, bool), RecoveryError> {
-        let corrupt = |why: String| RecoveryError::Corrupt { line: 0, why };
-        let mut map: BTreeMap<&str, &str> = BTreeMap::new();
-        for section in blob.split(';') {
-            let (k, v) = section
-                .split_once('=')
-                .ok_or_else(|| corrupt(format!("snapshot section without '=': {section:?}")))?;
-            map.insert(k, v);
+        scheduler: &mut dyn QueueScheduler,
+    ) -> Result<(ServeState, u64, bool), RecoveryError> {
+        let mut r = Reader::new(blob);
+        r.section("v", |r| {
+            r.int::<u32>("version").filter(|&v| v == SNAPSHOT_VERSION)
+        })?;
+        let expected = r.section("fp", |r| r.hex("fingerprint", 8))? as u32;
+        let got = self.fingerprint(scheduler.name());
+        if expected != got {
+            return Err(RecoveryError::ConfigMismatch { expected, got });
         }
-        let get = |k: &str| {
-            map.get(k)
-                .copied()
-                .ok_or_else(|| corrupt(format!("snapshot is missing section {k:?}")))
-        };
-        let pu64 = |k: &str, v: &str| {
-            v.parse::<u64>()
-                .map_err(|e| corrupt(format!("snapshot {k}={v:?}: {e}")))
-        };
-
-        let version = pu64("v", get("v")?)?;
-        if version != u64::from(SNAPSHOT_VERSION) {
-            return Err(corrupt(format!(
-                "snapshot version {version}, want {SNAPSHOT_VERSION}"
-            )));
-        }
-        let fp = u32::from_str_radix(get("fp")?, 16)
-            .map_err(|e| corrupt(format!("snapshot fingerprint: {e}")))?;
-        if fp != expected_fp {
-            return Err(RecoveryError::ConfigMismatch {
-                expected: fp,
-                got: expected_fp,
-            });
-        }
-
         let mut st = self.fresh_state();
-        st.now = SimTime::from_micros(pu64("now", get("now")?)?);
-        st.epoch_index = pu64("ei", get("ei")?)?;
-        let cursor = pu64("cur", get("cur")?)?;
-        let buffered = match get("buf")? {
-            "0" => false,
-            "1" => true,
-            other => return Err(corrupt(format!("snapshot buf={other:?}"))),
-        };
-        st.admission = AdmissionController::decode_state(self.cfg.admission.clone(), get("ac")?)
-            .map_err(|why| corrupt(format!("admission state: {why}")))?;
-        st.budget = BudgetController::decode_state(self.cfg.pressure, ASCEND_DWELL, get("bc")?)
-            .map_err(|why| corrupt(format!("budget state: {why}")))?;
+        st.now = r.section("now", |r| r.time("now"))?;
+        st.epoch_index = r.section("ei", |r| r.int("epoch"))?;
+        let cursor = r.section("cur", |r| r.int("cursor"))?;
+        let buffered = r.section("buf", |r| r.flag("buffered"))?;
+        st.admission = r.section("ac", |r| {
+            AdmissionController::load(self.cfg.admission.clone(), r)
+        })?;
+        st.budget = r.section("bc", |r| {
+            BudgetController::load(self.cfg.pressure, ASCEND_DWELL, r)
+        })?;
 
         let n_gpus = self.cluster.gpu_count();
-        let run = get("run")?;
-        let slots: Vec<&str> = run.split(',').collect();
-        if slots.len() != n_gpus {
-            return Err(corrupt(format!(
-                "snapshot has {} running slots for a {n_gpus}-GPU cluster",
-                slots.len()
-            )));
-        }
-        for (gpu, slot) in slots.iter().enumerate() {
-            if *slot == "-" {
-                continue;
-            }
-            let f: Vec<&str> = slot.split(':').collect();
-            if f.len() != 15 {
-                return Err(corrupt(format!(
-                    "running slot {slot:?}: {} fields, want 15",
-                    f.len()
-                )));
-            }
-            let job = PendingJob::decode(&f[..12].join(":"))
-                .map_err(|why| corrupt(format!("running job: {why}")))?;
-            st.running[gpu] = Some(Running {
-                job,
-                started: SimTime::from_micros(pu64("run.started", f[12])?),
-                done_at: SimTime::from_micros(pu64("run.done", f[13])?),
-                requeues: pu64("run.requeues", f[14])? as u32,
-            });
-        }
-
-        let ls = get("ls")?;
-        if ls.len() != n_gpus || !ls.bytes().all(|b| b == b'0' || b == b'1') {
-            return Err(corrupt(format!("snapshot lease flags {ls:?}")));
-        }
-        st.lease_expired = ls.bytes().map(|b| b == b'1').collect();
-
-        let pool = get("pool")?;
-        if !pool.is_empty() {
-            for entry in pool.split(',') {
-                let f: Vec<&str> = entry.split(':').collect();
-                if f.len() != 14 {
-                    return Err(corrupt(format!(
-                        "pool entry {entry:?}: {} fields, want 14",
-                        f.len()
-                    )));
+        st.running = r.section("run", |r| {
+            let slot = |r: &mut Reader| {
+                if r.idle() {
+                    return Some(None);
                 }
-                let job = PendingJob::decode(&f[..12].join(":"))
-                    .map_err(|why| corrupt(format!("pool job: {why}")))?;
-                st.pool.push(PoolEntry {
-                    job,
-                    ready_at: SimTime::from_micros(pu64("pool.ready", f[12])?),
-                    requeues: pu64("pool.requeues", f[13])? as u32,
-                });
-            }
-        }
-
-        let rt = get("rt")?;
-        if !rt.is_empty() {
-            for entry in rt.split(',') {
-                let (seq, req) = entry
-                    .split_once(':')
-                    .ok_or_else(|| corrupt(format!("requeue tag {entry:?}")))?;
-                st.requeue_tags
-                    .insert(pu64("rt.seq", seq)?, pu64("rt.req", req)? as u32);
-            }
-        }
-
-        st.latency_hist = decode_hist(&LATENCY_BUCKETS_SECS, get("lh")?)
-            .map_err(|why| corrupt(format!("latency histogram: {why}")))?;
-        st.wait_hist = decode_hist(&WAIT_BUCKETS_SECS, get("wh")?)
-            .map_err(|why| corrupt(format!("wait histogram: {why}")))?;
-
-        let rc = get("rc")?;
-        if !rc.is_empty() {
-            for v in rc.split(',') {
-                st.recent
-                    .push(f64_from_hex(v).ok_or_else(|| corrupt(format!("recent latency {v:?}")))?);
-            }
-        }
-        if st.recent.len() > LATENCY_WINDOW {
-            return Err(corrupt(format!(
-                "snapshot recent window {} exceeds the latency window {LATENCY_WINDOW}",
-                st.recent.len(),
-            )));
-        }
-        st.recent_at = pu64("ra", get("ra")?)? as usize;
-
-        let ct: Vec<&str> = get("ct")?.split(':').collect();
-        let [decisions, completed, jct, depth_max, depth_at_drain, work_total, requeued, lexp, lrej, llost] =
-            ct[..]
-        else {
-            return Err(corrupt(format!(
-                "snapshot ct has {} fields, want 10",
-                ct.len()
-            )));
-        };
-        st.decisions = pu64("ct.decisions", decisions)?;
-        st.completed = pu64("ct.completed", completed)?;
-        st.jct_sum = f64_from_hex(jct).ok_or_else(|| corrupt(format!("jct sum {jct:?}")))?;
-        st.depth_max = pu64("ct.depth_max", depth_max)? as usize;
-        st.depth_at_drain = pu64("ct.depth_at_drain", depth_at_drain)? as usize;
-        st.work_total = pu64("ct.work_total", work_total)?;
-        st.requeued = pu64("ct.requeued", requeued)?;
-        st.lease_expiries = pu64("ct.lease_expiries", lexp)?;
-        st.lease_rejoins = pu64("ct.lease_rejoins", lrej)?;
-        st.lease_lost = pu64("ct.lease_lost", llost)?;
-
-        let rh = get("rh")?;
-        if !rh.is_empty() {
-            for entry in rh.split(',') {
-                let (rung, hits) = entry
-                    .split_once(':')
-                    .ok_or_else(|| corrupt(format!("rung tally {entry:?}")))?;
-                st.rung_hits.insert(rung.to_string(), pu64("rh", hits)?);
-            }
-        }
-
-        let ss = get("ss")?.to_string();
-        Ok((st, ss, cursor, buffered))
+                Some(Some(Running {
+                    job: PendingJob::load(r)?,
+                    started: r.time("started")?,
+                    done_at: r.time("done_at")?,
+                    requeues: r.int("requeues")?,
+                }))
+            };
+            r.list(slot).filter(|slots| slots.len() == n_gpus)
+        })?;
+        st.lease_expired = r.section("ls", |r| r.flags("lease expired", n_gpus))?;
+        st.pool = r.section("pool", |r| {
+            r.list(|r| {
+                Some(PoolEntry {
+                    job: PendingJob::load(r)?,
+                    ready_at: r.time("ready_at")?,
+                    requeues: r.int("requeues")?,
+                })
+            })
+        })?;
+        let tags = r.section("rt", |r| {
+            r.list(|r| Some((r.int("seq")?, r.int("requeues")?)))
+        })?;
+        st.requeue_tags = tags.into_iter().collect();
+        st.latency_hist = r.section("lh", |r| r.hist(&LATENCY_BUCKETS_SECS))?;
+        st.wait_hist = r.section("wh", |r| r.hist(&WAIT_BUCKETS_SECS))?;
+        st.recent = r.section("rc", |r| {
+            r.list(|r| r.f64("latency"))
+                .filter(|v| v.len() <= LATENCY_WINDOW)
+        })?;
+        // The ring's cursor moves only once the ring is full.
+        let ring = st.recent.len();
+        let cursor_end = if ring == LATENCY_WINDOW { ring } else { 1 };
+        st.recent_at = r.section("ra", |r| r.int("cursor").filter(|&at| at < cursor_end))?;
+        r.section("ct", |r| {
+            st.decisions = r.int("decisions")?;
+            st.completed = r.int("completed")?;
+            st.jct_sum = r.f64("jct sum")?;
+            st.depth_max = r.int("depth_max")?;
+            st.depth_at_drain = r.int("depth_at_drain")?;
+            st.work_total = r.int("work_total")?;
+            st.requeued = r.int("requeued")?;
+            st.lease_expiries = r.int("lease_expiries")?;
+            st.lease_rejoins = r.int("lease_rejoins")?;
+            st.lease_lost = r.int("lease_lost")?;
+            Some(())
+        })?;
+        let hits = r.section("rh", |r| {
+            r.list(|r| Some((r.text("rung")?.to_string(), r.int("hits")?)))
+        })?;
+        st.rung_hits = hits.into_iter().collect();
+        let sched_state = r.section("ss", |r| Some(r.raw()))?;
+        r.finish()?;
+        scheduler.load_state(sched_state);
+        Ok((st, cursor, buffered))
     }
 }
 
@@ -1394,32 +1259,6 @@ impl ServeState {
     fn take_requeue_tag(&mut self, seq: u64) -> u32 {
         self.requeue_tags.remove(&seq).unwrap_or(0)
     }
-}
-
-/// Histogram → `count:count:…:sum_bits` (bounds are compile-time
-/// constants, not encoded).
-fn encode_hist(h: &Histogram) -> String {
-    let mut s = String::with_capacity(64);
-    for c in h.counts() {
-        let _ = write!(s, "{c}:");
-    }
-    s.push_str(&f64_hex(h.sum()));
-    s
-}
-
-/// Inverse of [`encode_hist`] over the known `bounds`.
-fn decode_hist(bounds: &[f64], s: &str) -> Result<Histogram, String> {
-    let fields: Vec<&str> = s.split(':').collect();
-    let [counts @ .., sum] = &fields[..] else {
-        return Err(format!("histogram {s:?} has no fields"));
-    };
-    let counts: Vec<u64> = counts
-        .iter()
-        .map(|c| c.parse::<u64>().map_err(|e| format!("count {c:?}: {e}")))
-        .collect::<Result<_, _>>()?;
-    let sum = f64_from_hex(sum).ok_or_else(|| format!("sum {sum:?}"))?;
-    Histogram::from_parts(bounds, counts, sum)
-        .ok_or_else(|| format!("histogram {s:?} does not fit {} bounds", bounds.len()))
 }
 
 #[cfg(test)]

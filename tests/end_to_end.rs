@@ -5,7 +5,7 @@
 use hare::baselines::{run_all, run_scheme, RunOptions, Scheme};
 use hare::cluster::{Cluster, Heterogeneity};
 use hare::core::{HareScheduler, SyncMode};
-use hare::sim::{broadcast_schedule, planned_report, OfflineReplay, SimWorkload, Simulation};
+use hare::sim::{planned_report, OfflineReplay, SimWorkload, Simulation};
 use hare::workload::{DomainMix, ProfileDb, TraceConfig};
 
 fn workload(n_jobs: u32, seed: u64) -> SimWorkload {
@@ -85,15 +85,6 @@ fn hare_schedule_validates_and_replays_within_tolerance() {
     let gap = (simulated.weighted_completion - planned.weighted_completion).abs()
         / planned.weighted_completion;
     assert!(gap < 0.05, "plan-vs-execution gap {gap:.3} exceeds 5%");
-}
-
-#[test]
-fn control_plane_carries_the_full_schedule() {
-    let w = workload(8, 13);
-    let out = HareScheduler::default().schedule(&w.problem);
-    let log = broadcast_schedule(&out.schedule, &w.problem);
-    assert_eq!(log.gradients.len(), w.problem.n_tasks());
-    assert_eq!(log.stopped.len(), w.cluster.gpu_count());
 }
 
 #[test]
