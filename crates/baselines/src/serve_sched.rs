@@ -12,10 +12,8 @@
 
 use hare_cluster::{Cluster, SimDuration, SimTime};
 use hare_core::{anytime_schedule, AnytimeOptions, JobInfo, SchedProblem, StalePlan};
-use hare_sim::snapshot::{Reader, Writer};
 use hare_sim::{PendingJob, PlanOutcome, QueueScheduler};
 use hare_solver::SolveBudget;
-use std::collections::BTreeMap;
 
 /// Build the single-task-per-job sub-problem for one planning window.
 ///
@@ -46,19 +44,15 @@ fn window_problem(window: &[&PendingJob], cluster: &Cluster) -> SchedProblem {
 
 /// The anytime-ladder queue scheduler: each decision solves the window's
 /// sub-problem under the budget fraction the pressure controller allows,
-/// seeding the stale-plan rung with the priorities jobs earned in
-/// previous (richer) decisions. Under brownout the plan falls down the
+/// seeding the stale-plan rung with the priority each job earned in its
+/// previous (richer) decision, which the job carries
+/// ([`PendingJob::priority`]). Under brownout the plan falls down the
 /// ladder instead of stalling — the serve loop's rung-hit counts make
-/// the descent visible.
+/// the descent visible. The scheduler itself holds only its options.
 #[derive(Debug)]
 pub struct LadderServe {
     options: AnytimeOptions,
     budget: SolveBudget,
-    /// Priority each job id earned in its most recent plan; seeds the
-    /// stale-plan rung the next time the job is in the window.
-    prev_h: BTreeMap<u32, f64>,
-    /// Decisions won by each rung, ladder order (observability).
-    rung_hits: [u64; 4],
 }
 
 impl Default for LadderServe {
@@ -72,8 +66,6 @@ impl Default for LadderServe {
                 ..AnytimeOptions::default()
             },
             budget: SolveBudget::capped(200_000, 100_000),
-            prev_h: BTreeMap::new(),
-            rung_hits: [0; 4],
         }
     }
 }
@@ -83,18 +75,6 @@ impl LadderServe {
     pub fn new() -> Self {
         LadderServe::default()
     }
-
-    /// Decisions won by each rung, `(name, count)` in ladder order.
-    pub fn rung_hits(&self) -> [(&'static str, u64); 4] {
-        let mut out = [("", 0u64); 4];
-        for (slot, (rung, &hits)) in out
-            .iter_mut()
-            .zip(hare_core::Rung::ALL.iter().zip(&self.rung_hits))
-        {
-            *slot = (rung.name(), hits);
-        }
-        out
-    }
 }
 
 impl QueueScheduler for LadderServe {
@@ -102,67 +82,17 @@ impl QueueScheduler for LadderServe {
         "Ladder"
     }
 
-    /// The ladder's plans depend on the stale-plan cache (and the rung
-    /// tallies feed reports), so both must survive a crash snapshot: the
-    /// four tallies, then a `|` group of `job id:priority` items, in the
-    /// grammar of [`hare_sim::snapshot`].
-    fn save_state(&self) -> String {
-        let mut w = Writer::default();
-        for &hits in &self.rung_hits {
-            w.int(hits);
-        }
-        w.group()
-            .list(&self.prev_h, |w, (&id, &h)| w.int(id).f64(h));
-        w.finish()
-    }
-
-    fn load_state(&mut self, state: &str) {
-        let loaded = Reader::value(state, |r| {
-            let mut hits = [0; 4];
-            for h in &mut hits {
-                *h = r.int("rung hits")?;
-            }
-            let prev_h = r
-                .group()?
-                .list(|r| Some((r.int("job id")?, r.f64("priority")?)))?;
-            Some((hits, prev_h.into_iter().collect()))
-        });
-        (self.rung_hits, self.prev_h) =
-            loaded.unwrap_or_else(|e| panic!("corrupt LadderServe snapshot state: {e}"));
-    }
-
     fn plan(&mut self, window: &[&PendingJob], cluster: &Cluster, budget_frac: f64) -> PlanOutcome {
         let sub = window_problem(window, cluster);
         // One task per job, built in window order.
         debug_assert!(sub.tasks.iter().enumerate().all(|(i, t)| t.job == i));
         let stale = StalePlan {
-            h: window
-                .iter()
-                .map(|p| {
-                    self.prev_h
-                        .get(&p.spec.id.0)
-                        .copied()
-                        .unwrap_or(f64::INFINITY)
-                })
-                .collect(),
+            h: window.iter().map(|p| p.priority).collect(),
         };
         let scaled = self.budget.scaled(budget_frac);
         let out = anytime_schedule(&sub, &self.options, &scaled, Some(&stale), None);
-        if let Some(i) = hare_core::Rung::ALL
-            .iter()
-            .position(|r| *r == out.provenance.chosen)
-        {
-            self.rung_hits[i] += 1;
-        }
-        for (p, &h) in window.iter().zip(&out.h) {
-            self.prev_h.insert(p.spec.id.0, h);
-        }
-        // Dispatch by ascending priority (ties by window position, i.e.
-        // fair-queue order).
-        let mut order: Vec<usize> = (0..window.len()).collect();
-        order.sort_by(|&a, &b| out.h[a].total_cmp(&out.h[b]).then(a.cmp(&b)));
         PlanOutcome {
-            order,
+            priority: out.h,
             work: out.provenance.work,
             rung: out.provenance.chosen.name(),
         }
@@ -170,8 +100,8 @@ impl QueueScheduler for LadderServe {
 }
 
 /// Shortest-remaining-time-first baseline: rank by best-case service time
-/// (fastest GPU), ignore the budget fraction. Cheap and stable, but
-/// blind to weights and to placement — the ladder's competition.
+/// (fastest GPU, in µs), ignore the budget fraction. Cheap and stable,
+/// but blind to weights and to placement — the ladder's competition.
 #[derive(Debug, Default)]
 pub struct SrtfServe;
 
@@ -193,7 +123,7 @@ impl QueueScheduler for SrtfServe {
         cluster: &Cluster,
         _budget_frac: f64,
     ) -> PlanOutcome {
-        let best: Vec<SimDuration> = window
+        let priority = window
             .iter()
             .map(|p| {
                 let total = p.spec.task_count() as f64;
@@ -203,13 +133,12 @@ impl QueueScheduler for SrtfServe {
                     .map(|g| SimDuration::from_millis_f64(p.spec.task_ms(g.kind) * total))
                     .min()
                     .unwrap_or(SimDuration::ZERO)
+                    .as_micros() as f64
             })
             .collect();
-        let mut order: Vec<usize> = (0..window.len()).collect();
-        order.sort_by(|&a, &b| best[a].cmp(&best[b]).then(a.cmp(&b)));
         PlanOutcome {
-            order,
-            // A sort over w jobs: flat, tiny work — SRTF never browns out.
+            priority,
+            // One pass over w jobs: flat, tiny work — SRTF never browns out.
             work: window.len() as u64 * 8,
             rung: "srtf",
         }
@@ -251,9 +180,19 @@ mod tests {
         let window = a.peek_window(3);
         let mut sched = LadderServe::new();
         let out = sched.plan(&window, &Cluster::testbed15(), 1.0);
-        assert_eq!(out.order.len(), 3);
+        assert_eq!(out.priority.len(), 3);
         assert_eq!(out.rung, "exact", "3 tasks fit under the exact limit");
         assert!(out.work > 0);
+    }
+
+    /// `window`'s jobs carrying `priority`, as the serve loop leaves
+    /// them after a plan.
+    fn planned(window: &[&PendingJob], priority: &[f64]) -> Vec<PendingJob> {
+        let mut jobs: Vec<PendingJob> = window.iter().map(|&p| p.clone()).collect();
+        for (job, &h) in jobs.iter_mut().zip(priority) {
+            job.priority = h;
+        }
+        jobs
     }
 
     #[test]
@@ -261,18 +200,26 @@ mod tests {
         let (a, _) = window_of((0..6).map(|i| spec(i, ModelKind::ResNet50, 2)).collect());
         let window = a.peek_window(6);
         let mut sched = LadderServe::new();
-        // Warm plan at full budget, then a brownout sliver: the ladder
-        // must fall to the stale-plan or greedy rung, never stall.
+        // Warm plan at full budget, then a brownout sliver over the jobs
+        // it planned: the ladder must fall to the stale-plan or greedy
+        // rung, never stall.
         let full = sched.plan(&window, &Cluster::testbed15(), 1.0);
-        let starved = sched.plan(&window, &Cluster::testbed15(), 0.0);
+        let warmed = planned(&window, &full.priority);
+        let warmed: Vec<&PendingJob> = warmed.iter().collect();
+        let starved = sched.plan(&warmed, &Cluster::testbed15(), 0.0);
         assert!(
             matches!(starved.rung, "stale-plan" | "greedy"),
             "{}",
             starved.rung
         );
         assert!(starved.work < full.work, "brownout plans are cheaper");
-        let hits = sched.rung_hits();
-        assert_eq!(hits.iter().map(|(_, n)| n).sum::<u64>(), 2);
+        let rungs: Vec<&str> = hare_core::Rung::ALL.iter().map(|r| r.name()).collect();
+        let returned = [full.rung, starved.rung];
+        assert_eq!(
+            returned.iter().filter(|r| rungs.contains(r)).count(),
+            2,
+            "each plan names the ladder rung that made it: {returned:?}"
+        );
     }
 
     #[test]
@@ -285,10 +232,11 @@ mod tests {
         let window = a.peek_window(3);
         let mut sched = SrtfServe::new();
         let out = sched.plan(&window, &Cluster::testbed15(), 1.0);
-        assert_eq!(out.order[0], 1, "the one-round job dispatches first");
+        let first = (0..3).min_by(|&a, &b| out.priority[a].total_cmp(&out.priority[b]));
+        assert_eq!(first, Some(1), "the one-round job dispatches first");
         assert_eq!(
-            out.order,
-            sched.plan(&window, &Cluster::testbed15(), 1.0).order
+            out.priority,
+            sched.plan(&window, &Cluster::testbed15(), 1.0).priority
         );
     }
 
@@ -345,23 +293,26 @@ mod tests {
     }
 
     #[test]
-    fn ladder_state_survives_a_save_load_round_trip() {
+    fn ladder_seeds_the_stale_plan_from_each_jobs_priority() {
         let (a, _) = window_of((0..6).map(|i| spec(i, ModelKind::ResNet50, 2)).collect());
         let window = a.peek_window(6);
-        let mut warm = LadderServe::new();
-        let _ = warm.plan(&window, &Cluster::testbed15(), 1.0);
-        let _ = warm.plan(&window, &Cluster::testbed15(), 0.1);
-
-        let mut cold = LadderServe::new();
-        cold.load_state(&warm.save_state());
-        assert_eq!(cold.save_state(), warm.save_state(), "state is bit-exact");
-        // Identical state ⇒ identical future plans (the stale-plan rung
-        // reads prev_h, so a lossy restore would diverge here).
-        let a = warm.plan(&window, &Cluster::testbed15(), 0.0);
-        let b = cold.plan(&window, &Cluster::testbed15(), 0.0);
-        assert_eq!(a.order, b.order);
-        assert_eq!(a.work, b.work);
-        assert_eq!(a.rung, b.rung);
+        let cluster = Cluster::testbed15();
+        let finite = planned(&window, &[3.0, 1.0, 4.0, 1.5, 5.0, 9.0]);
+        let unknown = planned(&window, &[f64::INFINITY; 6]);
+        let mut sched = LadderServe::new();
+        let unseeded = sched.plan(&unknown.iter().collect::<Vec<_>>(), &cluster, 0.0);
+        let seeded = sched.plan(&finite.iter().collect::<Vec<_>>(), &cluster, 0.0);
+        // At budget 0 the solver rungs spend nothing, so the stale-plan
+        // rung's flat work (one unit per task) is the only difference.
+        assert_eq!(seeded.work, unseeded.work + window.len() as u64);
+        assert_ne!(unseeded.rung, "stale-plan", "no job has a priority yet");
+        // The scheduler keeps nothing between plans: a fresh one plans
+        // the seeded window the same way.
+        let fresh = LadderServe::new().plan(&finite.iter().collect::<Vec<_>>(), &cluster, 0.0);
+        assert_eq!(
+            (fresh.priority, fresh.work, fresh.rung),
+            (seeded.priority, seeded.work, seeded.rung)
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Chaos test: kill the *real* serve stack at an arbitrary epoch and
 //! recover. The scenario is the full production configuration — the
-//! [`LadderServe`] anytime scheduler (whose stale-plan cache is genuine
-//! mutable state), lease-based liveness, a transient cluster blackout
+//! [`LadderServe`] anytime scheduler (whose stale-plan seeds are the
+//! priorities the queued, running and requeued jobs carry through the
+//! snapshot), lease-based liveness, a transient cluster blackout
 //! plus a permanent worker death — and the property is the tentpole
 //! acceptance: for *every* sampled crash epoch and snapshot cadence, the
 //! recovered [`hare_sim::ServeReport`] equals the uncrashed golden run

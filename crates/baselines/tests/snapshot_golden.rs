@@ -1,4 +1,4 @@
-//! Golden fixtures for the version-1 crash-snapshot bytes.
+//! Golden fixtures for the version-2 crash-snapshot bytes.
 //!
 //! A WAL'd [`LadderServe`] run on the testbed, with leases and a partial
 //! silent-worker blackout, is crashed at a few pinned decision epochs.
@@ -13,9 +13,10 @@
 //! report, JSON included — so the fixtures also pin the decoder.
 //!
 //! Between them the fixtures carry every list-shaped section with
-//! content: busy GPUs (`run`), the requeue backoff pool (`pool`),
-//! requeue tags (`rt`), a non-empty admission queue and the recent
-//! latency ring (`rc`).
+//! content: busy GPUs (`run`), the requeue backoff pool (`pool`), a
+//! non-empty admission queue and the recent latency ring (`rc`); and the
+//! two per-job fields version 2 added: a queued job's plan priority and a
+//! requeued job's count.
 //!
 //! Re-bless only together with a `SNAPSHOT_VERSION` bump:
 //! `HARE_BLESS=1 cargo test -p hare-baselines --test snapshot_golden`
@@ -35,8 +36,8 @@ use std::sync::atomic::AtomicBool;
 /// Crash epochs. Epoch 400 is before the blackout. GPUs 0–7 go silent
 /// at 4,000 s, so their leases expire at the 4,055 s epoch (811): the
 /// snapshot before crash 812 holds the backoff pool, the one before 813
-/// the readmitted jobs' requeue tags. By then the recent-latency ring is
-/// full and its cursor is past zero.
+/// the readmitted jobs back in the queue with their requeue counts. By
+/// then the recent-latency ring is full and its cursor is past zero.
 const CRASH_EPOCHS: [u64; 3] = [400, 812, 813];
 
 /// Overloaded arrivals on the heterogeneous testbed with leases on and
@@ -69,7 +70,7 @@ fn config() -> ServeConfig {
 
 fn fixture_path(epoch: u64) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/snapshot_v1")
+        .join("tests/fixtures/snapshot_v2")
         .join(format!("ladder_crash_{epoch}.snap"))
 }
 
@@ -92,6 +93,11 @@ fn last_snapshot(path: &PathBuf) -> String {
         .expect("the WAL holds a snapshot")
         .to_string()
 }
+
+/// Fields of a job record (`PendingJob`): tenant, the 8 job fields,
+/// admission instant, start tag, seq, priority, requeues.
+const PRIORITY: usize = 12;
+const REQUEUES: usize = 13;
 
 /// The value of section `key` in a snapshot blob.
 fn section<'a>(blob: &'a str, key: &str) -> &'a str {
@@ -137,7 +143,7 @@ fn recover_from(blob: &str, epoch: u64) -> ServeReport {
 }
 
 #[test]
-fn v1_snapshots_match_the_committed_fixtures() {
+fn v2_snapshots_match_the_committed_fixtures() {
     let golden = ServeLoop::new(Cluster::testbed15(), config()).run(&mut LadderServe::new());
     assert!(golden.lease_expiries > 0, "the scenario exercises leases");
     let bless = std::env::var_os("HARE_BLESS").is_some();
@@ -157,7 +163,7 @@ fn v1_snapshots_match_the_committed_fixtures() {
         });
         assert_eq!(
             got, want,
-            "the snapshot before crash epoch {epoch} drifted from its v1 fixture: \
+            "the snapshot before crash epoch {epoch} drifted from its v2 fixture: \
              the encoding changed without a SNAPSHOT_VERSION bump"
         );
         let recovered = recover_from(&want, epoch);
@@ -173,11 +179,31 @@ fn v1_snapshots_match_the_committed_fixtures() {
         "a busy GPU"
     );
     assert!(any(&|b| !section(b, "pool").is_empty()), "a backoff pool");
-    assert!(any(&|b| !section(b, "rt").is_empty()), "requeue tags");
     assert!(any(&|b| !section(b, "rc").is_empty()), "recent latencies");
-    // The admission section's sixth `|` group is its pending queue.
+    // The admission section's sixth `|` group is its pending queue, one
+    // record per job: the finish tag, then the job's fields.
+    let queued = |b: &str| -> Vec<Vec<String>> {
+        let queue = section(b, "ac").split('|').nth(5).unwrap();
+        let jobs = queue.split(',').filter(|r| !r.is_empty());
+        jobs.map(|r| r.split(':').skip(1).map(str::to_string).collect())
+            .collect()
+    };
+    let pooled = |b: &str| -> Vec<Vec<String>> {
+        let jobs = section(b, "pool").split(',').filter(|r| !r.is_empty());
+        jobs.map(|r| r.split(':').map(str::to_string).collect())
+            .collect()
+    };
+    assert!(any(&|b| !queued(b).is_empty()), "a pending queue");
+    let infinity = format!("{:016x}", f64::INFINITY.to_bits());
     assert!(
-        any(&|b| !section(b, "ac").split('|').nth(5).unwrap().is_empty()),
-        "a pending queue"
+        any(&|b| queued(b).iter().any(|job| job[PRIORITY] != infinity)),
+        "a queued job with a finite priority"
+    );
+    assert!(
+        any(&|b| {
+            let mut jobs = queued(b).into_iter().chain(pooled(b));
+            jobs.any(|job| job[REQUEUES] != "0")
+        }),
+        "a queued or backing-off job with requeues > 0"
     );
 }

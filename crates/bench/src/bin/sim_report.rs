@@ -1,4 +1,5 @@
-//! Simulator performance report: writes `BENCH_sim.json` at the repo root.
+//! Simulator performance report: writes `BENCH_sim.json` at the repo root
+//! (under `target/` with `--smoke`).
 //!
 //! Records sim-only wall-clock and events/sec for every scheme on three
 //! cluster scales (small = 15-GPU testbed × 40 jobs, medium = 64 GPUs ×
@@ -33,7 +34,7 @@
 use hare_baselines::{build_simulation, RunOptions, Scheme};
 use hare_cluster::{Cluster, Heterogeneity};
 use hare_core::{HareScheduler, Schedule};
-use hare_experiments::{sweep_table, testbed_workload, LargeScale};
+use hare_experiments::{sweep_table, testbed_workload, workspace_root, write_record, LargeScale};
 use hare_sim::{FaultPlan, GatewayConfig, OfflineReplay, ShardedTrace, SimWorkload, Simulation};
 use hare_workload::{OpenArrivalConfig, ProfileDb, StreamedTrace};
 use std::fmt::Write as _;
@@ -111,21 +112,6 @@ fn before_total(scenario: &str) -> Option<f64> {
         "large" => Some(17.381),
         _ => None,
     }
-}
-
-/// The workspace root: walk up from the crate dir so files land at the
-/// repo root both under `cargo run` (cwd = workspace root) and direct
-/// invocation.
-fn workspace_root() -> std::path::PathBuf {
-    std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| {
-            std::path::Path::new(&d)
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench has a workspace root")
-                .to_path_buf()
-        })
-        .unwrap_or_else(|_| std::path::PathBuf::from("."))
 }
 
 /// The `small` scenario's `total_secs` from the committed BENCH_sim.json,
@@ -538,9 +524,7 @@ fn main() {
         println!("fig suite (fig16-shaped, end-to-end): {secs:.2}s on {cores} core(s)");
     }
 
-    let path = root.join("BENCH_sim.json");
-    std::fs::write(&path, &json).expect("write BENCH_sim.json");
-    println!("wrote {}", path.display());
+    write_record("BENCH_sim.json", &json, smoke);
 
     if check && !check_regression(&committed_eps, &measured_eps) {
         eprintln!("events/sec regressed more than 20% against the committed BENCH_sim.json");

@@ -148,19 +148,5 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-
-    // Walk up from the crate dir so the file lands at the repo root both
-    // under `cargo run` (cwd = workspace root) and direct invocation.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| {
-            std::path::Path::new(&d)
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench has a workspace root")
-                .to_path_buf()
-        })
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    let path = root.join("BENCH_solver.json");
-    std::fs::write(&path, &json).expect("write BENCH_solver.json");
-    println!("wrote {}", path.display());
+    hare_experiments::write_record("BENCH_solver.json", &json, false);
 }

@@ -13,12 +13,13 @@
 //!
 //! Supports `--smoke` (a two-cell grid for CI) and `--journal PATH` for
 //! crash-consistent resume, like the other sweeps. Writes
-//! `BENCH_recovery.json` at the repo root. Wall-clock recovery times go
-//! to the JSON only — stdout stays byte-deterministic.
+//! `BENCH_recovery.json` at the repo root (under `target/` with
+//! `--smoke`). Wall-clock recovery times go to the JSON only — stdout
+//! stays byte-deterministic.
 
 use hare_baselines::LadderServe;
 use hare_cluster::{Cluster, SimDuration, SimTime};
-use hare_experiments::{paper_line, parallel_map, parse_args, Journal, Table};
+use hare_experiments::{paper_line, parallel_map, parse_args, write_record, Journal, Table};
 use hare_sim::{
     LeaseConfig, RecoveryError, SchedulerCrash, ServeConfig, ServeLoop, ServeReport,
     SilentWorkerFault, WalOptions,
@@ -405,19 +406,5 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-
-    // Walk up from the crate dir so the file lands at the repo root both
-    // under `cargo run` (cwd = workspace root) and direct invocation.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| {
-            std::path::Path::new(&d)
-                .ancestors()
-                .nth(2)
-                .expect("crates/experiments has a workspace root")
-                .to_path_buf()
-        })
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    let path = root.join("BENCH_recovery.json");
-    std::fs::write(&path, &json).expect("write BENCH_recovery.json");
-    println!("wrote {}", path.display());
+    write_record("BENCH_recovery.json", &json, smoke);
 }

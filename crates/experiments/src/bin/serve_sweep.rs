@@ -9,11 +9,12 @@
 //!
 //! Supports `--small` (fewer cells, shorter horizon) and
 //! `--journal PATH` for crash-consistent resume, like the other sweeps.
-//! Writes `BENCH_serve.json` at the repo root.
+//! Writes `BENCH_serve.json` at the repo root (under `target/` with
+//! `--small`).
 
 use hare_baselines::LadderServe;
 use hare_cluster::{Cluster, SimDuration, SimTime};
-use hare_experiments::{paper_line, parallel_map, parse_args, Journal, Table};
+use hare_experiments::{paper_line, parallel_map, parse_args, write_record, Journal, Table};
 use hare_sim::{ServeConfig, ServeLoop, ServeReport};
 use hare_workload::{estimate_capacity_jobs_per_sec, ArrivalProcess, OpenArrivalConfig};
 use std::fmt::Write as _;
@@ -357,19 +358,5 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-
-    // Walk up from the crate dir so the file lands at the repo root both
-    // under `cargo run` (cwd = workspace root) and direct invocation.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| {
-            std::path::Path::new(&d)
-                .ancestors()
-                .nth(2)
-                .expect("crates/experiments has a workspace root")
-                .to_path_buf()
-        })
-        .unwrap_or_else(|_| std::path::PathBuf::from("."));
-    let path = root.join("BENCH_serve.json");
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
+    write_record("BENCH_serve.json", &json, small);
 }

@@ -2,6 +2,7 @@
 //! paper-vs-measured reporting shared by every figure/table binary.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -189,6 +190,35 @@ pub fn parse_args() -> (Vec<u64>, bool, Vec<String>) {
         }
     }
     (seeds, csv, extra)
+}
+
+/// The workspace root, walking up from the running crate's directory so
+/// the answer is the same under `cargo run` (cwd = workspace root) and
+/// direct invocation (then the current directory).
+pub fn workspace_root() -> PathBuf {
+    std::env::var("CARGO_MANIFEST_DIR")
+        .map(|d| {
+            Path::new(&d)
+                .ancestors()
+                .nth(2)
+                .expect("a crate under crates/ has a workspace root")
+                .to_path_buf()
+        })
+        .unwrap_or_else(|_| PathBuf::from("."))
+}
+
+/// Write the benchmark record `name` (e.g. `BENCH_sim.json`) and print
+/// where: at the workspace root for a full run, where the record is
+/// committed, and under `target/` for a smoke run, so a CI-sized run
+/// leaves the committed record alone.
+pub fn write_record(name: &str, json: &str, smoke: bool) {
+    let root = workspace_root();
+    let dir = if smoke { root.join("target") } else { root };
+    let path = dir.join(name);
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@ pub mod harness;
 pub mod journal;
 pub mod scenarios;
 
-pub use harness::{mean_std, paper_line, parallel_map, parallel_over_seeds, parse_args, Table};
+pub use harness::{
+    mean_std, paper_line, parallel_map, parallel_over_seeds, parse_args, workspace_root,
+    write_record, Table,
+};
 pub use journal::Journal;
 pub use scenarios::{sweep_table, testbed_workload, LargeScale};

@@ -190,6 +190,12 @@ pub struct PendingJob {
     start_tag: f64,
     /// Dispatch handle, unique per admission.
     pub seq: u64,
+    /// The priority the job's most recent plan gave it (lower dispatches
+    /// first); `f64::INFINITY` before its first plan. Schedulers read it
+    /// to seed a plan from the previous one.
+    pub priority: f64,
+    /// Lease requeues the job has been through.
+    pub(crate) requeues: u32,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -296,12 +302,11 @@ impl AdmissionController {
     /// bucket and the queue bound (the job already paid admission once
     /// and the scheduler owes it service); keeps the original
     /// `admitted_at` so queue-wait accounting spans the disruption, and
-    /// assigns fresh fair-queue tags and a fresh `seq` handle, which is
-    /// returned.
+    /// its priority and requeue count, and assigns fresh fair-queue tags
+    /// and a fresh `seq` handle, which is returned.
     pub fn readmit(&mut self, job: PendingJob) -> u64 {
         self.counters.readmitted += 1;
-        self.enqueue(job.admitted_at, job.tenant, job.spec);
-        self.next_seq - 1
+        self.enqueue(job)
     }
 
     fn refill(&mut self, tenant: TenantId, now: SimTime) {
@@ -333,7 +338,7 @@ impl AdmissionController {
                 return AdmissionOutcome::Rejected(RejectReason::QueueFull);
             }
             s.tokens -= 1.0;
-            self.enqueue(now, tenant, spec);
+            self.enqueue(PendingJob::new(tenant, spec, now));
             self.counters.admitted += 1;
             return AdmissionOutcome::Admitted;
         }
@@ -373,7 +378,7 @@ impl AdmissionController {
                     self.counters.rejected_queue_full += 1;
                 } else {
                     s.tokens -= 1.0;
-                    self.enqueue(now, d.tenant, d.spec);
+                    self.enqueue(PendingJob::new(d.tenant, d.spec, now));
                     self.counters.admitted += 1;
                 }
             } else {
@@ -387,32 +392,35 @@ impl AdmissionController {
     /// virtual time, tenant's last finish); finish = start + 1/weight.
     /// Dispatch order is by finish tag, so a tenant's share of dispatch
     /// slots is proportional to its weight regardless of offered rate.
-    fn enqueue(&mut self, now: SimTime, tenant: TenantId, spec: JobSpec) {
-        let weight = self.cfg.weight(tenant);
-        let s = self.tenants.entry(tenant).or_default();
-        let start = self.vtime.max(s.last_finish);
-        let finish = start + 1.0 / weight;
+    /// Queues `job` under a fresh start tag and `seq`, which is returned.
+    fn enqueue(&mut self, mut job: PendingJob) -> u64 {
+        let weight = self.cfg.weight(job.tenant);
+        let s = self.tenants.entry(job.tenant).or_default();
+        job.start_tag = self.vtime.max(s.last_finish);
+        let finish = job.start_tag + 1.0 / weight;
         s.last_finish = finish;
         let seq = self.next_seq;
         self.next_seq += 1;
+        job.seq = seq;
         let key = (finish.to_bits(), seq);
-        self.queue.insert(
-            key,
-            PendingJob {
-                tenant,
-                spec,
-                admitted_at: now,
-                start_tag: start,
-                seq,
-            },
-        );
         self.by_seq.insert(seq, key);
+        self.queue.insert(key, job);
+        seq
     }
 
     /// The first `k` pending jobs in fair-queue order — the scheduler's
     /// planning window.
     pub fn peek_window(&self, k: usize) -> Vec<&PendingJob> {
         self.queue.values().take(k).collect()
+    }
+
+    /// Record the priority the latest plan gave the pending job `seq`.
+    pub(crate) fn set_priority(&mut self, seq: u64, priority: f64) {
+        let key = self.by_seq[&seq];
+        self.queue
+            .get_mut(&key)
+            .expect("by_seq and queue agree")
+            .priority = priority;
     }
 
     /// Remove (dispatch) a pending job by its `seq` handle, advancing
@@ -525,14 +533,29 @@ impl AdmissionController {
 }
 
 impl PendingJob {
-    /// Save as 12 fields: tenant, the 8 job fields, admission instant,
-    /// start tag, seq.
+    /// A job admitted at `now`, not yet queued or planned.
+    fn new(tenant: TenantId, spec: JobSpec, now: SimTime) -> PendingJob {
+        PendingJob {
+            tenant,
+            spec,
+            admitted_at: now,
+            start_tag: 0.0,
+            seq: 0,
+            priority: f64::INFINITY,
+            requeues: 0,
+        }
+    }
+
+    /// Save as 14 fields: tenant, the 8 job fields, admission instant,
+    /// start tag, seq, priority, requeues.
     pub(crate) fn save<'w>(&self, w: &'w mut Writer) -> &'w mut Writer {
         w.int(self.tenant.0)
             .job(&self.spec)
             .time(self.admitted_at)
             .f64(self.start_tag)
             .int(self.seq)
+            .f64(self.priority)
+            .int(self.requeues)
     }
 
     /// Inverse of [`Self::save`].
@@ -543,6 +566,8 @@ impl PendingJob {
             admitted_at: r.time("admitted_at")?,
             start_tag: r.f64("start_tag")?,
             seq: r.int("seq")?,
+            priority: r.f64("priority")?,
+            requeues: r.int("requeues")?,
         })
     }
 }
@@ -910,14 +935,23 @@ mod tests {
     fn readmit_requeues_with_fresh_seq_and_original_admission_time() {
         let mut a = AdmissionController::new(AdmissionConfig::default());
         a.offer(t(3), TenantId(1), job(0));
-        let j = a.pop().unwrap();
-        let old_seq = j.seq;
+        let old_seq = a.peek_window(1)[0].seq;
+        assert_eq!(a.peek_window(1)[0].priority, f64::INFINITY, "never planned");
+        a.set_priority(old_seq, 2.5);
+        let mut j = a.pop().unwrap();
+        assert_eq!(j.priority, 2.5);
+        j.requeues = 3;
         let new_seq = a.readmit(j);
         assert_ne!(new_seq, old_seq, "requeue gets a fresh dispatch handle");
         assert_eq!(a.depth(), 1);
         let back = a.pop().unwrap();
         assert_eq!(back.seq, new_seq);
         assert_eq!(back.admitted_at, t(3), "queue-wait spans the disruption");
+        assert_eq!(
+            (back.priority, back.requeues),
+            (2.5, 3),
+            "the job keeps its last plan's priority and its requeue count"
+        );
         let c = a.counters();
         assert_eq!((c.admitted, c.readmitted), (1, 1));
         assert!(c.conserved(), "readmission is outside the offer identity");

@@ -76,10 +76,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// One scheduling decision over the planning window.
 #[derive(Clone, Debug)]
 pub struct PlanOutcome {
-    /// Dispatch order as indices into the window handed to
-    /// [`QueueScheduler::plan`] (best first). An index outside the
-    /// window, or repeated, is a scheduler bug and panics in the loop.
-    pub order: Vec<usize>,
+    /// One priority per job of the window handed to
+    /// [`QueueScheduler::plan`], in window order. The loop stores each in
+    /// its job's [`PendingJob::priority`] and dispatches by ascending
+    /// priority, ties in window order. A count other than the window's is
+    /// a scheduler bug and panics in the loop.
+    pub priority: Vec<f64>,
     /// Deterministic work units spent deciding (priced into latency).
     pub work: u64,
     /// Which ladder rung (or heuristic) produced the plan — tallied into
@@ -100,13 +102,14 @@ pub trait QueueScheduler {
     /// budget.
     fn plan(&mut self, window: &[&PendingJob], cluster: &Cluster, budget_frac: f64) -> PlanOutcome;
 
-    /// Scheduler-private state for crash snapshots, as one line using
-    /// only `:,|` separators (it nests inside the snapshot's `;`/`=`
-    /// framing; [`crate::snapshot`]'s `Writer` and `Reader` write and
-    /// read that grammar). Stateless schedulers (the default) return
-    /// `""`; a scheduler whose plans depend on mutable state (e.g. the
-    /// ladder's stale-plan cache) must round-trip it here or recovery
-    /// will diverge.
+    /// Scheduler-wide state for crash snapshots, as one line using only
+    /// `:,|` separators (it nests inside the snapshot's `;`/`=` framing;
+    /// [`crate::snapshot`]'s `Writer` and `Reader` write and read that
+    /// grammar). Stateless schedulers (the default) return `""`; a
+    /// scheduler whose plans depend on mutable state of its own must
+    /// round-trip it here or recovery will diverge. State of one job
+    /// belongs on the job: the snapshot already carries each live job's
+    /// [`PendingJob::priority`].
     fn save_state(&self) -> String {
         String::new()
     }
@@ -182,7 +185,7 @@ const LATENCY_BUCKETS_SECS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 2
 /// Queue-wait histogram buckets (seconds).
 const WAIT_BUCKETS_SECS: [f64; 8] = [1.0, 10.0, 60.0, 300.0, 900.0, 3600.0, 14400.0, 86400.0];
 /// Snapshot format version (bump on incompatible encoding changes).
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
 
 /// Sequential service time of one job on a GPU of the given kind: all its
 /// tasks back to back (job-granularity serving has no intra-job
@@ -373,8 +376,6 @@ struct Running {
     /// died mid-service (the completion was suppressed; the lease
     /// machinery will requeue it).
     done_at: SimTime,
-    /// Requeue attempts this job has already been through.
-    requeues: u32,
 }
 
 /// A job waiting out its requeue backoff after a lease expiry.
@@ -382,7 +383,6 @@ struct Running {
 struct PoolEntry {
     job: PendingJob,
     ready_at: SimTime,
-    requeues: u32,
 }
 
 /// The complete, snapshotable state of one serve run — everything
@@ -399,9 +399,6 @@ struct ServeState {
     lease_expired: Vec<bool>,
     /// Requeue backoff pool, FIFO.
     pool: Vec<PoolEntry>,
-    /// Requeue counts of readmitted jobs, keyed by their fresh queue
-    /// seq; read back (and dropped) when the job dispatches.
-    requeue_tags: BTreeMap<u64, u32>,
     latency_hist: Histogram,
     wait_hist: Histogram,
     recent: Vec<f64>,
@@ -459,32 +456,29 @@ fn requeue_backoff(attempt: u32) -> SimDuration {
 
 /// Route a job coming off a dead worker: drained if the run is winding
 /// down, lost if it exhausted its requeue budget, otherwise into the
-/// backoff pool.
+/// backoff pool with its requeue count bumped.
 fn requeue_job(
     st: &mut ServeState,
     session: &mut Option<&mut WalSession<'_>>,
     now: SimTime,
-    job: PendingJob,
-    prev_requeues: u32,
+    mut job: PendingJob,
 ) -> Result<(), RecoveryError> {
     let id = job.spec.id.0;
+    let requeues = job.requeues;
     if st.admission.is_draining() {
         st.admission.count_drained(1);
         wal_log(session, || format!("dreq {id}"))?;
-    } else if prev_requeues >= MAX_REQUEUES {
+    } else if requeues >= MAX_REQUEUES {
         st.lease_lost += 1;
         wal_log(session, || format!("lost {id}"))?;
     } else {
-        let ready_at = now + requeue_backoff(prev_requeues);
+        let ready_at = now + requeue_backoff(requeues);
         st.requeued += 1;
         wal_log(session, || {
-            format!("req {id} {} {prev_requeues}", ready_at.as_micros())
+            format!("req {id} {} {requeues}", ready_at.as_micros())
         })?;
-        st.pool.push(PoolEntry {
-            job,
-            ready_at,
-            requeues: prev_requeues + 1,
-        });
+        job.requeues += 1;
+        st.pool.push(PoolEntry { job, ready_at });
     }
     Ok(())
 }
@@ -552,7 +546,6 @@ impl ServeLoop {
             running: vec![None; n],
             lease_expired: vec![false; n],
             pool: Vec::new(),
-            requeue_tags: BTreeMap::new(),
             latency_hist: Histogram::new(&LATENCY_BUCKETS_SECS),
             wait_hist: Histogram::new(&WAIT_BUCKETS_SECS),
             recent: Vec::with_capacity(LATENCY_WINDOW),
@@ -845,7 +838,7 @@ impl ServeLoop {
                             wal_log(&mut session, || format!("exp {gpu}"))?;
                             idle.remove(gpu);
                             if let Some(r) = st.running[gpu].take() {
-                                requeue_job(st, &mut session, st.now, r.job, r.requeues)?;
+                                requeue_job(st, &mut session, st.now, r.job)?;
                             }
                         }
                         // A revived worker's heartbeat reveals it lost
@@ -857,7 +850,7 @@ impl ServeLoop {
                         if doomed {
                             let r = st.running[gpu].take().expect("checked some");
                             wal_log(&mut session, || format!("wlost {gpu} {}", r.job.spec.id.0))?;
-                            requeue_job(st, &mut session, st.now, r.job, r.requeues)?;
+                            requeue_job(st, &mut session, st.now, r.job)?;
                             // The worker is back (not dead now, lease
                             // intact) and its old job is requeued: idle.
                             idle.insert(gpu);
@@ -881,7 +874,6 @@ impl ServeLoop {
                     let p = st.pool.len();
                     st.admission.count_drained(p as u64);
                     st.pool.clear();
-                    st.requeue_tags.clear();
                     *next_arrival = None;
                     wal_log(&mut session, || {
                         format!("drain {} {q} {p}", st.now.as_micros())
@@ -901,7 +893,6 @@ impl ServeLoop {
                         let e = st.pool.remove(i);
                         let id = e.job.spec.id.0;
                         let seq = st.admission.readmit(e.job);
-                        st.requeue_tags.insert(seq, e.requeues);
                         st.depth_max = st.depth_max.max(st.admission.depth());
                         wal_log(&mut session, || format!("readd {id} {seq}"))?;
                     } else {
@@ -947,6 +938,11 @@ impl ServeLoop {
                 let window = st.admission.peek_window(PLAN_WINDOW);
                 let window_seqs: Vec<u64> = window.iter().map(|p| p.seq).collect();
                 let outcome = scheduler.plan(&window, &self.cluster, frac);
+                assert_eq!(
+                    outcome.priority.len(),
+                    window_seqs.len(),
+                    "scheduler must return one priority per window job"
+                );
                 let latency_secs = outcome.work as f64 * SECS_PER_WORK_UNIT;
                 let latency = SimDuration::from_secs_f64(latency_secs);
                 st.decisions += 1;
@@ -963,23 +959,24 @@ impl ServeLoop {
                     format!("plan {} {}", outcome.rung, outcome.work)
                 })?;
 
-                // Dispatch in plan order: each job onto the idle GPU
-                // that serves it fastest; decision latency is charged
-                // up front.
-                let mut seen = vec![false; window_seqs.len()];
-                for &wi in &outcome.order {
+                // Each job keeps its priority; dispatch by ascending
+                // priority (a stable sort: ties in window order), each
+                // job onto the idle GPU that serves it fastest. Decision
+                // latency is charged up front.
+                let mut order: Vec<(f64, u64)> =
+                    outcome.priority.iter().copied().zip(window_seqs).collect();
+                for &(h, seq) in &order {
+                    st.admission.set_priority(seq, h);
+                }
+                order.sort_by(|a, b| a.0.total_cmp(&b.0));
+                for (_, seq) in order {
                     if idle.is_empty() {
                         break;
                     }
-                    assert!(
-                        wi < window_seqs.len() && !std::mem::replace(&mut seen[wi], true),
-                        "scheduler returned an invalid dispatch order"
-                    );
                     let job = st
                         .admission
-                        .take(window_seqs[wi])
+                        .take(seq)
                         .expect("window entries stay live until taken");
-                    let requeues = st.take_requeue_tag(job.seq);
                     let gpu = idle
                         .best_for(&job.spec)
                         .expect("idle is non-empty: checked above");
@@ -994,7 +991,6 @@ impl ServeLoop {
                         job,
                         started: st.now,
                         done_at,
-                        requeues,
                     });
                 }
             }
@@ -1123,19 +1119,11 @@ impl ServeLoop {
         st.budget.save(w.section("bc"));
         w.section("run").list(&st.running, |w, slot| match slot {
             None => w.text("-"),
-            Some(r) => r
-                .job
-                .save(w)
-                .time(r.started)
-                .time(r.done_at)
-                .int(r.requeues),
+            Some(r) => r.job.save(w).time(r.started).time(r.done_at),
         });
         w.section("ls").flags(st.lease_expired.iter().copied());
-        w.section("pool").list(&st.pool, |w, e| {
-            e.job.save(w).time(e.ready_at).int(e.requeues)
-        });
-        w.section("rt")
-            .list(&st.requeue_tags, |w, (&seq, &req)| w.int(seq).int(req));
+        w.section("pool")
+            .list(&st.pool, |w, e| e.job.save(w).time(e.ready_at));
         w.section("lh").hist(&st.latency_hist);
         w.section("wh").hist(&st.wait_hist);
         w.section("rc").list(&st.recent, |w, &v| w.f64(v));
@@ -1200,7 +1188,6 @@ impl ServeLoop {
                     job: PendingJob::load(r)?,
                     started: r.time("started")?,
                     done_at: r.time("done_at")?,
-                    requeues: r.int("requeues")?,
                 }))
             };
             r.list(slot).filter(|slots| slots.len() == n_gpus)
@@ -1211,14 +1198,9 @@ impl ServeLoop {
                 Some(PoolEntry {
                     job: PendingJob::load(r)?,
                     ready_at: r.time("ready_at")?,
-                    requeues: r.int("requeues")?,
                 })
             })
         })?;
-        let tags = r.section("rt", |r| {
-            r.list(|r| Some((r.int("seq")?, r.int("requeues")?)))
-        })?;
-        st.requeue_tags = tags.into_iter().collect();
         st.latency_hist = r.section("lh", |r| r.hist(&LATENCY_BUCKETS_SECS))?;
         st.wait_hist = r.section("wh", |r| r.hist(&WAIT_BUCKETS_SECS))?;
         st.recent = r.section("rc", |r| {
@@ -1253,14 +1235,6 @@ impl ServeLoop {
     }
 }
 
-impl ServeState {
-    /// Requeue count carried by the readmitted queue entry `seq`; 0 for
-    /// first-time admissions.
-    fn take_requeue_tag(&mut self, seq: u64) -> u32 {
-        self.requeue_tags.remove(&seq).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -1279,7 +1253,7 @@ mod tests {
         }
         fn plan(&mut self, window: &[&PendingJob], _cluster: &Cluster, _frac: f64) -> PlanOutcome {
             PlanOutcome {
-                order: (0..window.len()).collect(),
+                priority: (0..window.len()).map(|i| i as f64).collect(),
                 work: window.len() as u64 * 10,
                 rung: "fifo",
             }

@@ -20,8 +20,9 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A stateful scheduler: every plan rotates the dispatch order by a
-/// persistent counter, so two runs agree only if that counter is carried
-/// across the crash by the snapshot's scheduler-state section.
+/// persistent counter (window job `shift` first), so two runs agree only
+/// if that counter is carried across the crash by the snapshot's
+/// scheduler-state section.
 #[derive(Default)]
 struct Rotor {
     turns: u64,
@@ -37,7 +38,7 @@ impl QueueScheduler for Rotor {
         let n = window.len();
         let shift = (self.turns as usize) % n;
         PlanOutcome {
-            order: (0..n).map(|i| (i + shift) % n).collect(),
+            priority: (0..n).map(|j| ((j + n - shift) % n) as f64).collect(),
             work: 10 * n as u64 + self.turns % 7,
             rung: "rotor",
         }

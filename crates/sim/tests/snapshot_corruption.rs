@@ -1,13 +1,13 @@
 //! Corrupt crash snapshots are typed errors, never panics.
 //!
 //! A real mid-run snapshot (leases expiring one GPU at a time, so busy
-//! GPUs, the requeue backoff pool, requeue tags, a pending queue and a
-//! full recent-latency ring are all present at once) is rewritten one
-//! section at a time, re-framed under a fresh CRC and recovered. Every
-//! rewrite must come back as a [`RecoveryError`]: malformed text is
-//! `Corrupt`, and a well-formed fingerprint of another configuration is
-//! `ConfigMismatch`. The scheduler-private `ss` section belongs to the
-//! scheduler and is not rewritten here.
+//! GPUs, the requeue backoff pool, a pending queue holding a requeued
+//! job and a full recent-latency ring are all present at once) is
+//! rewritten one section at a time, re-framed under a fresh CRC and
+//! recovered. Every rewrite must come back as a [`RecoveryError`]:
+//! malformed text is `Corrupt`, and a well-formed fingerprint of another
+//! configuration is `ConfigMismatch`. The scheduler-private `ss` section
+//! belongs to the scheduler and is not rewritten here.
 
 #![allow(clippy::unwrap_used)]
 
@@ -30,7 +30,7 @@ impl QueueScheduler for Fifo {
 
     fn plan(&mut self, window: &[&PendingJob], _cluster: &Cluster, _frac: f64) -> PlanOutcome {
         PlanOutcome {
-            order: (0..window.len()).collect(),
+            priority: (0..window.len()).map(|i| i as f64).collect(),
             work: window.len() as u64 * 10,
             rung: "fifo",
         }
@@ -40,7 +40,7 @@ impl QueueScheduler for Fifo {
 /// The epoch whose closing snapshot is corrupted. GPUs 0–3 fall silent
 /// 10 s apart from 4,000 s, so their leases expire at alternate epochs
 /// from 811 on: at 813 one job sits in the backoff pool while an earlier
-/// one waits in the queue under a requeue tag.
+/// one waits in the queue with its requeue count.
 const SNAPSHOT_EPOCH: u64 = 813;
 
 fn config(horizon_secs: u64) -> ServeConfig {
@@ -151,6 +151,18 @@ fn edit(blob: &str, key: &str, f: impl FnOnce(&str) -> String) -> String {
     join(&s)
 }
 
+/// Fields of a job record (`PendingJob`): tenant, the 8 job fields,
+/// admission instant, start tag, seq, priority, requeues.
+const PRIORITY: usize = 12;
+const REQUEUES: usize = 13;
+
+/// `record` with its `i`-th `:`-joined field replaced by `v`.
+fn set_field(record: &str, i: usize, v: &str) -> String {
+    let mut fields: Vec<&str> = record.split(':').collect();
+    fields[i] = v;
+    fields.join(":")
+}
+
 /// `list` with its first item that is not an idle slot replaced by
 /// `f(item)`.
 fn edit_item(list: &str, sep: char, f: &dyn Fn(&str) -> String) -> String {
@@ -198,7 +210,7 @@ fn corrupt_cases(blob: &str) -> Vec<(String, String)> {
         }
     }
     // List sections: the fault lands inside one item.
-    for (key, sep) in [("run", ','), ("pool", ','), ("rt", ','), ("rh", ',')] {
+    for (key, sep) in [("run", ','), ("pool", ','), ("rh", ',')] {
         for (fault, f) in field_faults() {
             push(
                 format!("{key} item: {fault}"),
@@ -296,6 +308,8 @@ fn corrupt_cases(blob: &str) -> Vec<(String, String)> {
         "rc item: uppercase hex".into(),
         edit(blob, "rc", |v| edit_item(v, ',', &|it| it.to_uppercase())),
     );
+    // The previous version's snapshot is not read.
+    push("v: version 1".into(), edit(blob, "v", |_| "1".into()));
     // Flags and narrowing.
     push("buf: flag 2".into(), edit(blob, "buf", |_| "2".into()));
     let too_big = (u64::from(u32::MAX) + 1).to_string();
@@ -303,18 +317,23 @@ fn corrupt_cases(blob: &str) -> Vec<(String, String)> {
         push(
             format!("{key} requeues past u32"),
             edit(blob, key, |v| {
-                edit_item(v, ',', &|it| {
-                    format!("{}:{too_big}", it.rsplit_once(':').unwrap().0)
-                })
+                edit_item(v, ',', &|it| set_field(it, REQUEUES, &too_big))
+            }),
+        );
+        push(
+            format!("{key} priority not hex"),
+            edit(blob, key, |v| {
+                edit_item(v, ',', &|it| set_field(it, PRIORITY, "zz"))
             }),
         );
     }
     push(
-        "rt count past u32".into(),
-        edit(blob, "rt", |v| {
-            edit_item(v, ',', &|it| {
-                format!("{}:{too_big}", it.split_once(':').unwrap().0)
-            })
+        "ac queue priority not hex".into(),
+        edit(blob, "ac", |v| {
+            let mut g: Vec<String> = v.split('|').map(str::to_string).collect();
+            // A queue record is the finish tag, then the job record.
+            g[5] = edit_item(&g[5], ',', &|it| set_field(it, 1 + PRIORITY, "zz"));
+            g.join("|")
         }),
     );
     // The latency-ring cursor must be 0 until the ring is full.
@@ -349,9 +368,15 @@ fn snapshot() -> String {
     // The rewrites below land inside real items of every list section.
     assert!(value(&s, "run").split(',').any(|slot| slot != "-"));
     assert!(!value(&s, "pool").is_empty());
-    assert!(!value(&s, "rt").is_empty());
     assert!(!value(&s, "rh").is_empty());
-    assert!(!value(&s, "ac").split('|').nth(5).unwrap().is_empty());
+    let queue = value(&s, "ac").split('|').nth(5).unwrap();
+    assert!(
+        queue.split(',').any(|job| {
+            let requeues = job.split(':').nth(1 + REQUEUES);
+            requeues.is_some_and(|n| n != "0")
+        }),
+        "a requeued job waits in the queue"
+    );
     assert_eq!(
         value(&s, "rc").split(',').count(),
         64,
