@@ -1,12 +1,11 @@
 //! The crash snapshot holds the live system, not the jobs served.
 //!
 //! A WAL'd [`LadderServe`] run below capacity, with leases, is crashed
-//! once early and once ten times later. Each run snapshots every
-//! `epoch − 1` epochs, as snapshot_golden.rs does, so the last `snap`
-//! record is the state at the end of the epoch before the crash. The
-//! queue and the running set are about the same size at both instants,
-//! so the later snapshot must be too: a snapshot that kept something per
-//! job ever planned would grow with the run.
+//! once early and once ten times later, and the last `snap` record before
+//! each crash is compared. The queue and the running set are about the
+//! same size at both instants, so the later snapshot must be too: a
+//! snapshot that kept something per job ever planned would grow with the
+//! run.
 
 #![allow(clippy::unwrap_used)]
 
@@ -41,8 +40,7 @@ fn snapshot_before(epoch: u64, horizon_secs: u64) -> String {
         "hare-snapshot-bounded-{epoch}-{}.wal",
         std::process::id()
     ));
-    let mut wal = WalOptions::new(&path);
-    wal.snapshot_every = epoch - 1;
+    let wal = WalOptions::new(&path);
     let err = ServeLoop::new(cluster, cfg)
         .run_with_wal(&mut LadderServe::new(), &wal, &AtomicBool::new(false), None)
         .expect_err("the injected crash fires before the drain");

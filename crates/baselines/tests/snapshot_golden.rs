@@ -1,12 +1,13 @@
 //! Golden fixtures for the version-2 crash-snapshot bytes.
 //!
 //! A WAL'd [`LadderServe`] run on the testbed, with leases and a partial
-//! silent-worker blackout, is crashed at a few pinned decision epochs.
-//! Each run snapshots every `epoch − 1` epochs, so the last `snap` record
-//! is the state at the end of the epoch before the crash. That record
-//! must equal the committed fixture byte for byte: the snapshot grammar
-//! is an on-disk format, and a refactor of its encoder must not move a
-//! single byte without bumping `SNAPSHOT_VERSION`.
+//! silent-worker blackout, is crashed one epoch after a few of the
+//! snapshots its size rule writes, so the last `snap` record is the state
+//! at the end of that snapshot's epoch. That record must equal the
+//! committed fixture, named by the snapshot's epoch index (`ei`), byte for
+//! byte: the snapshot grammar is an on-disk format, and a refactor of its
+//! encoder must not move a single byte without bumping
+//! `SNAPSHOT_VERSION`.
 //!
 //! Each fixture is then written alone, CRC-framed, into a fresh WAL, and
 //! [`ServeLoop::recover`] from it must reproduce the uncrashed run's
@@ -18,7 +19,9 @@
 //! two per-job fields version 2 added: a queued job's plan priority and a
 //! requeued job's count.
 //!
-//! Re-bless only together with a `SNAPSHOT_VERSION` bump:
+//! Re-bless only together with a `SNAPSHOT_VERSION` bump, or when the
+//! scenario or the compaction rule moves the snapshots and the previous
+//! build writes the same bytes for the same state:
 //! `HARE_BLESS=1 cargo test -p hare-baselines --test snapshot_golden`
 
 #![allow(clippy::unwrap_used)]
@@ -33,15 +36,16 @@ use hare_workload::{estimate_capacity_jobs_per_sec, OpenArrivalConfig};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
-/// Crash epochs. Epoch 400 is before the blackout. GPUs 0–7 go silent
-/// at 4,000 s, so their leases expire at the 4,055 s epoch (811): the
-/// snapshot before crash 812 holds the backoff pool, the one before 813
-/// the readmitted jobs back in the queue with their requeue counts. By
-/// then the recent-latency ring is full and its cursor is past zero.
-const CRASH_EPOCHS: [u64; 3] = [400, 812, 813];
+/// Epochs at which the size rule snapshots this run. Epoch 422 is before
+/// the blackout, with the recent-latency ring still filling. GPUs 0–7 go
+/// silent at 3,855 s, so their leases expire at the 3,915 s epoch (783),
+/// whose snapshot holds their jobs in the backoff pool, with the ring
+/// full and its cursor past zero; by 871 readmitted jobs wait in the
+/// queue with their requeue counts.
+const SNAPSHOT_EPOCHS: [u64; 3] = [422, 783, 871];
 
 /// Overloaded arrivals on the heterogeneous testbed with leases on and
-/// eight of its fifteen GPUs silent over [4,000 s, 4,300 s).
+/// eight of its fifteen GPUs silent over [3,855 s, 4,300 s).
 fn config() -> ServeConfig {
     let cluster = Cluster::testbed15();
     let mut arrivals = OpenArrivalConfig {
@@ -61,7 +65,7 @@ fn config() -> ServeConfig {
     cfg.faults.silent_workers = (0..8)
         .map(|gpu| SilentWorkerFault {
             gpu,
-            from: SimTime::from_secs(4_000),
+            from: SimTime::from_secs(3_855),
             until: Some(SimTime::from_secs(4_300)),
         })
         .collect();
@@ -71,7 +75,7 @@ fn config() -> ServeConfig {
 fn fixture_path(epoch: u64) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/snapshot_v2")
-        .join(format!("ladder_crash_{epoch}.snap"))
+        .join(format!("ladder_ei_{epoch}.snap"))
 }
 
 fn tmp_wal(name: &str) -> PathBuf {
@@ -106,13 +110,15 @@ fn section<'a>(blob: &'a str, key: &str) -> &'a str {
         .unwrap_or_else(|| panic!("snapshot has no {key} section"))
 }
 
-/// Crash a WAL'd run at `epoch` and return its last snapshot blob.
+/// Crash a WAL'd run one epoch after `epoch` and return its last
+/// snapshot blob, which must be the one written at `epoch`.
 fn crashed_snapshot(epoch: u64) -> String {
     let mut cfg = config();
-    cfg.faults.crash = Some(SchedulerCrash { at_epoch: epoch });
+    cfg.faults.crash = Some(SchedulerCrash {
+        at_epoch: epoch + 1,
+    });
     let path = tmp_wal(&format!("crash-{epoch}"));
-    let mut wal = WalOptions::new(&path);
-    wal.snapshot_every = epoch - 1;
+    let wal = WalOptions::new(&path);
     let stop = AtomicBool::new(false);
     let err = ServeLoop::new(Cluster::testbed15(), cfg)
         .run_with_wal(&mut LadderServe::new(), &wal, &stop, None)
@@ -120,6 +126,11 @@ fn crashed_snapshot(epoch: u64) -> String {
     assert!(matches!(err, RecoveryError::InjectedCrash { .. }), "{err}");
     let blob = last_snapshot(&path);
     std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        section(&blob, "ei"),
+        epoch.to_string(),
+        "the size rule no longer snapshots at epoch {epoch}"
+    );
     blob
 }
 
@@ -148,7 +159,7 @@ fn v2_snapshots_match_the_committed_fixtures() {
     assert!(golden.lease_expiries > 0, "the scenario exercises leases");
     let bless = std::env::var_os("HARE_BLESS").is_some();
     let mut fixtures = Vec::new();
-    for epoch in CRASH_EPOCHS {
+    for epoch in SNAPSHOT_EPOCHS {
         let got = crashed_snapshot(epoch);
         let path = fixture_path(epoch);
         if bless {
@@ -163,7 +174,7 @@ fn v2_snapshots_match_the_committed_fixtures() {
         });
         assert_eq!(
             got, want,
-            "the snapshot before crash epoch {epoch} drifted from its v2 fixture: \
+            "the snapshot at epoch {epoch} drifted from its v2 fixture: \
              the encoding changed without a SNAPSHOT_VERSION bump"
         );
         let recovered = recover_from(&want, epoch);

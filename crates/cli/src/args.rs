@@ -49,6 +49,16 @@ impl Options {
         self.flags.contains_key(key)
     }
 
+    /// The first flag, in name order, that is not among the
+    /// space-separated `known` names.
+    pub fn unknown_flag(&self, known: &str) -> Option<&str> {
+        let known: Vec<&str> = known.split_whitespace().collect();
+        self.flags
+            .keys()
+            .map(String::as_str)
+            .find(|flag| !known.contains(flag))
+    }
+
     /// Numeric flag with default.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.flags.get(key) {
@@ -144,6 +154,8 @@ mod tests {
         assert!(o.has("csv"));
         assert!(!o.has("missing"));
         assert_eq!(o.num::<u32>("missing", 9).unwrap(), 9);
+        assert_eq!(o.unknown_flag("jobs seed"), Some("csv"));
+        assert_eq!(o.unknown_flag("csv jobs seed"), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! hare serve  [--load F] [--process poisson|bursty|diurnal] [--horizon S]
 //!             [--scheduler ladder|srtf] [--unthrottled] [--pace-ms N]
 //!             [--journal FILE] [--out FILE] [--smoke]   # continuous service
-//!             [--wal FILE] [--snapshot-every N] [--recover] [--crash-at N]
+//!             [--wal FILE] [--recover] [--crash-at N]
 //!             [--lease-timeout S] [--heartbeat S]       # crash tolerance
 //! hare shard  [workload flags] [--cells N] [--scheme S] [--stream]
 //!                                            # sharded datacenter run
@@ -33,28 +33,43 @@ use hare_workload::{ModelKind, ProfileDb, TraceConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// A command: what it runs and the flags it reads, space-separated.
+type Command = (fn(&Options) -> Result<(), String>, &'static str);
+
 fn main() -> ExitCode {
     let opts = match Options::parse(std::env::args().skip(1)) {
         Ok(o) => o,
-        Err(e) => return fail(&e),
+        Err(e) => return usage_error(&e),
     };
-    let result = match opts.positional().first().map(|s| s.as_str()) {
-        Some("compare") => compare(&opts),
-        Some("schedule") => schedule(&opts),
-        Some("export") => export(&opts),
-        Some("profile") => profile(),
-        Some("switch") => switching(&opts),
-        Some("serve") => serve::serve(&opts),
-        Some("shard") => shard(&opts),
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => {
-            print!("{HELP}");
-            Ok(())
-        }
+    let Some(name) = opts.positional().first() else {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
     };
-    match result {
+    let (run, flags): Command = match name.as_str() {
+        "compare" => (
+            compare,
+            "cluster bandwidth jobs seed mix input online timeslice trace",
+        ),
+        "schedule" => (schedule, "cluster bandwidth jobs seed mix input gantt"),
+        "export" => (export, "jobs seed mix input out"),
+        "profile" => (profile, ""),
+        "switch" => (switching, "from to gpu"),
+        "serve" => (serve::serve, serve::FLAGS),
+        "shard" => (
+            shard,
+            "cluster bandwidth jobs seed mix input cells scheme stream",
+        ),
+        other => return usage_error(&format!("unknown command {other:?}")),
+    };
+    if let Some(flag) = opts.unknown_flag(flags) {
+        return usage_error(&format!("unknown flag --{flag} for `hare {name}`"));
+    }
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -72,11 +87,11 @@ commands:
   shard      datacenter-scale sharded run: partition the cluster into
              cells, gateway-route jobs, simulate each cell independently
 
-workload flags (compare/schedule/export):
+workload flags (compare/schedule/shard; export takes the last four):
   --cluster testbed|low:N|mid:N|high:N   (default testbed = 15 mixed GPUs)
+  --bandwidth G   NIC speed in Gbps         (default 25)
   --jobs N        number of jobs            (default 20)
   --seed S        trace + noise seed        (default 1)
-  --bandwidth G   NIC speed in Gbps         (default 25)
   --mix cv=F,nlp=F,speech=F,rec=F          (default 0.25 each)
   --input FILE    load jobs from a CSV trace instead of generating them
 
@@ -85,7 +100,7 @@ observability (compare):
                   (task/sync spans per GPU + solver phases; open it at
                   ui.perfetto.dev or chrome://tracing)
 
-serve flags:
+serve flags (plus --cluster, --bandwidth, --seed and --mix):
   --load F        offered load as a fraction of estimated capacity (0.8)
   --process P     poisson | bursty | diurnal                    (poisson)
   --horizon S     stop admitting after S simulated seconds        (3600)
@@ -104,8 +119,9 @@ shard flags (plus the workload flags above):
                   --jobs N is the stream length
 
 serve crash tolerance:
-  --wal FILE      write-ahead log every transition; group-committed per epoch
-  --snapshot-every N   compact the WAL into a full snapshot every N epochs (20)
+  --wal FILE      write-ahead log every transition; group-committed per epoch,
+                  compacted into a full snapshot once the records since the
+                  last one outweigh it
   --recover       resume from --wal FILE after a crash; the recovered report
                   is byte-identical to an uninterrupted run
   --crash-at N    inject a scheduler crash at decision epoch N (needs --wal)
@@ -114,7 +130,8 @@ serve crash tolerance:
   --heartbeat S   worker heartbeat interval for leases              (10)
 ";
 
-fn fail(msg: &str) -> ExitCode {
+/// A malformed command line: the error, then the usage text.
+fn usage_error(msg: &str) -> ExitCode {
     eprintln!("error: {msg}\n\n{HELP}");
     ExitCode::FAILURE
 }
@@ -386,7 +403,7 @@ fn schedule(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn profile() -> Result<(), String> {
+fn profile(_: &Options) -> Result<(), String> {
     let db = ProfileDb::new(1);
     println!(
         "{:<12} {:>8} {:>8} {:>8} {:>8}  (ms per default batch)",

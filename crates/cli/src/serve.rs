@@ -9,14 +9,15 @@
 //! the journal and the final JSON report are flushed, and the process
 //! exits 0. That drain path is exercised by the CI smoke step.
 //!
-//! With `--wal FILE` every state transition is write-ahead logged
-//! (snapshot-compacted every `--snapshot-every` epochs), so a crash —
-//! injected via `--crash-at N` or a real SIGKILL — leaves a log that
-//! `--recover` resumes from deterministically: the recovered report is
-//! byte-identical to an uninterrupted run (DESIGN.md §13). The CI
-//! kill-and-recover step diffs exactly that. `--lease-timeout S` turns
-//! on lease-based GPU liveness: silently-dead workers are detected by
-//! missed heartbeats and their in-flight jobs requeued with backoff.
+//! With `--wal FILE` every state transition is write-ahead logged (and
+//! compacted into a snapshot once the records since the last one
+//! outweigh it), so a crash — injected via `--crash-at N` or a real
+//! SIGKILL — leaves a log that `--recover` resumes from
+//! deterministically: the recovered report is byte-identical to an
+//! uninterrupted run (DESIGN.md §13). The CI kill-and-recover step diffs
+//! exactly that. `--lease-timeout S` turns on lease-based GPU liveness:
+//! silently-dead workers are detected by missed heartbeats and their
+//! in-flight jobs requeued with backoff.
 
 use crate::args::Options;
 use hare_baselines::{LadderServe, SrtfServe};
@@ -181,7 +182,7 @@ fn print_summary(report: &ServeReport, stopped: bool) {
         .map(|(r, n)| format!("{r}:{n}"))
         .collect();
     println!(
-        "  queue max {}  shed-at-drain {}  min budget {:.2}  rungs [{}]",
+        "  queue max {}  queued-at-drain {}  min budget {:.2}  rungs [{}]",
         report.queue_depth_max,
         report.queue_depth_at_drain,
         report.min_budget_level,
@@ -200,6 +201,10 @@ fn replay_journal(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `hare serve` reads.
+pub const FLAGS: &str = "cluster bandwidth mix seed load process horizon smoke unthrottled \
+    scheduler pace-ms journal replay-journal out wal recover crash-at lease-timeout heartbeat";
+
 /// Entry point for `hare serve`.
 pub fn serve(opts: &Options) -> Result<(), String> {
     if opts.has("replay-journal") {
@@ -212,10 +217,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let pace = (pace_ms > 0).then(|| std::time::Duration::from_millis(pace_ms));
     let wal_path = opts.get("wal", "").to_string();
     let recover = opts.has("recover");
-    let snapshot_every: u64 = opts.num("snapshot-every", 20)?;
-    if snapshot_every == 0 {
-        return Err("--snapshot-every must be >= 1".into());
-    }
     if recover && wal_path.is_empty() {
         return Err("--recover needs --wal FILE (the log to recover from)".into());
     }
@@ -250,8 +251,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let report = if wal_path.is_empty() {
         serve_loop.run_with_stop(scheduler, &STOP, pace)
     } else {
-        let mut wal = WalOptions::new(&wal_path);
-        wal.snapshot_every = snapshot_every;
+        let wal = WalOptions::new(&wal_path);
         if recover {
             let (report, stats) = serve_loop
                 .recover(scheduler, &wal, &STOP, pace)

@@ -305,3 +305,63 @@ fn shard_prints_the_largest_cell_share_next_to_the_fair_share() {
         "missing {line:?} in:\n{stdout}"
     );
 }
+
+#[test]
+fn unknown_flags_exit_1_with_one_error_line_before_any_work() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["schedule", "--jobz", "3"], "--jobz"),
+        (
+            &["serve", "--snapshot-every", "10", "--horizon", "30"],
+            "--snapshot-every",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hare"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work starts");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(
+            errors,
+            [format!("error: unknown flag {flag} for `hare {}`", args[0])],
+            "{args:?}"
+        );
+        assert!(
+            stderr.contains("commands:"),
+            "a usage error shows the usage"
+        );
+    }
+}
+
+#[test]
+fn a_runtime_failure_prints_one_error_line_and_no_usage() {
+    let dir = std::env::temp_dir().join(format!("hare-cli-crash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("serve.wal");
+    let args = [
+        "serve",
+        "--horizon",
+        "600",
+        "--wal",
+        wal.to_str().unwrap(),
+        "--crash-at",
+        "5",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_hare"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].starts_with("error: injected scheduler crash"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("commands:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -14,7 +14,7 @@
 use hare_baselines::{HareOnline, ReplanBudget};
 use hare_cluster::Cluster;
 use hare_core::AnytimeOptions;
-use hare_experiments::{paper_line, parallel_map, parse_args, testbed_workload, Journal, Table};
+use hare_experiments::{journaled_cells, paper_line, parse_args, testbed_workload, Journal, Table};
 use hare_sim::{SimWorkload, Simulation};
 use hare_solver::SolveBudget;
 use hare_workload::{ProfileDb, TraceConfig};
@@ -70,19 +70,6 @@ fn main() {
     let (seeds, _csv, extra) = parse_args();
     let seed = seeds[0];
     let small = extra.iter().any(|a| a == "--small");
-    let journal = extra.iter().position(|a| a == "--journal").map(|i| {
-        let path = extra
-            .get(i + 1)
-            .expect("--journal requires a PATH argument");
-        Journal::open(path).expect("open resume journal")
-    });
-    if let Some(j) = &journal {
-        if !j.is_empty() {
-            // stderr, so resumed stdout stays byte-identical to a clean run.
-            eprintln!("resuming: {} journaled cell(s) will be replayed", j.len());
-        }
-    }
-    let journal = std::sync::Mutex::new(journal);
     let w = build_workload(seed, small);
 
     // Budget ladder: pivot cap (LP) and node cap (B&B) shrink together.
@@ -108,24 +95,14 @@ fn main() {
         "solver latency (s)",
     ]);
     // The ladder's rungs are independent simulations: run them on the
-    // shared pool, journaling each finished cell under the mutex. Results
-    // come back in ladder order, so the table below is unchanged.
-    let results: Vec<(f64, String)> = parallel_map(&ladder, |&(label, budget)| {
-        let key = Journal::key("budget_sweep", label, seed);
-        let journaled = journal
-            .lock()
-            .expect("journal lock")
-            .as_ref()
-            .and_then(|j| j.get(&key).map(|(v, note)| (v, note.to_string())));
-        if let Some(cell) = journaled {
-            return cell; // replay without re-simulating
-        }
-        let (v, note) = run_cell(&w, seed, budget);
-        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
-            j.record(&key, v, &note).expect("journal write");
-        }
-        (v, note)
-    });
+    // shared pool, journaling each finished cell. Results come back in
+    // ladder order, so the table below is unchanged.
+    let results = journaled_cells(
+        &extra,
+        &ladder,
+        |&(label, _)| Journal::key("budget_sweep", label, seed),
+        |&(_, budget)| run_cell(&w, seed, budget),
+    );
 
     let base = results[0].0;
     for ((label, _), (wjct, note)) in ladder.iter().zip(&results) {

@@ -1,17 +1,15 @@
 //! Extension experiment: crash-tolerance sweep for the serve loop.
 //!
 //! Drives the WAL + snapshot recovery machinery (DESIGN.md §13) across a
-//! grid of crash epochs × snapshot cadences × lease timeouts, under a
-//! faulty cluster (one transient blackout, one permanent worker death,
-//! detected by leases). Every cell injects a [`SchedulerCrash`], recovers
-//! from the WAL, and checks the recovered [`ServeReport`] is
-//! **byte-identical** (via `to_json`) to the uncrashed golden run of the
-//! same configuration. Verdicts also cover replay-length monotonicity
-//! (denser snapshots ⇒ shorter replay suffix), lease fault detection,
-//! and the JCT overhead the injected deaths cost over a fault-free
-//! baseline.
+//! grid of crash epochs × lease timeouts, under a faulty cluster (one
+//! transient blackout, one permanent worker death, detected by leases).
+//! Every cell injects a [`SchedulerCrash`], recovers from the WAL, and
+//! checks the recovered [`ServeReport`] is **byte-identical** (via
+//! `to_json`) to the uncrashed golden run of the same configuration.
+//! Verdicts also cover lease fault detection and the JCT overhead the
+//! injected deaths cost over a fault-free baseline.
 //!
-//! Supports `--smoke` (a two-cell grid for CI) and `--journal PATH` for
+//! Supports `--smoke` (a one-cell grid for CI) and `--journal PATH` for
 //! crash-consistent resume, like the other sweeps. Writes
 //! `BENCH_recovery.json` at the repo root (under `target/` with
 //! `--smoke`). Wall-clock recovery times go to the JSON only — stdout
@@ -19,7 +17,9 @@
 
 use hare_baselines::LadderServe;
 use hare_cluster::{Cluster, SimDuration, SimTime};
-use hare_experiments::{paper_line, parallel_map, parse_args, write_record, Journal, Table};
+use hare_experiments::{
+    journaled_cells, paper_line, parallel_map, parse_args, write_record, Journal, Table,
+};
 use hare_sim::{
     LeaseConfig, RecoveryError, SchedulerCrash, ServeConfig, ServeLoop, ServeReport,
     SilentWorkerFault, WalOptions,
@@ -28,12 +28,11 @@ use hare_workload::{estimate_capacity_jobs_per_sec, ArrivalProcess, OpenArrivalC
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicBool;
 
-/// One sweep cell: where the scheduler dies × how often it snapshots ×
-/// how patient the worker leases are.
+/// One sweep cell: where the scheduler dies × how patient the worker
+/// leases are.
 #[derive(Clone, Copy, Debug)]
 struct Cell {
     crash_epoch: u64,
-    snapshot_every: u64,
     timeout_secs: u64,
 }
 
@@ -82,10 +81,9 @@ fn config(seed: u64, horizon_secs: u64, timeout_secs: u64) -> ServeConfig {
 fn wal_path(cell: &Cell, seed: u64) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "hare-crash-sweep-{}-c{}-s{}-t{}-{seed}.wal",
+        "hare-crash-sweep-{}-c{}-t{}-{seed}.wal",
         std::process::id(),
         cell.crash_epoch,
-        cell.snapshot_every,
         cell.timeout_secs
     ));
     p
@@ -121,8 +119,7 @@ fn run_cell(cell: &Cell, seed: u64, horizon_secs: u64, golden_json: &str) -> (f6
         at_epoch: cell.crash_epoch,
     });
     let path = wal_path(cell, seed);
-    let mut wal = WalOptions::new(&path);
-    wal.snapshot_every = cell.snapshot_every;
+    let wal = WalOptions::new(&path);
     let stop = AtomicBool::new(false);
     let serve = ServeLoop::new(Cluster::testbed15(), cfg);
     let crashed = match serve.run_with_wal(&mut LadderServe::new(), &wal, &stop, None) {
@@ -155,40 +152,18 @@ fn main() {
     let (seeds, csv, extra) = parse_args();
     let seed = seeds[0];
     let smoke = extra.iter().any(|a| a == "--smoke");
-    let journal = extra.iter().position(|a| a == "--journal").map(|i| {
-        let path = extra
-            .get(i + 1)
-            .expect("--journal requires a PATH argument");
-        Journal::open(path).expect("open resume journal")
-    });
-    if let Some(j) = &journal {
-        if j.dropped() > 0 {
-            eprintln!(
-                "journal corruption: {} record(s) dropped; those cells re-run",
-                j.dropped()
-            );
-        }
-        if !j.is_empty() {
-            eprintln!("resuming: {} journaled cell(s) will be replayed", j.len());
-        }
-    }
-    let journal = std::sync::Mutex::new(journal);
 
     let horizon_secs: u64 = if smoke { 1_200 } else { 2_000 };
     let crash_epochs: &[u64] = if smoke { &[9] } else { &[1, 9, 33, 150] };
-    let snapshots: &[u64] = &[5, 20]; // ascending: monotonicity check below
     let timeouts: &[u64] = if smoke { &[60] } else { &[30, 120] };
 
     let mut cells = Vec::new();
     for &timeout_secs in timeouts {
-        for &snapshot_every in snapshots {
-            for &crash_epoch in crash_epochs {
-                cells.push(Cell {
-                    crash_epoch,
-                    snapshot_every,
-                    timeout_secs,
-                });
-            }
+        for &crash_epoch in crash_epochs {
+            cells.push(Cell {
+                crash_epoch,
+                timeout_secs,
+            });
         }
     }
 
@@ -221,34 +196,27 @@ fn main() {
     };
     let golden_jsons: Vec<String> = goldens.iter().map(ServeReport::to_json).collect();
 
-    let results: Vec<(f64, String)> = parallel_map(&cells, |cell| {
-        let scenario = format!(
-            "crash={} snap={} lease={} h={horizon_secs}",
-            cell.crash_epoch, cell.snapshot_every, cell.timeout_secs
-        );
-        let key = Journal::key("crash_sweep", &scenario, seed);
-        let journaled = journal
-            .lock()
-            .expect("journal lock")
-            .as_ref()
-            .and_then(|j| j.get(&key).map(|(v, note)| (v, note.to_string())));
-        if let Some(done) = journaled {
-            return done; // replay without re-simulating
-        }
-        let gi = timeouts
-            .iter()
-            .position(|&t| t == cell.timeout_secs)
-            .expect("cell timeout");
-        let (v, note) = run_cell(cell, seed, horizon_secs, &golden_jsons[gi]);
-        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
-            j.record(&key, v, &note).expect("journal write");
-        }
-        (v, note)
-    });
+    let results = journaled_cells(
+        &extra,
+        &cells,
+        |cell| {
+            let scenario = format!(
+                "crash={} lease={} h={horizon_secs}",
+                cell.crash_epoch, cell.timeout_secs
+            );
+            Journal::key("crash_sweep", &scenario, seed)
+        },
+        |cell| {
+            let gi = timeouts
+                .iter()
+                .position(|&t| t == cell.timeout_secs)
+                .expect("cell timeout");
+            run_cell(cell, seed, horizon_secs, &golden_jsons[gi])
+        },
+    );
 
     let mut table = Table::new(&[
         "crash epoch",
-        "snap every",
         "lease (s)",
         "crashed",
         "identical",
@@ -260,7 +228,6 @@ fn main() {
         let n = parse_note(note);
         table.row(vec![
             cell.crash_epoch.to_string(),
-            cell.snapshot_every.to_string(),
             cell.timeout_secs.to_string(),
             if n.crashed { "yes" } else { "no" }.to_string(),
             if n.identical { "yes" } else { "NO" }.to_string(),
@@ -279,9 +246,8 @@ fn main() {
 
     let notes: Vec<Note> = results.iter().map(|(_, n)| parse_note(n)).collect();
 
-    // Verdict 1 — the tentpole acceptance: every recovered run is
-    // byte-identical to its uncrashed golden, at every crash point,
-    // snapshot cadence, and lease timeout.
+    // Verdict 1 — every recovered run is byte-identical to its uncrashed
+    // golden, at every crash point and lease timeout.
     let identical = notes.iter().filter(|n| n.identical).count();
     let crashed = notes.iter().filter(|n| n.crashed).count();
     paper_line(
@@ -294,45 +260,7 @@ fn main() {
         identical == cells.len() && crashed == cells.len(),
     );
 
-    // Verdict 2 — snapshot cadence bounds the replay suffix: for each
-    // (crash epoch, timeout), recovering a 5-epoch-cadence WAL never
-    // replays more records than the 20-epoch one.
-    let replayed_of = |crash: u64, snap: u64, timeout: u64| -> u64 {
-        let i = cells
-            .iter()
-            .position(|c| {
-                c.crash_epoch == crash && c.snapshot_every == snap && c.timeout_secs == timeout
-            })
-            .expect("grid cell");
-        notes[i].replayed
-    };
-    let (lo_snap, hi_snap) = (snapshots[0], snapshots[snapshots.len() - 1]);
-    let mut monotone = true;
-    let mut worst = (0u64, 0u64);
-    for &timeout in timeouts {
-        for &crash in crash_epochs {
-            let (a, b) = (
-                replayed_of(crash, lo_snap, timeout),
-                replayed_of(crash, hi_snap, timeout),
-            );
-            if a > b {
-                monotone = false;
-                worst = (a, b);
-            }
-        }
-    }
-    paper_line(
-        "denser snapshots never lengthen the replay suffix",
-        &format!("(extension; cadence {lo_snap} vs {hi_snap} epochs)"),
-        &if monotone {
-            "replayed(snap=5) <= replayed(snap=20) across the grid".to_string()
-        } else {
-            format!("violated: {} > {} records", worst.0, worst.1)
-        },
-        monotone,
-    );
-
-    // Verdict 3 — the leases actually detect the injected deaths in the
+    // Verdict 2 — the leases actually detect the injected deaths in the
     // golden runs (otherwise verdict 1 proved determinism of a run where
     // nothing happened).
     let g = golden_of(timeouts[0]);
@@ -346,7 +274,7 @@ fn main() {
         g.lease_expiries > 0 && g.requeued > 0 && g.lease_rejoins > 0,
     );
 
-    // Verdict 4 — fault cost is visible but the system still closes its
+    // Verdict 3 — fault cost is visible but the system still closes its
     // books: faulted mean JCT is no better than the fault-free baseline,
     // and every admitted job is accounted for (completed, drained, shed,
     // or lost to the lease budget).
@@ -390,12 +318,11 @@ fn main() {
         let f = parse_note(note);
         let _ = writeln!(
             json,
-            "    {{\"crash_epoch\": {}, \"snapshot_every\": {}, \
-             \"lease_timeout_secs\": {}, \"crashed\": {}, \"identical\": {}, \
+            "    {{\"crash_epoch\": {}, \"lease_timeout_secs\": {}, \
+             \"crashed\": {}, \"identical\": {}, \
              \"replayed\": {}, \"resumed_secs\": {:.1}, \
              \"recover_ms\": {:.3}, \"mean_jct_secs\": {jct:.3}}}{}",
             cell.crash_epoch,
-            cell.snapshot_every,
             cell.timeout_secs,
             f.crashed,
             f.identical,

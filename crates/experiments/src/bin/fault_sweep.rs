@@ -21,7 +21,7 @@
 
 use hare_baselines::{build_simulation, run_scheme_faulted, HareOnline, RunOptions, Scheme};
 use hare_cluster::{Cluster, SimDuration, SimTime};
-use hare_experiments::{parallel_map, parse_args, testbed_workload, Journal, Table};
+use hare_experiments::{journaled_cells, parse_args, testbed_workload, Journal, Table};
 use hare_sim::{
     FaultPlan, GpuFault, NetworkFault, SimReport, SimWorkload, StorageFault, StorageFaultKind,
     StragglerWindow,
@@ -196,21 +196,6 @@ fn build_workload(seed: u64, small: bool) -> SimWorkload {
 fn main() {
     let (seeds, _csv, extra) = parse_args();
     let small = extra.iter().any(|a| a == "--small");
-    let journal = extra.iter().position(|a| a == "--journal").map(|i| {
-        let path = extra
-            .get(i + 1)
-            .expect("--journal requires a PATH argument");
-        Journal::open(path).expect("open resume journal")
-    });
-    if let Some(j) = &journal {
-        if !j.is_empty() {
-            // stderr, so resumed stdout stays byte-identical to a clean run.
-            eprintln!("resuming: {} journaled cell(s) will be replayed", j.len());
-        }
-    }
-    // Shared by the pool's workers: journal lookups and the durable append
-    // of every finished cell go through this mutex, one line at a time.
-    let journal = std::sync::Mutex::new(journal);
     // One workload per seed; every (scheme, level) cell below is the mean
     // wJCT across seeds. Single-seed runs are perturbation-sensitive: a
     // fault can reshuffle a saturated queue-based scheduler into a luckier
@@ -237,43 +222,31 @@ fn main() {
 
     // Every (scheme, level, seed) cell is an independent simulation: run
     // them all on one work-stealing pool. Each finished cell is journaled
-    // immediately (under the mutex), so a kill mid-sweep still leaves a
-    // resumable journal; the table is assembled afterwards from the
-    // order-stable result vector, so stdout is byte-identical to a serial
-    // run.
+    // immediately, so a kill mid-sweep still leaves a resumable journal;
+    // the table is assembled afterwards from the order-stable result
+    // vector, so stdout is byte-identical to a serial run.
     let (n_levels, n_seeds) = (levels.len(), seeds.len());
     let cells: Vec<(usize, usize, usize)> = (0..names.len())
         .flat_map(|s| (0..n_levels).flat_map(move |l| (0..n_seeds).map(move |d| (s, l, d))))
         .collect();
-    let results: Vec<(f64, String)> = parallel_map(&cells, |&(s_idx, l_idx, seed_idx)| {
-        let name = &names[s_idx];
-        let (level, plan) = &levels[l_idx];
-        let seed = seeds[seed_idx];
-        let key = Journal::key(name, level, seed);
-        let journaled = journal
-            .lock()
-            .expect("journal lock")
-            .as_ref()
-            .and_then(|j| j.get(&key).map(|(v, note)| (v, note.to_string())));
-        if let Some(cell) = journaled {
-            return cell; // replay without re-simulating
-        }
-        let opts = RunOptions {
-            seed,
-            ..RunOptions::default()
-        };
-        let report = if s_idx < Scheme::ALL.len() {
-            run_scheme_faulted(Scheme::ALL[s_idx], &workloads[seed_idx], opts, plan)
-        } else {
-            online_report(&workloads[seed_idx], opts, plan)
-        };
-        let line = fault_line(name, &report);
-        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
-            j.record(&key, report.weighted_jct, &line)
-                .expect("journal write");
-        }
-        (report.weighted_jct, line)
-    });
+    let results = journaled_cells(
+        &extra,
+        &cells,
+        |&(s_idx, l_idx, seed_idx)| Journal::key(&names[s_idx], levels[l_idx].0, seeds[seed_idx]),
+        |&(s_idx, l_idx, seed_idx)| {
+            let opts = RunOptions {
+                seed: seeds[seed_idx],
+                ..RunOptions::default()
+            };
+            let plan = &levels[l_idx].1;
+            let report = if s_idx < Scheme::ALL.len() {
+                run_scheme_faulted(Scheme::ALL[s_idx], &workloads[seed_idx], opts, plan)
+            } else {
+                online_report(&workloads[seed_idx], opts, plan)
+            };
+            (report.weighted_jct, fault_line(&names[s_idx], &report))
+        },
+    );
 
     for (s_idx, name) in names.iter().enumerate() {
         let mut row = vec![name.clone()];

@@ -14,7 +14,7 @@
 
 use hare_baselines::LadderServe;
 use hare_cluster::{Cluster, SimDuration, SimTime};
-use hare_experiments::{paper_line, parallel_map, parse_args, write_record, Journal, Table};
+use hare_experiments::{journaled_cells, paper_line, parse_args, write_record, Journal, Table};
 use hare_sim::{ServeConfig, ServeLoop, ServeReport};
 use hare_workload::{estimate_capacity_jobs_per_sec, ArrivalProcess, OpenArrivalConfig};
 use std::fmt::Write as _;
@@ -143,19 +143,6 @@ fn main() {
     let (seeds, csv, extra) = parse_args();
     let seed = seeds[0];
     let small = extra.iter().any(|a| a == "--small");
-    let journal = extra.iter().position(|a| a == "--journal").map(|i| {
-        let path = extra
-            .get(i + 1)
-            .expect("--journal requires a PATH argument");
-        Journal::open(path).expect("open resume journal")
-    });
-    if let Some(j) = &journal {
-        if !j.is_empty() {
-            // stderr, so resumed stdout stays byte-identical to a clean run.
-            eprintln!("resuming: {} journaled cell(s) will be replayed", j.len());
-        }
-    }
-    let journal = std::sync::Mutex::new(journal);
 
     // `--small` trims cells, not the horizon: a shorter horizon never
     // accumulates enough backlog to exercise the overload machinery.
@@ -185,30 +172,22 @@ fn main() {
     }
 
     // Every cell is an independent simulation: run them on the shared
-    // pool, journaling each finished cell under the mutex. Results come
-    // back in cell order, so table and verdicts are deterministic.
-    let results: Vec<(f64, String)> = parallel_map(&cells, |cell| {
-        let scenario = format!(
-            "load={:.2} {} {} h={horizon_secs}",
-            cell.load,
-            cell.process,
-            cell.mode()
-        );
-        let key = Journal::key("serve_sweep", &scenario, seed);
-        let journaled = journal
-            .lock()
-            .expect("journal lock")
-            .as_ref()
-            .and_then(|j| j.get(&key).map(|(v, note)| (v, note.to_string())));
-        if let Some(cell) = journaled {
-            return cell; // replay without re-simulating
-        }
-        let (v, note) = run_cell(cell, seed, horizon_secs);
-        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
-            j.record(&key, v, &note).expect("journal write");
-        }
-        (v, note)
-    });
+    // pool, journaling each finished cell. Results come back in cell
+    // order, so table and verdicts are deterministic.
+    let results = journaled_cells(
+        &extra,
+        &cells,
+        |cell| {
+            let scenario = format!(
+                "load={:.2} {} {} h={horizon_secs}",
+                cell.load,
+                cell.process,
+                cell.mode()
+            );
+            Journal::key("serve_sweep", &scenario, seed)
+        },
+        |cell| run_cell(cell, seed, horizon_secs),
+    );
 
     let mut table = Table::new(&[
         "load",

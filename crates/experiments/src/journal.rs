@@ -31,11 +31,13 @@
 //! CRC-less three-field records (the pre-checksum format) still load, so
 //! old journals resume cleanly.
 
+use crate::harness::parallel_map;
 use hare_sim::crc32;
 use hare_sim::recovery::load_line_log;
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// An append-only journal of completed experiment cells.
 #[derive(Debug)]
@@ -142,6 +144,56 @@ impl Journal {
         self.done.insert(key.to_string(), (value, note.to_string()));
         Ok(())
     }
+}
+
+/// Run every cell of a sweep on the shared pool ([`parallel_map`]) and
+/// return each cell's `(value, note)` in cell order.
+///
+/// With `--journal PATH` among `args` the sweep is resumable: a cell whose
+/// `key` the journal at `PATH` holds is read back instead of run, and
+/// every cell run is recorded durably as soon as it finishes. The notices
+/// (records dropped as corrupt, cells resumed) go to stderr, so a resumed
+/// sweep prints the same stdout as an uninterrupted one.
+pub fn journaled_cells<T: Sync>(
+    args: &[String],
+    cells: &[T],
+    key: impl Fn(&T) -> String + Sync,
+    run: impl Fn(&T) -> (f64, String) + Sync,
+) -> Vec<(f64, String)> {
+    let journal = args.iter().position(|a| a == "--journal").map(|i| {
+        let path = args.get(i + 1).expect("--journal requires a PATH argument");
+        Journal::open(path).expect("open resume journal")
+    });
+    if let Some(j) = &journal {
+        if j.dropped() > 0 {
+            eprintln!(
+                "journal corruption: {} record(s) dropped; those cells re-run",
+                j.dropped()
+            );
+        }
+        if !j.is_empty() {
+            eprintln!("resuming: {} journaled cell(s) will be replayed", j.len());
+        }
+    }
+    // Shared by the pool's workers: lookups and the durable append of
+    // every finished cell go through this mutex, one line at a time.
+    let journal = Mutex::new(journal);
+    parallel_map(cells, |cell| {
+        let key = key(cell);
+        let journaled = journal
+            .lock()
+            .expect("journal lock")
+            .as_ref()
+            .and_then(|j| j.get(&key).map(|(v, note)| (v, note.to_string())));
+        if let Some(done) = journaled {
+            return done;
+        }
+        let (v, note) = run(cell);
+        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
+            j.record(&key, v, &note).expect("journal write");
+        }
+        (v, note)
+    })
 }
 
 /// Classify one complete journal line. Four tab-separated fields are the

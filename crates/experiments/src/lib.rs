@@ -15,5 +15,5 @@ pub use harness::{
     mean_std, paper_line, parallel_map, parallel_over_seeds, parse_args, workspace_root,
     write_record, Table,
 };
-pub use journal::Journal;
+pub use journal::{journaled_cells, Journal};
 pub use scenarios::{sweep_table, testbed_workload, LargeScale};

@@ -16,12 +16,16 @@
 //!   an un-fsynced tail is harmless because replay *re-executes* from
 //!   the last snapshot and regenerates whatever the tail would have
 //!   said.
-//! * **Snapshots** — periodically the loop encodes its complete state
-//!   (pending queue, token buckets, in-flight placements, arrival-stream
-//!   cursor, hysteresis state, scheduler-private state) as one `snap`
-//!   record, written via write-temp + atomic-rename so the log is
-//!   *compacted* in the same motion: after a snapshot the file is
-//!   `[snapshot][records since]` and never grows without bound.
+//! * **Snapshots** — the loop encodes its complete state (pending queue,
+//!   token buckets, in-flight placements, arrival-stream cursor,
+//!   hysteresis state, scheduler-private state) as one `snap` record,
+//!   written via write-temp + atomic-rename so the log is *compacted* in
+//!   the same motion: after a snapshot the file is
+//!   `[snapshot][records since]`. A snapshot is due at an epoch boundary
+//!   once the records appended since the last one weigh at least as many
+//!   framed bytes as it does, so the committed suffix stays smaller than
+//!   its snapshot and all snapshot bytes written come to at most the
+//!   record bytes plus the last snapshot.
 //! * **Recovery** — load the last valid snapshot, then re-execute the
 //!   loop deterministically while *verifying* each regenerated
 //!   transition against the WAL suffix (`WalSession`); any mismatch is
@@ -185,24 +189,17 @@ impl From<io::Error> for RecoveryError {
     }
 }
 
-/// Where the WAL lives and how often the loop snapshots into it.
+/// Where the WAL lives.
 #[derive(Clone, Debug)]
 pub struct WalOptions {
     /// Log file path.
     pub path: PathBuf,
-    /// Decision epochs between compacted snapshots (≥ 1). Smaller means
-    /// shorter replay after a crash but more snapshot I/O — the
-    /// trade-off `crash_sweep` measures.
-    pub snapshot_every: u64,
 }
 
 impl WalOptions {
-    /// Options with the default cadence (a snapshot every 20 epochs).
+    /// Options for a log at `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        WalOptions {
-            path: path.into(),
-            snapshot_every: 20,
-        }
+        WalOptions { path: path.into() }
     }
 }
 
@@ -231,7 +228,17 @@ pub struct WalFile {
     path: PathBuf,
     file: File,
     buf: String,
-    appended: u64,
+    /// Framed bytes of the records appended (buffered or committed)
+    /// since the last snapshot.
+    since_snapshot: u64,
+    /// Framed bytes of the last snapshot record.
+    snapshot_len: u64,
+}
+
+/// Bytes one record of `payload` takes on disk: the 8 CRC hex digits, a
+/// space, the payload and the newline.
+fn framed_len(payload: &str) -> u64 {
+    payload.len() as u64 + 10
 }
 
 impl WalFile {
@@ -243,14 +250,17 @@ impl WalFile {
             path,
             file,
             buf: String::new(),
-            appended: 0,
+            since_snapshot: 0,
+            snapshot_len: 0,
         })
     }
 
     /// Open an existing WAL for recovery: validate every record's CRC,
     /// truncate the file at the first invalid record (torn tail or
     /// in-place corruption), and return the last valid snapshot blob
-    /// plus the record payloads after it — the replay suffix.
+    /// plus the record payloads after it — the replay suffix. The sizes
+    /// that decide the next snapshot are those on disk, so a recovered
+    /// run compacts where the crashed one would have.
     pub fn open_for_recovery(
         path: impl Into<PathBuf>,
     ) -> Result<(WalFile, String, Vec<String>), RecoveryError> {
@@ -268,6 +278,7 @@ impl WalFile {
             .iter()
             .rposition(|p| p.starts_with("snap "))
             .ok_or(RecoveryError::NoSnapshot)?;
+        let snapshot_len = framed_len(&payloads[snap_at]);
         let blob = payloads[snap_at]["snap ".len()..].to_string();
         let suffix = payloads.split_off(snap_at + 1);
         let file = std::fs::OpenOptions::new().append(true).open(&path)?;
@@ -276,16 +287,12 @@ impl WalFile {
                 path,
                 file,
                 buf: String::new(),
-                appended: 0,
+                since_snapshot: suffix.iter().map(|p| framed_len(p)).sum(),
+                snapshot_len,
             },
             blob,
             suffix,
         ))
-    }
-
-    /// Records appended (buffered or committed) since open.
-    pub fn appended(&self) -> u64 {
-        self.appended
     }
 
     /// Buffer one record. `payload` must be a single line.
@@ -295,7 +302,7 @@ impl WalFile {
             use std::fmt::Write as _;
             writeln!(self.buf, "{:08x} {payload}", crc32(payload.as_bytes()))
         };
-        self.appended += 1;
+        self.since_snapshot += framed_len(payload);
     }
 
     /// Make every buffered record durable: write, flush, fsync.
@@ -319,16 +326,17 @@ impl WalFile {
         debug_assert!(!blob.contains('\n'), "snapshot blobs must be single-line");
         self.buf.clear();
         let tmp = self.path.with_extension("tmp");
+        let payload = format!("snap {blob}");
         {
             let mut f = File::create(&tmp)?;
-            let payload = format!("snap {blob}");
             writeln!(f, "{:08x} {payload}", crc32(payload.as_bytes()))?;
             f.flush()?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = std::fs::OpenOptions::new().append(true).open(&self.path)?;
-        self.appended += 1;
+        self.since_snapshot = 0;
+        self.snapshot_len = framed_len(&payload);
         Ok(())
     }
 }
@@ -415,13 +423,19 @@ impl<'a> WalSession<'a> {
         Ok(())
     }
 
-    /// Write a compacted snapshot (no-op while replaying: the on-disk
-    /// history already covers this point).
+    /// True when the records appended since the last snapshot weigh at
+    /// least as many framed bytes as that snapshot: compacting now costs
+    /// no more than the log it replaces. Never while replaying, where the
+    /// on-disk history already covers this point.
+    pub(crate) fn snapshot_due(&self) -> bool {
+        !self.replaying() && self.wal.since_snapshot >= self.wal.snapshot_len
+    }
+
+    /// Write a compacted snapshot (on a fresh log, or when
+    /// [`WalSession::snapshot_due`]).
     pub(crate) fn snapshot(&mut self, blob: &str) -> Result<(), RecoveryError> {
-        if !self.replaying() {
-            self.wal.write_snapshot(blob)?;
-        }
-        Ok(())
+        debug_assert!(!self.replaying(), "replay never writes a snapshot");
+        Ok(self.wal.write_snapshot(blob)?)
     }
 }
 
@@ -601,7 +615,48 @@ mod tests {
         s.log("c").unwrap(); // live append now
         s.commit().unwrap();
         drop(s);
-        assert_eq!(wal.appended(), 1);
+        assert_eq!(wal.since_snapshot, framed_len("c"), "only the live record");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_is_due_once_the_records_since_outweigh_it() {
+        let path = tmp("due");
+        let mut wal = WalFile::create(&path).unwrap();
+        wal.write_snapshot("0123456789").unwrap();
+        // "snap 0123456789" framed: 8 hex digits, space, 15 bytes, newline.
+        assert_eq!(wal.snapshot_len, 25);
+        let mut s = WalSession::new(&mut wal, Vec::new());
+        s.log("abc").unwrap(); // 13 framed bytes
+        s.log("a").unwrap(); // 24
+        s.commit().unwrap();
+        assert!(!s.snapshot_due(), "one byte short of the snapshot");
+        s.log("").unwrap(); // 34
+        assert!(s.snapshot_due());
+        s.snapshot("0123456789").unwrap();
+        assert!(!s.snapshot_due(), "a snapshot resets the count");
+        s.log("abc").unwrap(); // 13
+        assert!(!s.snapshot_due());
+        s.log("ab").unwrap(); // 25
+        assert!(s.snapshot_due(), "exactly the snapshot's framed length");
+        s.snapshot("0123456789").unwrap();
+        s.log("a").unwrap();
+        s.log("b").unwrap(); // 22 committed after the last snapshot
+        s.commit().unwrap();
+        drop(s);
+        drop(wal);
+
+        // Recovery resumes the count from the suffix on disk: the replay
+        // itself adds nothing, and the live records after it do.
+        let (mut wal, _, suffix) = WalFile::open_for_recovery(&path).unwrap();
+        assert_eq!((wal.snapshot_len, wal.since_snapshot), (25, 22));
+        let mut s = WalSession::new(&mut wal, suffix);
+        s.log("a").unwrap();
+        assert!(!s.snapshot_due(), "never while replaying");
+        s.log("b").unwrap();
+        assert!(!s.snapshot_due(), "22 of 25 bytes");
+        s.log("c").unwrap();
+        assert!(s.snapshot_due(), "33 of 25 bytes");
         std::fs::remove_file(&path).unwrap();
     }
 

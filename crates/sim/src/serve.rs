@@ -27,10 +27,11 @@
 //! # Crash tolerance
 //!
 //! [`ServeLoop::run_with_wal`] journals every state transition to a
-//! [`WalFile`] (group-committed at epoch boundaries) and periodically
-//! writes a compacted snapshot of the *complete* loop state — pending
-//! queue, token buckets, in-flight placements, arrival-stream cursor,
-//! budget hysteresis, scheduler-private state. After a crash (a real
+//! [`WalFile`] (group-committed at epoch boundaries) and, once the
+//! records since the last snapshot outweigh it, writes a compacted
+//! snapshot of the *complete* loop state — pending queue, token buckets,
+//! in-flight placements, arrival-stream cursor, budget hysteresis,
+//! scheduler-private state. After a crash (a real
 //! SIGKILL, or an injected [`crate::faults::SchedulerCrash`]),
 //! [`ServeLoop::recover`] loads the last snapshot and re-executes the
 //! loop deterministically, *verifying* each regenerated transition
@@ -594,7 +595,6 @@ impl ServeLoop {
             &mut next_arrival,
             None,
             self.cfg.faults.crash,
-            1,
             stop,
             pace,
         ) {
@@ -604,10 +604,11 @@ impl ServeLoop {
     }
 
     /// Run with write-ahead logging: every transition is journaled to
-    /// `wal.path`, group-committed at epoch boundaries, and every
-    /// `wal.snapshot_every` epochs the log is compacted into a full
-    /// state snapshot. An injected [`SchedulerCrash`] (or a real kill)
-    /// leaves a WAL that [`ServeLoop::recover`] resumes from.
+    /// `wal.path` and group-committed at epoch boundaries, and once the
+    /// records since the last snapshot outweigh it the log is compacted
+    /// into a full state snapshot instead. An injected
+    /// [`SchedulerCrash`] (or a real kill) leaves a WAL that
+    /// [`ServeLoop::recover`] resumes from.
     pub fn run_with_wal(
         &self,
         scheduler: &mut dyn QueueScheduler,
@@ -615,7 +616,6 @@ impl ServeLoop {
         stop: &AtomicBool,
         pace: Option<std::time::Duration>,
     ) -> Result<ServeReport, RecoveryError> {
-        assert!(wal.snapshot_every >= 1, "snapshot_every must be ≥ 1");
         let mut file = WalFile::create(&wal.path)?;
         let mut session = WalSession::new(&mut file, Vec::new());
         let mut st = self.fresh_state();
@@ -630,7 +630,6 @@ impl ServeLoop {
             &mut next_arrival,
             Some(&mut session),
             self.cfg.faults.crash,
-            wal.snapshot_every,
             stop,
             pace,
         )?;
@@ -650,7 +649,6 @@ impl ServeLoop {
         stop: &AtomicBool,
         pace: Option<std::time::Duration>,
     ) -> Result<(ServeReport, RecoveryStats), RecoveryError> {
-        assert!(wal.snapshot_every >= 1, "snapshot_every must be ≥ 1");
         let (mut file, blob, suffix) = WalFile::open_for_recovery(&wal.path)?;
         let (mut st, cursor, buffered) = self.decode_snapshot(&blob, scheduler)?;
 
@@ -692,7 +690,6 @@ impl ServeLoop {
             &mut next_arrival,
             Some(&mut session),
             None, // recovery strips the injected crash
-            wal.snapshot_every,
             stop,
             pace,
         )?;
@@ -717,7 +714,6 @@ impl ServeLoop {
         next_arrival: &mut Option<OpenArrival>,
         mut session: Option<&mut WalSession<'_>>,
         crash: Option<SchedulerCrash>,
-        snapshot_every: u64,
         stop: &AtomicBool,
         pace: Option<std::time::Duration>,
     ) -> Result<(), RecoveryError> {
@@ -995,15 +991,14 @@ impl ServeLoop {
                 }
             }
 
-            // Epoch postlude: snapshot (compacting the log) on cadence,
-            // group-commit otherwise. Both are no-ops during replay.
-            if session.is_some() && !finished {
-                if st.epoch_index.is_multiple_of(snapshot_every) {
+            // Epoch postlude: snapshot (compacting the log) once the
+            // records since the last one outweigh it, group-commit
+            // otherwise. Both are no-ops during replay.
+            if let Some(s) = session.as_deref_mut().filter(|_| !finished) {
+                if s.snapshot_due() {
                     let blob = self.encode_snapshot(st, scheduler, stream, next_arrival.is_some());
-                    if let Some(s) = session.as_deref_mut() {
-                        s.snapshot(&blob)?;
-                    }
-                } else if let Some(s) = session.as_deref_mut() {
+                    s.snapshot(&blob)?;
+                } else {
                     s.commit()?;
                 }
             }
@@ -1392,8 +1387,7 @@ mod tests {
             let mut cfg = cfg.clone();
             cfg.faults.crash = Some(SchedulerCrash { at_epoch });
             let path = tmp_wal(&format!("crash-{at_epoch}"));
-            let mut wal = WalOptions::new(&path);
-            wal.snapshot_every = 10;
+            let wal = WalOptions::new(&path);
             let stop = AtomicBool::new(false);
             let loop_ = ServeLoop::new(Cluster::testbed15(), cfg);
             let err = loop_
@@ -1405,6 +1399,41 @@ mod tests {
             assert_eq!(report.to_json(), golden.to_json());
             assert!(stats.resumed_at <= SimTime::from_micros(err.crash_instant()));
             std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_log_after_the_last_snapshot_is_smaller_than_the_snapshot() {
+        // The size rule's replay bound: whichever epoch the run dies in,
+        // the committed records after the last `snap` line weigh fewer
+        // bytes than that line, so recovery reads at most one snapshot's
+        // worth of suffix.
+        for at_epoch in [3, 20, 57, 111, 222, 290] {
+            let mut cfg = config(1.2, 1_500);
+            cfg.faults.crash = Some(SchedulerCrash { at_epoch });
+            let path = tmp_wal(&format!("bound-{at_epoch}"));
+            let err = ServeLoop::new(Cluster::testbed15(), cfg)
+                .run_with_wal(
+                    &mut Fifo,
+                    &WalOptions::new(&path),
+                    &AtomicBool::new(false),
+                    None,
+                )
+                .expect_err("crash fires");
+            assert!(matches!(err, RecoveryError::InjectedCrash { .. }), "{err}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            let snap = lines
+                .iter()
+                .rposition(|line| line[9..].starts_with("snap "))
+                .expect("the WAL holds a snapshot");
+            let suffix: usize = lines[snap + 1..].iter().map(|line| line.len()).sum();
+            assert!(
+                suffix < lines[snap].len(),
+                "crash at epoch {at_epoch}: {suffix} bytes of records after a {}-byte snapshot",
+                lines[snap].len()
+            );
         }
     }
 
@@ -1491,8 +1520,7 @@ mod tests {
         let mut crash_cfg = cfg;
         crash_cfg.faults.crash = Some(SchedulerCrash { at_epoch: 25 });
         let path = tmp_wal("lease-crash");
-        let mut wal = WalOptions::new(&path);
-        wal.snapshot_every = 7;
+        let wal = WalOptions::new(&path);
         let stop = AtomicBool::new(false);
         let loop_ = ServeLoop::new(Cluster::testbed15(), crash_cfg);
         loop_
@@ -1514,8 +1542,7 @@ mod tests {
         let mut cfg = cfg;
         cfg.faults.crash = Some(SchedulerCrash { at_epoch: 40 });
         let path = tmp_wal("roundtrip");
-        let mut wal = WalOptions::new(&path);
-        wal.snapshot_every = 16;
+        let wal = WalOptions::new(&path);
         let stop = AtomicBool::new(false);
         let loop_ = ServeLoop::new(Cluster::testbed15(), cfg);
         loop_

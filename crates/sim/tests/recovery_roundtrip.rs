@@ -1,6 +1,6 @@
 //! Property test: crash recovery is byte-exact under *random* serve
-//! configurations. For arbitrary load, horizon, crash epoch, snapshot
-//! cadence, lease setting, and arrival seed, a run that crashes at the
+//! configurations. For arbitrary load, horizon, crash epoch, lease
+//! setting, and arrival seed, a run that crashes at the
 //! injected epoch and is then recovered from its WAL must produce a
 //! [`ServeReport`] equal — down to the JSON rendering — to the same
 //! configuration run without any crash. The scheduler under test is
@@ -102,7 +102,6 @@ proptest::proptest! {
         load_pct in 40u32..180,
         horizon_secs in 300u64..900,
         crash_epoch in 1u64..160,
-        snapshot_every in 1u64..30,
         leases in any::<bool>(),
         seed in 1u64..1000,
     ) {
@@ -114,8 +113,7 @@ proptest::proptest! {
         let mut crashed_cfg = cfg;
         crashed_cfg.faults.crash = Some(SchedulerCrash { at_epoch: crash_epoch });
         let path = tmp_wal();
-        let mut wal = WalOptions::new(&path);
-        wal.snapshot_every = snapshot_every;
+        let wal = WalOptions::new(&path);
         let stop = AtomicBool::new(false);
         let serve = ServeLoop::new(Cluster::testbed15(), crashed_cfg);
         // A crash epoch past the drain leaves a *completed* WAL; recovery

@@ -37,11 +37,12 @@ impl QueueScheduler for Fifo {
     }
 }
 
-/// The epoch whose closing snapshot is corrupted. GPUs 0–3 fall silent
-/// 10 s apart from 4,000 s, so their leases expire at alternate epochs
-/// from 811 on: at 813 one job sits in the backoff pool while an earlier
-/// one waits in the queue with its requeue count.
-const SNAPSHOT_EPOCH: u64 = 813;
+/// The epoch whose closing snapshot, one the size rule writes, is
+/// corrupted. GPUs 0–3 fall silent 10 s apart from 3,975 s, so their
+/// leases expire at alternate epochs from 807 on: at 809 one job sits in
+/// the backoff pool while an earlier one waits in the queue with its
+/// requeue count.
+const SNAPSHOT_EPOCH: u64 = 809;
 
 fn config(horizon_secs: u64) -> ServeConfig {
     let cluster = Cluster::testbed15();
@@ -62,7 +63,7 @@ fn config(horizon_secs: u64) -> ServeConfig {
     cfg.faults.silent_workers = (0..4)
         .map(|gpu| SilentWorkerFault {
             gpu,
-            from: SimTime::from_secs(4_000 + 10 * gpu as u64),
+            from: SimTime::from_secs(3_975 + 10 * gpu as u64),
             until: Some(SimTime::from_secs(4_300)),
         })
         .collect();
@@ -81,15 +82,15 @@ fn tmp_wal() -> PathBuf {
     p
 }
 
-/// The snapshot a WAL'd run of `cfg` writes at the end of epoch `epoch`.
+/// The snapshot a WAL'd run of `cfg` writes at the end of epoch `epoch`,
+/// which must be one its size rule writes.
 fn snapshot_at(cfg: ServeConfig, epoch: u64) -> String {
     let mut cfg = cfg;
     cfg.faults.crash = Some(SchedulerCrash {
         at_epoch: epoch + 1,
     });
     let path = tmp_wal();
-    let mut wal = WalOptions::new(&path);
-    wal.snapshot_every = epoch;
+    let wal = WalOptions::new(&path);
     let stop = AtomicBool::new(false);
     let err = ServeLoop::new(Cluster::testbed15(), cfg)
         .run_with_wal(&mut Fifo, &wal, &stop, None)
@@ -97,11 +98,18 @@ fn snapshot_at(cfg: ServeConfig, epoch: u64) -> String {
     assert!(matches!(err, RecoveryError::InjectedCrash { .. }), "{err}");
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    text.lines()
+    let blob = text
+        .lines()
         .filter_map(|line| line.split_once(' ')?.1.strip_prefix("snap "))
         .next_back()
         .expect("the WAL holds a snapshot")
-        .to_string()
+        .to_string();
+    assert_eq!(
+        value(&sections(&blob), "ei"),
+        epoch.to_string(),
+        "the size rule no longer snapshots at epoch {epoch}"
+    );
+    blob
 }
 
 /// Recover from a WAL holding `blob` alone as a CRC-framed `snap` record.
@@ -428,7 +436,7 @@ fn every_malformed_section_is_a_typed_error() {
 #[test]
 fn a_fingerprint_from_another_config_is_a_config_mismatch() {
     let blob = snapshot();
-    let other = sections(&snapshot_at(config(6_000), 2));
+    let other = sections(&snapshot_at(config(6_000), 0));
     let err = recover(&edit(&blob, "fp", |_| value(&other, "fp").to_string()))
         .expect_err("another config's fingerprint");
     assert!(matches!(err, RecoveryError::ConfigMismatch { .. }), "{err}");
