@@ -33,7 +33,7 @@ use hare_core::{
     anytime_schedule, AnytimeOptions, HareScheduler, JobInfo, PlanProvenance, Rung, SchedProblem,
     StalePlan,
 };
-use hare_sim::{Policy, SimView, TraceSink, SECS_PER_WORK_UNIT};
+use hare_sim::{ChromeTraceSink, Policy, SimView, SECS_PER_WORK_UNIT};
 use hare_solver::{SolveBudget, SolveTrace};
 use std::sync::Arc;
 
@@ -53,15 +53,6 @@ impl Default for ReplanBudget {
             budget: SolveBudget::capped(200_000, 100_000),
             options: AnytimeOptions::default(),
         }
-    }
-}
-
-/// Shared trace sink, newtyped so [`HareOnline`] keeps deriving `Debug`.
-struct SinkRef(Arc<dyn TraceSink>);
-
-impl std::fmt::Debug for SinkRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SinkRef(..)")
     }
 }
 
@@ -101,7 +92,7 @@ pub struct HareOnline {
     /// keeps replanning span-free. The same sink can be shared with the
     /// simulation (`Simulation::with_trace`) so solver lanes line up with
     /// the task timeline in one exported trace.
-    trace: Option<SinkRef>,
+    trace: Option<Arc<ChromeTraceSink>>,
     /// Work-unit span buffer drained into `trace` after every replan.
     solve_trace: SolveTrace,
 }
@@ -130,13 +121,13 @@ impl HareOnline {
         }
     }
 
-    /// Attach a [`TraceSink`]: every replan emits a `replan` span (its
+    /// Attach a [`ChromeTraceSink`]: every replan emits a `replan` span (its
     /// simulated solver latency — zero in legacy mode) plus the solver's
     /// fine-grained work-unit spans (cut rounds, B&B branches, ladder
     /// rungs), all anchored at the replan's simulation time. Share the
     /// same sink with `Simulation::with_trace` to get one merged trace.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(SinkRef(sink));
+    pub fn with_trace(mut self, sink: Arc<ChromeTraceSink>) -> Self {
+        self.trace = Some(sink);
         self
     }
 
@@ -263,7 +254,7 @@ impl HareOnline {
     /// attached sink, anchored at the replan's simulation time, plus one
     /// enclosing `replan` span carrying the charged latency.
     fn forward_spans(&mut self, now: SimTime, latency: SimDuration, rung: &str, work: u64) {
-        let Some(SinkRef(sink)) = &self.trace else {
+        let Some(sink) = &self.trace else {
             return;
         };
         sink.replan(now, latency, rung, work);

@@ -5,12 +5,12 @@
 //! identity maps, so the merged report must be *bit-identical* to the
 //! unsharded engine's — both through `SimReport::to_json` against the
 //! same committed golden fixtures the unsharded path maintains, and
-//! through full `PartialEq` (which additionally covers the metrics
-//! registry the fixtures exclude). Multi-cell runs cannot match the
+//! through full `PartialEq` plus the processed-event count, which the
+//! merge reports beside the report. Multi-cell runs cannot match the
 //! global event interleaving, but they must conserve jobs and GPUs
 //! exactly and complete every job.
 
-use hare_baselines::{run_scheme, run_scheme_sharded, RunOptions, Scheme};
+use hare_baselines::{run_scheme_counted, run_scheme_sharded, RunOptions, Scheme};
 use hare_cluster::{Cluster, SimTime};
 use hare_sim::{GatewayConfig, ShardedTrace, SimWorkload};
 use hare_workload::{ProfileDb, TraceConfig};
@@ -71,13 +71,17 @@ fn one_cell_sharded_run_equals_the_unsharded_report_exactly() {
     let opts = RunOptions::default();
     for scheme in Scheme::ALL {
         let merged = run_scheme_sharded(scheme, &sharded, &db, opts);
-        let unsharded = run_scheme(scheme, &w, opts);
-        // Full PartialEq: includes the metrics registry, which to_json
-        // (and therefore the fixture comparison above) excludes.
+        let (unsharded, events) = run_scheme_counted(scheme, &w, opts);
         assert_eq!(
             merged.report,
             unsharded,
             "{}: 1-cell sharded report differs from the unsharded engine",
+            scheme.name()
+        );
+        assert_eq!(
+            merged.events_total,
+            events,
+            "{}: 1-cell sharded run processed a different number of events",
             scheme.name()
         );
     }

@@ -11,7 +11,7 @@
 //! hare switch --from MODEL --to MODEL [--gpu KIND]   # switching costs
 //! hare serve  [--load F] [--process poisson|bursty|diurnal] [--horizon S]
 //!             [--scheduler ladder|srtf] [--unthrottled] [--pace-ms N]
-//!             [--journal FILE] [--out FILE] [--smoke]   # continuous service
+//!             [--journal FILE] [--out FILE]             # continuous service
 //!             [--wal FILE] [--recover] [--crash-at N]
 //!             [--lease-timeout S] [--heartbeat S]       # crash tolerance
 //! hare shard  [workload flags] [--cells N] [--scheme S] [--stream]
@@ -109,7 +109,6 @@ serve flags (plus --cluster, --bandwidth, --seed and --mix):
   --pace-ms N     wall-clock ms per decision epoch (live pacing; 0=off)
   --journal FILE  append the final cell durably; --replay-journal FILE
   --out FILE      write the JSON report to FILE instead of stdout
-  --smoke         short run (600 s horizon) for CI
 
 shard flags (plus the workload flags above):
   --cells N       number of machine-disjoint cells          (default 2)

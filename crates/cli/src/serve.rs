@@ -85,11 +85,7 @@ fn config(opts: &Options) -> Result<ServeConfig, String> {
         return Err("--load must be positive".into());
     }
     let seed: u64 = opts.num("seed", 1)?;
-    let horizon_secs: u64 = if opts.has("smoke") {
-        600
-    } else {
-        opts.num("horizon", 3_600)?
-    };
+    let horizon_secs: u64 = opts.num("horizon", 3_600)?;
     if horizon_secs == 0 {
         return Err("--horizon must be positive".into());
     }
@@ -144,7 +140,7 @@ fn config(opts: &Options) -> Result<ServeConfig, String> {
     Ok(cfg)
 }
 
-/// Human-readable run summary (the JSON carries the full registry).
+/// Human-readable run summary (the JSON report carries every field).
 fn print_summary(report: &ServeReport, stopped: bool) {
     let c = &report.counters;
     println!(
@@ -202,7 +198,7 @@ fn replay_journal(path: &str) -> Result<(), String> {
 }
 
 /// The flags `hare serve` reads.
-pub const FLAGS: &str = "cluster bandwidth mix seed load process horizon smoke unthrottled \
+pub const FLAGS: &str = "cluster bandwidth mix seed load process horizon unthrottled \
     scheduler pace-ms journal replay-journal out wal recover crash-at lease-timeout heartbeat";
 
 /// Entry point for `hare serve`.

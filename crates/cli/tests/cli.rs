@@ -308,12 +308,13 @@ fn shard_prints_the_largest_cell_share_next_to_the_fair_share() {
 
 #[test]
 fn unknown_flags_exit_1_with_one_error_line_before_any_work() {
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 3] = [
         (&["schedule", "--jobz", "3"], "--jobz"),
         (
             &["serve", "--snapshot-every", "10", "--horizon", "30"],
             "--snapshot-every",
         ),
+        (&["serve", "--smoke"], "--smoke"),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_hare"))

@@ -30,15 +30,15 @@ use crate::faults::{FaultPlan, SimError, SlowdownProfile};
 use crate::metrics::{FaultMetrics, GpuReport, SimReport, UtilSpan};
 use crate::policy::{Change, Policy, SimView};
 use crate::ps::ParameterServer;
-use crate::registry::MetricsRegistry;
 use crate::storage::CheckpointStore;
-use crate::trace::{SimInstant, SinkHandle, TaskPhase, TraceSink};
+use crate::trace::{ChromeTraceSink, SimInstant, TaskPhase};
 use hare_cluster::{SimDuration, SimTime};
 use hare_core::Schedule;
 use hare_memory::{PrevTask, SpeculativeCache, SwitchPolicy, SwitchRequest, TaskModelRef};
 use hare_workload::gaussian;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -51,7 +51,7 @@ pub struct Simulation<'a> {
     faults: FaultPlan,
     /// Observer for execution tracing; `None` (the default) keeps the
     /// event hot path to a single branch per hook.
-    trace: Option<SinkHandle>,
+    trace: Option<Arc<ChromeTraceSink>>,
 }
 
 impl<'a> Simulation<'a> {
@@ -68,12 +68,12 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Attach a [`TraceSink`] observing task/switch/sync spans and
+    /// Attach a [`ChromeTraceSink`] observing task/switch/sync spans and
     /// lifecycle instants. Tracing never feeds back into the simulation;
     /// the golden-snapshot suite pins that reports are byte-identical
     /// with and without a sink attached.
-    pub fn with_trace(mut self, sink: std::sync::Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(SinkHandle(sink));
+    pub fn with_trace(mut self, sink: Arc<ChromeTraceSink>) -> Self {
+        self.trace = Some(sink);
         self
     }
 
@@ -832,11 +832,6 @@ impl<'a, 'b> Engine<'a, 'b> {
             faults.dropped_gradients += ps.dropped();
         }
         faults.storage_stall = self.store.stalled();
-        // Registry filled by the shared helper (also used by the sharded
-        // merge) — excluded from `SimReport::to_json` so golden fixtures
-        // are unaffected.
-        let metrics =
-            crate::metrics::sim_registry(self.events_processed, &self.gpus, &faults, &stats);
         SimReport {
             scheme: self.policy.name(),
             makespan: stats.makespan,
@@ -850,7 +845,6 @@ impl<'a, 'b> Engine<'a, 'b> {
             storage_local_hits: self.store.local_hits(),
             faults,
             timelines: self.timelines,
-            metrics,
         }
     }
 }
@@ -883,7 +877,6 @@ pub fn planned_report(workload: &SimWorkload, schedule: &Schedule, name: &str) -
         storage_local_hits: 0,
         faults: FaultMetrics::default(),
         timelines: None,
-        metrics: MetricsRegistry::default(),
     }
 }
 

@@ -12,11 +12,11 @@ mod dense;
 pub mod engine;
 pub mod event;
 pub mod faults;
+pub mod histogram;
 pub mod metrics;
 pub mod policy;
 pub mod ps;
 pub mod recovery;
-pub mod registry;
 pub mod serve;
 pub mod shard;
 pub mod snapshot;
@@ -36,15 +36,15 @@ pub use faults::{
     SilentWorkerFault, SimError, SolverDegradation, SpeculationConfig, StorageFault,
     StorageFaultKind, StragglerWindow,
 };
+pub use histogram::Histogram;
 pub use metrics::{
-    completion_stats, completion_stats_parts, jct_cdf, sim_registry, CompletionStats, FaultMetrics,
-    GpuReport, SimReport, UtilSpan,
+    completion_stats, completion_stats_parts, jct_cdf, CompletionStats, FaultMetrics, GpuReport,
+    SimReport, UtilSpan,
 };
 pub use policy::{Change, OfflineReplay, Policy, SimView, SECS_PER_WORK_UNIT};
 pub use ps::{ParameterServer, SyncOutcome};
 pub use recovery::{crc32, LeaseConfig, RecoveryError, RecoveryStats, WalFile, WalOptions};
-pub use registry::{Histogram, MetricsRegistry};
 pub use serve::{PlanOutcome, QueueScheduler, ServeConfig, ServeLoop, ServeReport};
 pub use shard::{CellSummary, GatewayConfig, ShardReport, ShardedTrace};
 pub use storage::CheckpointStore;
-pub use trace::{ChromeTraceSink, NoopSink, SimInstant, TaskPhase, TraceSink};
+pub use trace::{ChromeTraceSink, SimInstant, TaskPhase};

@@ -96,11 +96,6 @@ pub struct SimReport {
     pub faults: FaultMetrics,
     /// Optional per-GPU utilization timelines.
     pub timelines: Option<Vec<Vec<UtilSpan>>>,
-    /// Named counters/gauges/histograms filled at report time. Excluded
-    /// from [`SimReport::to_json`] (the golden-fixture format) so new
-    /// series can be added without re-blessing fixtures; render it with
-    /// [`crate::MetricsRegistry::to_json`].
-    pub metrics: crate::registry::MetricsRegistry,
 }
 
 impl SimReport {
@@ -214,46 +209,6 @@ pub fn completion_stats_parts(
     }
 }
 
-/// Histogram buckets for the `sim.jct_secs` series: one minute through
-/// eight hours, matching the Fig.-13 CDF's plotted range.
-pub const JCT_BUCKETS_SECS: &[f64] =
-    &[60.0, 300.0, 900.0, 1800.0, 3600.0, 7200.0, 14400.0, 28800.0];
-
-/// Build the report-time metrics registry from run totals. Shared by the
-/// engine's [`SimReport`] assembly and the sharded merge so a 1-cell
-/// sharded run reproduces the unsharded registry exactly (series names,
-/// insertion order, and values). Filled once at report time — never on
-/// the event hot path — and every value is a deterministic function of
-/// the inputs, keeping reports bit-reproducible.
-pub fn sim_registry(
-    events_processed: u64,
-    gpus: &[GpuReport],
-    faults: &FaultMetrics,
-    stats: &CompletionStats,
-) -> crate::registry::MetricsRegistry {
-    let mut metrics = crate::registry::MetricsRegistry::new();
-    metrics.add("sim.events_processed", events_processed);
-    metrics.add("sim.jobs_completed", stats.jct.len() as u64);
-    metrics.add("sim.gpu_failures", u64::from(faults.gpu_failures));
-    metrics.add("sim.gpu_recoveries", u64::from(faults.gpu_recoveries));
-    metrics.add("sim.gradients_accepted", faults.gradients_accepted);
-    metrics.add("sim.gradients_dropped", faults.dropped_gradients);
-    metrics.add(
-        "sim.switches",
-        gpus.iter().map(|g| u64::from(g.switch_count)).sum(),
-    );
-    metrics.add(
-        "sim.cache_hits",
-        gpus.iter().map(|g| u64::from(g.cache_hits)).sum(),
-    );
-    metrics.set_gauge("sim.makespan_secs", stats.makespan.as_secs_f64());
-    metrics.set_gauge("sim.weighted_jct", stats.weighted_jct);
-    for jct in &stats.jct {
-        metrics.observe("sim.jct_secs", JCT_BUCKETS_SECS, jct.as_secs_f64());
-    }
-    metrics
-}
-
 /// Minimal JSON string escaping (scheme names are plain ASCII, but the
 /// serializer should never emit malformed JSON regardless).
 pub(crate) fn push_json_str(out: &mut String, s: &str) {
@@ -298,13 +253,11 @@ fn push_u64_seq(out: &mut String, vals: impl Iterator<Item = u64>) {
 
 impl SimReport {
     /// Deterministic, dependency-free JSON rendering with a fixed field
-    /// order and integer-microsecond times. Two reports serialize to the
-    /// same bytes iff their fixture-pinned fields are equal — the
-    /// golden-snapshot determinism test diffs exactly this output against
-    /// committed fixtures. The [`SimReport::metrics`] registry is
-    /// intentionally *not* rendered here (it has its own `to_json`), so
-    /// the registry can grow without invalidating fixtures. The output is
-    /// valid JSON for every input: non-finite floats become `null`.
+    /// order and integer-microsecond times. Every field is rendered, so
+    /// the golden-snapshot determinism test, which diffs exactly this
+    /// output against committed fixtures, compares whole reports. The
+    /// output is valid JSON for every input: non-finite floats become
+    /// `null`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\"scheme\":");
@@ -445,7 +398,6 @@ mod tests {
             storage_local_hits: 0,
             faults: FaultMetrics::default(),
             timelines: None,
-            metrics: crate::registry::MetricsRegistry::default(),
         }
     }
 
@@ -465,7 +417,6 @@ mod tests {
             storage_local_hits: 0,
             faults: FaultMetrics::default(),
             timelines: None,
-            metrics: crate::registry::MetricsRegistry::default(),
         }
     }
 

@@ -49,10 +49,11 @@
 //! ([`QueueScheduler::on_gpu_recovery`]). Jobs requeued more than
 //! `MAX_REQUEUES` times are counted lost.
 //!
-//! Decision-latency p50/p99 (via [`Histogram::quantile`]) and
-//! decisions/sec are first-class [`MetricsRegistry`] series. Everything
-//! is simulated-time deterministic: two runs of the same config and
-//! scheduler produce byte-identical reports.
+//! The [`ServeReport`] holds each figure once, and
+//! [`ServeReport::to_json`] renders every field, so comparing two
+//! reports' JSON compares the whole report. Everything is simulated-time
+//! deterministic: two runs of the same config and scheduler produce
+//! byte-identical reports.
 
 use crate::admission::{
     AdmissionConfig, AdmissionController, AdmissionCounters, AdmissionOutcome, BudgetController,
@@ -60,13 +61,13 @@ use crate::admission::{
 };
 use crate::dense::DenseSet;
 use crate::faults::{SchedulerCrash, ServeFaultPlan};
+use crate::histogram::Histogram;
 use crate::metrics::{push_f64, push_json_str};
 use crate::policy::SECS_PER_WORK_UNIT;
 use crate::recovery::{
     crc32, dead_at, dead_during, last_heartbeat, LeaseConfig, RecoveryError, RecoveryStats,
     WalFile, WalOptions, WalSession,
 };
-use crate::registry::{Histogram, MetricsRegistry};
 use crate::snapshot::{Reader, Writer};
 use hare_cluster::{Cluster, GpuKind, SimDuration, SimTime};
 use hare_workload::{ArrivalStream, JobSpec, OpenArrival, OpenArrivalConfig};
@@ -301,8 +302,13 @@ pub struct ServeReport {
     pub decisions: u64,
     /// Decisions per simulated second.
     pub decisions_per_sec: f64,
+    /// Deterministic work units spent deciding, over every decision.
+    pub decision_work: u64,
     /// Decision-latency distribution (simulated seconds).
     pub decision_latency: Histogram,
+    /// Queue-wait distribution of dispatched jobs, admission to dispatch
+    /// (simulated seconds).
+    pub queue_wait: Histogram,
     /// Plans per rung name (ladder descent shows up here).
     pub rung_hits: BTreeMap<String, u64>,
     /// Peak pending-queue depth.
@@ -325,9 +331,6 @@ pub struct ServeReport {
     pub lease_rejoins: u64,
     /// Jobs dropped after exceeding the lease requeue budget.
     pub lease_lost: u64,
-    /// Every figure above (plus the queue-wait histogram) as registry
-    /// series, for uniform JSON export.
-    pub metrics: MetricsRegistry,
 }
 
 impl ServeReport {
@@ -336,34 +339,74 @@ impl ServeReport {
         self.decision_latency.quantile(q)
     }
 
-    /// Deterministic JSON rendering (scheme + headline figures + the
-    /// full metrics registry). Not a golden-pinned format — serve mode
-    /// is new — but byte-stable for a given run.
+    /// Deterministic JSON rendering of every field, each once, in field
+    /// order: `counters` is keyed by the [`AdmissionCounters`] field
+    /// names, both histograms render as count, sum and buckets, and the
+    /// decision-latency p50 and p99 follow its histogram (`null` when no
+    /// decision was taken). Not a golden-pinned format, but byte-stable
+    /// for a given run, which is what crash recovery is checked against.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048);
         s.push_str("{\"scheme\":");
         push_json_str(&mut s, &self.scheme);
+        s.push_str(",\"end_secs\":");
+        push_f64(&mut s, self.end.as_secs_f64());
+        let c = &self.counters;
         let _ = write!(
             s,
-            ",\"end_secs\":{},\"completed\":{},\"decisions\":{}",
-            self.end.as_secs_f64(),
-            self.completed,
-            self.decisions,
+            ",\"counters\":{{\"offered\":{},\"admitted\":{},\"rejected_rate_limited\":{},\
+             \"rejected_queue_full\":{},\"rejected_draining\":{},\"deferred_pending\":{},\
+             \"deferrals\":{},\"shed\":{},\"drained\":{},\"readmitted\":{}}}",
+            c.offered,
+            c.admitted,
+            c.rejected_rate_limited,
+            c.rejected_queue_full,
+            c.rejected_draining,
+            c.deferred_pending,
+            c.deferrals,
+            c.shed,
+            c.drained,
+            c.readmitted,
         );
         let _ = write!(
             s,
-            ",\"drained\":{},\"shed\":{},\"requeued\":{},\"lease_lost\":{}",
-            self.counters.drained, self.counters.shed, self.requeued, self.lease_lost,
+            ",\"completed\":{},\"decisions\":{}",
+            self.completed, self.decisions
         );
+        s.push_str(",\"decisions_per_sec\":");
+        push_f64(&mut s, self.decisions_per_sec);
+        let _ = write!(s, ",\"decision_work\":{}", self.decision_work);
+        s.push_str(",\"decision_latency\":");
+        self.decision_latency.push_json(&mut s);
         s.push_str(",\"decision_latency_p50\":");
         push_f64(&mut s, self.latency_quantile(0.5).unwrap_or(f64::NAN));
         s.push_str(",\"decision_latency_p99\":");
         push_f64(&mut s, self.latency_quantile(0.99).unwrap_or(f64::NAN));
-        s.push_str(",\"decisions_per_sec\":");
-        push_f64(&mut s, self.decisions_per_sec);
-        s.push_str(",\"metrics\":");
-        s.push_str(&self.metrics.to_json());
-        s.push('}');
+        s.push_str(",\"queue_wait\":");
+        self.queue_wait.push_json(&mut s);
+        s.push_str(",\"rung_hits\":{");
+        for (i, (rung, hits)) in self.rung_hits.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            push_json_str(&mut s, rung);
+            let _ = write!(s, ":{hits}");
+        }
+        let _ = write!(
+            s,
+            "}},\"queue_depth_max\":{},\"queue_depth_at_drain\":{}",
+            self.queue_depth_max, self.queue_depth_at_drain
+        );
+        s.push_str(",\"min_budget_level\":");
+        push_f64(&mut s, self.min_budget_level);
+        let _ = write!(s, ",\"budget_transitions\":{}", self.budget_transitions);
+        s.push_str(",\"mean_jct_secs\":");
+        push_f64(&mut s, self.mean_jct_secs);
+        let _ = write!(
+            s,
+            ",\"requeued\":{},\"lease_expiries\":{},\"lease_rejoins\":{},\"lease_lost\":{}}}",
+            self.requeued, self.lease_expiries, self.lease_rejoins, self.lease_lost
+        );
         s
     }
 }
@@ -1027,45 +1070,6 @@ impl ServeLoop {
             0.0
         };
 
-        let mut metrics = MetricsRegistry::new();
-        metrics.add("serve.offered", counters.offered);
-        metrics.add("serve.admitted", counters.admitted);
-        metrics.add(
-            "serve.rejected_rate_limited",
-            counters.rejected_rate_limited,
-        );
-        metrics.add("serve.rejected_queue_full", counters.rejected_queue_full);
-        metrics.add("serve.rejected_draining", counters.rejected_draining);
-        metrics.add("serve.deferrals", counters.deferrals);
-        metrics.add("serve.shed", counters.shed);
-        metrics.add("serve.drained", counters.drained);
-        metrics.add("serve.readmitted", counters.readmitted);
-        metrics.add("serve.completed", st.completed);
-        metrics.add("serve.decisions", st.decisions);
-        metrics.add("serve.decision_work", st.work_total);
-        metrics.add("serve.queue_depth_max", st.depth_max as u64);
-        metrics.add("serve.requeued", st.requeued);
-        metrics.add("serve.lease_expiries", st.lease_expiries);
-        metrics.add("serve.lease_rejoins", st.lease_rejoins);
-        metrics.add("serve.lease_lost", st.lease_lost);
-        metrics.set_gauge("serve.decisions_per_sec", decisions_per_sec);
-        metrics.set_gauge(
-            "serve.decision_latency_p50",
-            st.latency_hist.quantile(0.5).unwrap_or(0.0),
-        );
-        metrics.set_gauge(
-            "serve.decision_latency_p99",
-            st.latency_hist.quantile(0.99).unwrap_or(0.0),
-        );
-        metrics.set_gauge("serve.min_budget_level", st.budget.min_level());
-        metrics.set_gauge("serve.budget_transitions", st.budget.transitions() as f64);
-        metrics.set_gauge("serve.mean_jct_secs", mean_jct_secs);
-        for (rung, hits) in &st.rung_hits {
-            metrics.add(&format!("serve.rung.{rung}"), *hits);
-        }
-        metrics.insert_histogram("serve.decision_latency_secs", st.latency_hist.clone());
-        metrics.insert_histogram("serve.queue_wait_secs", st.wait_hist);
-
         ServeReport {
             scheme: scheduler.name().to_string(),
             end: st.now,
@@ -1073,7 +1077,9 @@ impl ServeLoop {
             completed: st.completed,
             decisions: st.decisions,
             decisions_per_sec,
+            decision_work: st.work_total,
             decision_latency: st.latency_hist,
+            queue_wait: st.wait_hist,
             rung_hits: st.rung_hits,
             queue_depth_max: st.depth_max,
             queue_depth_at_drain: st.depth_at_drain,
@@ -1084,7 +1090,6 @@ impl ServeLoop {
             lease_expiries: st.lease_expiries,
             lease_rejoins: st.lease_rejoins,
             lease_lost: st.lease_lost,
-            metrics,
         }
     }
 
@@ -1505,6 +1510,137 @@ mod tests {
             report.completed + report.counters.drained + report.counters.shed + report.lease_lost,
             "lease accounting closes the conservation identity: {report:?}"
         );
+    }
+
+    /// `h` with one observation moved to the next bucket: the count and
+    /// the sum hold, so only the bucket counts differ.
+    fn moved(h: &Histogram, bounds: &[f64]) -> Histogram {
+        let mut counts = h.counts().to_vec();
+        let from = counts.iter().position(|&n| n > 0).expect("an observation");
+        let to = (from + 1) % counts.len();
+        counts[from] -= 1;
+        counts[to] += 1;
+        Histogram::from_parts(bounds, counts, h.sum()).unwrap()
+    }
+
+    #[test]
+    fn the_json_report_renders_every_field() {
+        // Leases and a blackout make the lease counters and readmissions
+        // non-zero, so every field holds a figure of a real run.
+        let mut cfg = config(1.5, 2_500);
+        cfg.lease = Some(LeaseConfig::default());
+        cfg.faults.silent_workers = (0..4)
+            .map(|gpu| SilentWorkerFault {
+                gpu,
+                from: SimTime::from_secs(600),
+                until: Some(SimTime::from_secs(900)),
+            })
+            .collect();
+        let base = ServeLoop::new(Cluster::testbed15(), cfg).run(&mut Fifo);
+        assert!(base.lease_expiries > 0 && base.counters.readmitted > 0);
+        // Named without `..`: a new field does not compile here until it
+        // has a perturbation below.
+        let ServeReport {
+            scheme: _,
+            end: _,
+            counters:
+                AdmissionCounters {
+                    offered: _,
+                    admitted: _,
+                    rejected_rate_limited: _,
+                    rejected_queue_full: _,
+                    rejected_draining: _,
+                    deferred_pending: _,
+                    deferrals: _,
+                    shed: _,
+                    drained: _,
+                    readmitted: _,
+                },
+            completed: _,
+            decisions: _,
+            decisions_per_sec: _,
+            decision_work: _,
+            decision_latency: _,
+            queue_wait: _,
+            rung_hits: _,
+            queue_depth_max: _,
+            queue_depth_at_drain: _,
+            min_budget_level: _,
+            budget_transitions: _,
+            mean_jct_secs: _,
+            requeued: _,
+            lease_expiries: _,
+            lease_rejoins: _,
+            lease_lost: _,
+        } = &base;
+        type Perturb = fn(&mut ServeReport);
+        let perturbations: [(&str, Perturb); 30] = [
+            ("scheme", |r| r.scheme.push('x')),
+            ("end", |r| r.end += SimDuration::from_secs(1)),
+            ("counters.offered", |r| r.counters.offered += 1),
+            ("counters.admitted", |r| r.counters.admitted += 1),
+            ("counters.rejected_rate_limited", |r| {
+                r.counters.rejected_rate_limited += 1
+            }),
+            ("counters.rejected_queue_full", |r| {
+                r.counters.rejected_queue_full += 1
+            }),
+            ("counters.rejected_draining", |r| {
+                r.counters.rejected_draining += 1
+            }),
+            ("counters.deferred_pending", |r| {
+                r.counters.deferred_pending += 1
+            }),
+            ("counters.deferrals", |r| r.counters.deferrals += 1),
+            ("counters.shed", |r| r.counters.shed += 1),
+            ("counters.drained", |r| r.counters.drained += 1),
+            ("counters.readmitted", |r| r.counters.readmitted += 1),
+            ("completed", |r| r.completed += 1),
+            ("decisions", |r| r.decisions += 1),
+            ("decisions_per_sec", |r| r.decisions_per_sec += 1.0),
+            ("decision_work", |r| r.decision_work += 1),
+            ("decision_latency buckets", |r| {
+                r.decision_latency = moved(&r.decision_latency, &LATENCY_BUCKETS_SECS)
+            }),
+            ("decision_latency sum", |r| {
+                let h = &r.decision_latency;
+                r.decision_latency =
+                    Histogram::from_parts(&LATENCY_BUCKETS_SECS, h.counts().to_vec(), h.sum() + 1.0)
+                        .unwrap()
+            }),
+            ("queue_wait buckets", |r| {
+                r.queue_wait = moved(&r.queue_wait, &WAIT_BUCKETS_SECS)
+            }),
+            ("queue_wait sum", |r| {
+                let h = &r.queue_wait;
+                r.queue_wait =
+                    Histogram::from_parts(&WAIT_BUCKETS_SECS, h.counts().to_vec(), h.sum() + 1.0)
+                        .unwrap()
+            }),
+            ("rung_hits", |r| {
+                *r.rung_hits.values_mut().next().expect("a rung") += 1
+            }),
+            ("queue_depth_max", |r| r.queue_depth_max += 1),
+            ("queue_depth_at_drain", |r| r.queue_depth_at_drain += 1),
+            ("min_budget_level", |r| r.min_budget_level += 0.5),
+            ("budget_transitions", |r| r.budget_transitions += 1),
+            ("mean_jct_secs", |r| r.mean_jct_secs += 1.0),
+            ("requeued", |r| r.requeued += 1),
+            ("lease_expiries", |r| r.lease_expiries += 1),
+            ("lease_rejoins", |r| r.lease_rejoins += 1),
+            ("lease_lost", |r| r.lease_lost += 1),
+        ];
+        let json = base.to_json();
+        let mut missing = Vec::new();
+        for (field, perturb) in perturbations {
+            let mut r = base.clone();
+            perturb(&mut r);
+            assert_ne!(r, base, "{field}: the perturbation changed nothing");
+            if r.to_json() == json {
+                missing.push(field);
+            }
+        }
+        assert!(missing.is_empty(), "missing from the JSON: {missing:?}");
     }
 
     #[test]

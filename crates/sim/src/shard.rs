@@ -37,14 +37,13 @@
 //! through the routing table, GPU rows scatter through the cell→global id
 //! maps, fault/storage counters sum, and the job-level aggregates are
 //! recomputed over the *global* job order with the same arithmetic
-//! ([`crate::metrics::completion_stats_parts`]) and registry builder
-//! ([`crate::metrics::sim_registry`]) the engine itself uses. With one
-//! cell the partition, routing and merge are all identity maps, so the
-//! sharded output is bit-identical to the unsharded engine — the golden
-//! identity tests pin exactly that.
+//! ([`crate::metrics::completion_stats_parts`]) the engine itself uses.
+//! With one cell the partition, routing and merge are all identity maps,
+//! so the sharded output is bit-identical to the unsharded engine — the
+//! golden identity tests pin exactly that.
 
 use crate::faults::SimError;
-use crate::metrics::{completion_stats_parts, sim_registry, FaultMetrics, GpuReport, SimReport};
+use crate::metrics::{completion_stats_parts, FaultMetrics, GpuReport, SimReport};
 use hare_cluster::{Cell, CellPartition, Cluster, GpuId, GpuKind, SimTime};
 use hare_workload::{JobId, JobSpec};
 
@@ -264,7 +263,6 @@ impl ShardedTrace {
             });
         }
         let stats = completion_stats_parts(&completion, &self.arrivals, &self.weights);
-        let metrics = sim_registry(events_total, &gpus, &faults, &stats);
         Ok(ShardReport {
             report: SimReport {
                 scheme: scheme.unwrap_or_default(),
@@ -279,7 +277,6 @@ impl ShardedTrace {
                 storage_local_hits,
                 faults,
                 timelines: (saw_timelines && all_timelines).then_some(timelines),
-                metrics,
             },
             cells,
             events_total,

@@ -7,8 +7,8 @@
 //! last field, and answers any malformed, missing or left-over field
 //! with a [`RecoveryError::Corrupt`] that names it.
 
+use crate::histogram::Histogram;
 use crate::recovery::RecoveryError;
-use crate::registry::Histogram;
 use hare_cluster::SimTime;
 use hare_workload::{JobId, JobSpec, ModelKind};
 use std::fmt::{Display, Write as _};

@@ -5,9 +5,10 @@
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost when disabled.** The engine holds an
-//!    `Option<SinkHandle>`; every hook is a single `if let Some(..)`
-//!    branch on the event path, and the default is `None`. The
-//!    `sim_report --smoke` benchmark guards this (see BENCH_sim.json).
+//!    `Option<Arc<ChromeTraceSink>>`; every hook is a single
+//!    `if let Some(..)` branch on the event path, and the default is
+//!    `None`. The `sim_report --smoke` benchmark guards this (see
+//!    BENCH_sim.json).
 //! 2. **Determinism.** Sinks are fed in event-handling order, which the
 //!    engine already fixes bit-exactly. Solver spans use a *work-unit*
 //!    clock (pivots, B&B nodes), never wall-clock, so traces are
@@ -22,7 +23,7 @@
 
 use hare_cluster::{SimDuration, SimTime};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Which phase of a task's life a span covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,86 +58,6 @@ pub enum SimInstant {
     GpuRecovery,
 }
 
-/// Observer interface for simulation and solver activity.
-///
-/// Every method has a no-op default, so a sink implements only what it
-/// cares about. Methods take `&self`: sinks use interior mutability and
-/// must be thread-safe (`Send + Sync`) because the parallel experiment
-/// harness shares them across runs.
-pub trait TraceSink: Send + Sync {
-    /// A task occupied `gpu` from `from` to `to` in the given phase.
-    fn task_span(
-        &self,
-        phase: TaskPhase,
-        gpu: usize,
-        task: usize,
-        job: usize,
-        from: SimTime,
-        to: SimTime,
-    ) {
-        let _ = (phase, gpu, task, job, from, to);
-    }
-
-    /// Job `job` synchronized round `round` from `from` to `to`.
-    fn sync_span(&self, job: usize, round: usize, from: SimTime, to: SimTime) {
-        let _ = (job, round, from, to);
-    }
-
-    /// A point event, optionally pinned to a GPU track.
-    fn instant(&self, what: SimInstant, gpu: Option<usize>, at: SimTime) {
-        let _ = (what, gpu, at);
-    }
-
-    /// The online scheduler replanned at `at`; the chosen plan came from
-    /// `rung` after `work` solver work units, charged as `latency` on the
-    /// simulation clock.
-    fn replan(&self, at: SimTime, latency: SimDuration, rung: &str, work: u64) {
-        let _ = (at, latency, rung, work);
-    }
-
-    /// A solver phase ran from `start_work` to `end_work` on the solver's
-    /// deterministic work-unit clock, anchored at simulation time
-    /// `anchor`. `detail` is phase-specific (cut round, branch index,
-    /// rung outcome, ...).
-    fn solver_span(
-        &self,
-        phase: &str,
-        anchor: SimTime,
-        start_work: u64,
-        end_work: u64,
-        detail: u64,
-    ) {
-        let _ = (phase, anchor, start_work, end_work, detail);
-    }
-}
-
-/// A sink that ignores everything. Exists so call sites can be written
-/// against a concrete type in tests; the engine itself uses `None`
-/// rather than a boxed no-op, keeping the disabled path branch-only.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {}
-
-/// Shared, clonable handle to a sink. The engine stores this instead of
-/// a bare `Arc<dyn TraceSink>` so `Simulation` can keep deriving
-/// `Debug`/`Clone`.
-#[derive(Clone)]
-pub(crate) struct SinkHandle(pub(crate) Arc<dyn TraceSink>);
-
-impl std::fmt::Debug for SinkHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SinkHandle(..)")
-    }
-}
-
-impl std::ops::Deref for SinkHandle {
-    type Target = dyn TraceSink;
-    fn deref(&self) -> &Self::Target {
-        &*self.0
-    }
-}
-
 /// One buffered trace event, already resolved to Chrome trace fields.
 #[derive(Clone, Debug)]
 struct TraceEvent {
@@ -163,9 +84,13 @@ const TID_SYNC_BASE: u64 = 10_000;
 /// Simulator track for instants not tied to a GPU or a job.
 const TID_MISC: u64 = 9_999;
 
-/// A [`TraceSink`] that buffers everything and renders Chrome
-/// trace-event JSON (an object with a `traceEvents` array), loadable in
-/// Perfetto or `chrome://tracing`.
+/// The trace sink: it buffers everything the simulation and the solver
+/// report and renders Chrome trace-event JSON (an object with a
+/// `traceEvents` array), loadable in Perfetto or `chrome://tracing`.
+///
+/// Hooks take `&self` (the buffer sits behind a mutex), so one sink is
+/// shared through an `Arc` by the engine and by online Hare, and across
+/// the parallel experiment harness's runs.
 ///
 /// Layout: pid 0 is the simulator — one thread row per GPU, plus one
 /// row per job for synchronization spans; pid 1 is the solver, whose
@@ -258,10 +183,9 @@ impl ChromeTraceSink {
         s.push_str("]}");
         s
     }
-}
 
-impl TraceSink for ChromeTraceSink {
-    fn task_span(
+    /// A task occupied `gpu` from `from` to `to` in the given phase.
+    pub fn task_span(
         &self,
         phase: TaskPhase,
         gpu: usize,
@@ -286,7 +210,8 @@ impl TraceSink for ChromeTraceSink {
         });
     }
 
-    fn sync_span(&self, job: usize, round: usize, from: SimTime, to: SimTime) {
+    /// Job `job` synchronized round `round` from `from` to `to`.
+    pub fn sync_span(&self, job: usize, round: usize, from: SimTime, to: SimTime) {
         self.push(TraceEvent {
             name: format!("sync j{job} r{round}"),
             cat: "sync",
@@ -299,7 +224,8 @@ impl TraceSink for ChromeTraceSink {
         });
     }
 
-    fn instant(&self, what: SimInstant, gpu: Option<usize>, at: SimTime) {
+    /// A point event, optionally pinned to a GPU track.
+    pub fn instant(&self, what: SimInstant, gpu: Option<usize>, at: SimTime) {
         let (name, args): (String, Vec<(&'static str, String)>) = match what {
             SimInstant::JobArrival { job } => {
                 (format!("arrive j{job}"), vec![("job", job.to_string())])
@@ -332,7 +258,10 @@ impl TraceSink for ChromeTraceSink {
         });
     }
 
-    fn replan(&self, at: SimTime, latency: SimDuration, rung: &str, work: u64) {
+    /// The online scheduler replanned at `at`; the chosen plan came from
+    /// `rung` after `work` solver work units, charged as `latency` on the
+    /// simulation clock.
+    pub fn replan(&self, at: SimTime, latency: SimDuration, rung: &str, work: u64) {
         self.push(TraceEvent {
             name: format!("replan ({rung})"),
             cat: "replan",
@@ -345,7 +274,11 @@ impl TraceSink for ChromeTraceSink {
         });
     }
 
-    fn solver_span(
+    /// A solver phase ran from `start_work` to `end_work` on the solver's
+    /// deterministic work-unit clock, anchored at simulation time
+    /// `anchor`. `detail` is phase-specific (cut round, branch index,
+    /// rung outcome, ...).
+    pub fn solver_span(
         &self,
         phase: &str,
         anchor: SimTime,
@@ -434,20 +367,5 @@ mod tests {
         assert!(sink.is_empty());
         let json = sink.to_chrome_json();
         assert!(serde_json::from_str(&json).is_ok());
-    }
-
-    #[test]
-    fn noop_sink_accepts_everything() {
-        let sink = NoopSink;
-        sink.task_span(
-            TaskPhase::Train,
-            0,
-            0,
-            0,
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-        );
-        sink.instant(SimInstant::GpuRecovery, None, SimTime::ZERO);
-        sink.replan(SimTime::ZERO, SimDuration::ZERO, "greedy", 1);
     }
 }

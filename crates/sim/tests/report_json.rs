@@ -1,17 +1,17 @@
 //! Property tests pinning the contract of the dependency-free JSON
-//! serializers: `SimReport::to_json` and `MetricsRegistry::to_json` must
-//! produce *valid* JSON for every input — including NaN/infinite floats
-//! (serialized as `null`), hostile scheme names (quotes, backslashes,
-//! control characters), empty reports, and reports produced by real runs
-//! under random fault plans. Validity is checked by re-parsing with the
-//! strict `serde_json` parser.
+//! serializers: `SimReport::to_json` and `ServeReport::to_json` (with its
+//! two histograms) must produce *valid* JSON for every input — including
+//! NaN/infinite floats (serialized as `null`), hostile scheme names
+//! (quotes, backslashes, control characters), empty reports, and reports
+//! produced by real runs under random fault plans. Validity is checked by
+//! re-parsing with the strict `serde_json` parser.
 
 #![allow(clippy::unwrap_used)]
 
 use hare_cluster::{Bytes, Cluster, SimDuration, SimTime};
 use hare_sim::{
-    FaultMetrics, FaultPlan, GpuFault, GpuReport, MetricsRegistry, SimReport, SimWorkload,
-    Simulation, StragglerWindow, UtilSpan,
+    AdmissionCounters, FaultMetrics, FaultPlan, GpuFault, GpuReport, Histogram, ServeReport,
+    SimReport, SimWorkload, Simulation, StragglerWindow, UtilSpan,
 };
 use hare_workload::{testbed_trace, ProfileDb};
 use proptest::prelude::*;
@@ -75,7 +75,59 @@ fn arb_report() -> impl Strategy<Value = SimReport> {
                     })
                     .collect()]
             }),
-            metrics: MetricsRegistry::default(),
+        },
+    )
+}
+
+/// A histogram over `bounds` with bucket counts from `counts` (padded or
+/// cut to fit) and an arbitrary sum.
+fn histogram(bounds: &[f64], counts: &[u64], sum: f64) -> Histogram {
+    let mut counts = counts.to_vec();
+    counts.resize(bounds.len() + 1, 0);
+    Histogram::from_parts(bounds, counts, sum).unwrap()
+}
+
+fn arb_serve_report() -> impl Strategy<Value = ServeReport> {
+    let parts = (
+        (wild_string(), any::<u64>(), any::<u64>()),
+        (wild_f64(), wild_f64(), wild_f64()),
+        (wild_f64(), wild_f64()),
+        prop::collection::vec(0u64..1_000_000, 0..12),
+        prop::collection::vec((wild_string(), any::<u64>()), 0..5),
+    );
+    parts.prop_map(
+        |(
+            (scheme, end, n),
+            (decisions_per_sec, min_budget_level, mean_jct_secs),
+            (lsum, wsum),
+            counts,
+            rungs,
+        )| {
+            ServeReport {
+                scheme,
+                end: SimTime::from_micros(end),
+                counters: AdmissionCounters {
+                    offered: n,
+                    deferred_pending: n / 3,
+                    ..AdmissionCounters::default()
+                },
+                completed: n,
+                decisions: n / 2,
+                decisions_per_sec,
+                decision_work: n,
+                decision_latency: histogram(&[0.001, 0.01, 0.1], &counts, lsum),
+                queue_wait: histogram(&[1.0, 60.0], &counts[counts.len() / 2..], wsum),
+                rung_hits: rungs.into_iter().collect(),
+                queue_depth_max: n as usize,
+                queue_depth_at_drain: (n / 5) as usize,
+                min_budget_level,
+                budget_transitions: n as u32,
+                mean_jct_secs,
+                requeued: n,
+                lease_expiries: n,
+                lease_rejoins: n,
+                lease_lost: n,
+            }
         },
     )
 }
@@ -96,19 +148,12 @@ proptest! {
         assert_valid_json("SimReport::to_json", &report.to_json());
     }
 
-    /// Same for the metrics registry, whose gauge values and histogram
-    /// sums are f64 (a NaN gauge must render as null, not `NaN`).
+    /// Same for the serve report: hostile scheme and rung names, and
+    /// every f64 bit pattern in its float fields and histogram sums (a
+    /// NaN must render as null, not `NaN`).
     #[test]
-    fn registry_json_always_parses(
-        entries in prop::collection::vec((wild_string(), wild_f64(), 0u64..1_000_000), 0..8)
-    ) {
-        let mut reg = MetricsRegistry::new();
-        for (name, v, n) in &entries {
-            reg.add(name, *n);
-            reg.set_gauge(name, *v);
-            reg.observe(name, &[1.0, 10.0], *v);
-        }
-        assert_valid_json("MetricsRegistry::to_json", &reg.to_json());
+    fn serve_report_json_always_parses(report in arb_serve_report()) {
+        assert_valid_json("ServeReport::to_json", &report.to_json());
     }
 }
 
@@ -116,8 +161,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// End-to-end: reports from real simulations under random fault plans
-    /// (transient/permanent failures, stragglers) serialize to valid JSON,
-    /// and so do their filled metrics registries.
+    /// (transient/permanent failures, stragglers) serialize to valid JSON.
     #[test]
     fn fault_run_reports_serialize_to_valid_json(
         case in (
@@ -156,7 +200,6 @@ proptest! {
             .run(&mut hare_baselines_stub::policy())
             .expect("simulation");
         assert_valid_json("SimReport::to_json (fault run)", &report.to_json());
-        assert_valid_json("MetricsRegistry::to_json (fault run)", &report.metrics.to_json());
     }
 }
 

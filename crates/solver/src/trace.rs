@@ -6,12 +6,12 @@
 //! monotone work cursor; each recorded phase advances it by the phase's
 //! work, producing a gapless, deterministic lane of spans. The consumer
 //! (the online scheduler in `hare-baselines`) drains the spans and
-//! forwards them to the simulator's `TraceSink`, anchored at the
+//! forwards them to the simulator's `ChromeTraceSink`, anchored at the
 //! simulation time of the replan that ran the solver.
 //!
 //! `hare-solver` cannot depend on `hare-sim` (the dependency points the
-//! other way), which is why this is a standalone buffer rather than an
-//! implementation of the sim's sink trait.
+//! other way), which is why this is a standalone buffer rather than a
+//! call into the sim's sink.
 
 use std::sync::{Arc, Mutex};
 
@@ -34,7 +34,7 @@ pub struct SolveSpan {
 /// Cheap to clone (an `Arc`): clones share one buffer, so an owner such
 /// as the online policy keeps a handle while the solvers record through
 /// `&SolveTrace`. The `Mutex` keeps the handle `Send + Sync`, like the
-/// simulator's `TraceSink`, so policies holding one can run on the
+/// simulator's `ChromeTraceSink`, so policies holding one can run on the
 /// experiment harness's worker threads; each solve records from its own
 /// thread, in order.
 #[derive(Clone, Debug, Default)]
