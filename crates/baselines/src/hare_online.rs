@@ -103,14 +103,6 @@ impl HareOnline {
         HareOnline::default()
     }
 
-    /// With a custom scheduler configuration.
-    pub fn with_scheduler(scheduler: HareScheduler) -> Self {
-        HareOnline {
-            scheduler,
-            ..HareOnline::default()
-        }
-    }
-
     /// With budgeted replanning: every replan runs the anytime ladder
     /// under `cfg.budget` (scaled by the live solver-degradation factor)
     /// and pays its solver latency on the simulation clock.

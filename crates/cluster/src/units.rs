@@ -260,11 +260,6 @@ impl Bytes {
         Bytes(b)
     }
 
-    /// Construct from kibibytes.
-    pub const fn kib(k: u64) -> Self {
-        Bytes(k * 1024)
-    }
-
     /// Construct from mebibytes.
     pub const fn mib(m: u64) -> Self {
         Bytes(m * 1024 * 1024)
@@ -283,11 +278,6 @@ impl Bytes {
     /// Mebibytes as a float (reporting only).
     pub fn as_mib_f64(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, rhs: Bytes) -> Option<Bytes> {
-        self.0.checked_sub(rhs.0).map(Bytes)
     }
 
     /// Subtraction clamped at zero.
@@ -475,7 +465,6 @@ mod tests {
 
     #[test]
     fn bytes_constructors() {
-        assert_eq!(Bytes::kib(1).as_u64(), 1024);
         assert_eq!(Bytes::mib(1).as_u64(), 1024 * 1024);
         assert_eq!(Bytes::gib(2).as_u64(), 2 * 1024 * 1024 * 1024);
         assert!((Bytes::mib(512).as_mib_f64() - 512.0).abs() < 1e-9);
@@ -486,7 +475,6 @@ mod tests {
         let a = Bytes::mib(10);
         let b = Bytes::mib(4);
         assert_eq!(a - b, Bytes::mib(6));
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(b.saturating_sub(a), Bytes::ZERO);
     }
 

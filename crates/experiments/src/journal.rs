@@ -24,12 +24,12 @@
 //! three fields. The primary value (a weighted JCT, a mean, …) travels as
 //! the hex of [`f64::to_bits`], so reloading is bit-exact — no decimal
 //! round-tripping. The free-form `note` carries preformatted report text
-//! (it must not contain tabs or newlines). A record whose CRC does not
-//! match, or a line that is not UTF-8, is *in-place corruption*, not a
-//! torn append: everything from the first bad record on is untrusted,
-//! truncated away on open, and surfaced through [`Journal::dropped`].
-//! CRC-less three-field records (the pre-checksum format) still load, so
-//! old journals resume cleanly.
+//! (it must not contain tabs or newlines). That is the only record
+//! format: any complete line that is not a verified record (a CRC that
+//! does not match, a field missing or extra, a line that is not UTF-8) is
+//! *in-place corruption*, not a torn append. Everything from the first
+//! such line on is untrusted, truncated away on open, and surfaced
+//! through [`Journal::dropped`], so its cells re-run.
 
 use crate::harness::parallel_map;
 use hare_sim::crc32;
@@ -47,27 +47,13 @@ pub struct Journal {
     dropped: usize,
 }
 
-/// What one journal line turned out to be.
-enum Parsed<'a> {
-    /// A complete record.
-    Record(&'a str, f64, &'a str),
-    /// Unparseable in a way the CRC-less legacy format also produced
-    /// (missing fields, bad hex): skipped, as it always was.
-    Skip,
-    /// A CRC-framed record whose checksum (or checksummed payload) does
-    /// not verify: in-place corruption — this line and everything after
-    /// it are untrusted.
-    Corrupt,
-}
-
 impl Journal {
     /// Open (or create) the journal at `path`, loading every complete
-    /// record. Torn trailing lines and malformed legacy records are
-    /// skipped; a torn tail is truncated away so that a later [`record`]
-    /// starts on a fresh line, and a CRC mismatch or non-UTF-8 line
-    /// truncates *from the first bad record onward* (in-place corruption
-    /// invalidates everything after it). The number of records lost that
-    /// way is [`dropped`].
+    /// record. A torn tail is truncated away so that a later [`record`]
+    /// starts on a fresh line, and a line that is not a verified record
+    /// truncates *from that line onward* (in-place corruption invalidates
+    /// everything after it). The number of lines lost that way is
+    /// [`dropped`].
     ///
     /// [`record`]: Journal::record
     /// [`dropped`]: Journal::dropped
@@ -76,14 +62,11 @@ impl Journal {
         let mut done = BTreeMap::new();
         // The writer only emits UTF-8, so other bytes are disk damage.
         let loaded = load_line_log(&path, |line| {
-            match std::str::from_utf8(line).map_or(Parsed::Corrupt, parse_record) {
-                Parsed::Record(key, value, note) => {
-                    done.insert(key.to_string(), (value, note.to_string()));
-                    true
-                }
-                Parsed::Skip => true,
-                Parsed::Corrupt => false,
+            let record = std::str::from_utf8(line).ok().and_then(parse_record);
+            if let Some((key, value, note)) = record {
+                done.insert(key.to_string(), (value, note.to_string()));
             }
+            record.is_some()
         });
         let dropped = match loaded {
             Ok(dropped) => dropped,
@@ -117,9 +100,9 @@ impl Journal {
         self.done.is_empty()
     }
 
-    /// Records discarded on open because a CRC mismatch invalidated them
-    /// (the corrupt record and everything after it). Zero for a healthy
-    /// journal; a sweep can use this to warn that cells will re-run.
+    /// Lines discarded on open because one failed to verify (that line and
+    /// everything after it). Zero for a healthy journal; a sweep can use
+    /// this to warn that cells will re-run.
     pub fn dropped(&self) -> usize {
         self.dropped
     }
@@ -196,39 +179,21 @@ pub fn journaled_cells<T: Sync>(
     })
 }
 
-/// Classify one complete journal line. Four tab-separated fields are the
-/// CRC-framed format (notes are tab-free, so the count is unambiguous);
-/// two or three are a legacy record, tolerated without verification.
-fn parse_record(line: &str) -> Parsed<'_> {
+/// Parse one complete journal line: four tab-separated fields (notes are
+/// tab-free, so the count is unambiguous) whose CRC verifies. `None` for
+/// anything else.
+fn parse_record(line: &str) -> Option<(&str, f64, &str)> {
     let fields: Vec<&str> = line.split('\t').collect();
-    match fields[..] {
-        [key, bits, note, crc] => {
-            let Ok(crc) = u32::from_str_radix(crc, 16) else {
-                return Parsed::Corrupt;
-            };
-            let payload_len = key.len() + 1 + bits.len() + 1 + note.len();
-            if crc != crc32(&line.as_bytes()[..payload_len]) {
-                return Parsed::Corrupt;
-            }
-            // The CRC vouches for the payload: a malformed key/value
-            // here means the writer itself was broken, not the disk.
-            let (Ok(bits), false) = (u64::from_str_radix(bits, 16), key.is_empty()) else {
-                return Parsed::Corrupt;
-            };
-            Parsed::Record(key, f64::from_bits(bits), note)
-        }
-        [key, bits] | [key, bits, _] => {
-            let Ok(bits) = u64::from_str_radix(bits, 16) else {
-                return Parsed::Skip;
-            };
-            if key.is_empty() {
-                return Parsed::Skip;
-            }
-            let note = fields.get(2).copied().unwrap_or("");
-            Parsed::Record(key, f64::from_bits(bits), note)
-        }
-        _ => Parsed::Skip,
+    let [key, bits, note, crc] = fields[..] else {
+        return None;
+    };
+    let crc = u32::from_str_radix(crc, 16).ok()?;
+    let payload_len = key.len() + 1 + bits.len() + 1 + note.len();
+    if crc != crc32(&line.as_bytes()[..payload_len]) || key.is_empty() {
+        return None;
     }
+    let bits = u64::from_str_radix(bits, 16).ok()?;
+    Some((key, f64::from_bits(bits), note))
 }
 
 #[cfg(test)]
@@ -284,17 +249,27 @@ mod tests {
     }
 
     #[test]
-    fn malformed_legacy_lines_are_skipped() {
+    fn malformed_lines_truncate_like_corruption() {
+        // A line without the four CRC-framed fields is corruption like any
+        // other: it and every line after it are truncated away.
         let path = tmp("malformed");
-        std::fs::write(
-            &path,
-            "not a record\n\tmissing key\nok\t3ff0000000000000\tn\n",
-        )
-        .unwrap();
-        let j = Journal::open(&path).unwrap();
+        let mut j = Journal::open(&path).unwrap();
+        j.record("ok", 1.0, "n").unwrap();
+        drop(j);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("not a record\nold\t4000000000000000\tlegacy note\n");
+        std::fs::write(&path, &text).unwrap();
+        let mut j = Journal::open(&path).unwrap();
         assert_eq!(j.len(), 1);
-        assert_eq!(j.dropped(), 0);
+        assert_eq!(j.dropped(), 2, "the first malformed line and its successor");
         assert_eq!(j.get("ok").unwrap().0, 1.0);
+        assert_eq!(j.get("old"), None, "a CRC-less record does not load");
+        // The file was truncated at the first malformed line, so new
+        // appends follow the verified prefix.
+        j.record("new", 3.0, "").unwrap();
+        drop(j);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!((j.len(), j.dropped()), (2, 0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -343,21 +318,6 @@ mod tests {
             assert_eq!((j.len(), j.dropped()), (1, 0), "{name}");
             std::fs::remove_file(&path).unwrap();
         }
-    }
-
-    #[test]
-    fn legacy_crc_less_records_still_load() {
-        let path = tmp("legacy");
-        std::fs::write(&path, "old\t4000000000000000\tlegacy note\n").unwrap();
-        let mut j = Journal::open(&path).unwrap();
-        assert_eq!(j.get("old"), Some((2.0, "legacy note")));
-        // New appends are CRC-framed and coexist with the legacy line.
-        j.record("new", 3.0, "").unwrap();
-        drop(j);
-        let j = Journal::open(&path).unwrap();
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped(), 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

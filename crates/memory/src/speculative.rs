@@ -178,11 +178,6 @@ impl SpeculativeCache {
     pub fn peak(&self) -> Bytes {
         self.pool.peak()
     }
-
-    /// Number of models currently resident.
-    pub fn resident_models(&self) -> usize {
-        self.cached.len()
-    }
 }
 
 /// Plan the speculative cache for a whole `sequence` on a GPU of kind `gpu`

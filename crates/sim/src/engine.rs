@@ -165,13 +165,6 @@ struct Engine<'a, 'b> {
     assign_buf: Vec<(usize, usize)>,
     /// Reusable per-machine NIC-factor buffer for degraded syncs.
     net_scratch: Vec<f64>,
-    /// Per-GPU sequence number of the pending occupancy event
-    /// (`SwitchDone` or `TrainDone`), so a failure can cancel it in the
-    /// queue instead of letting it surface and be gen-checked. Only used
-    /// for cancellation when speculation is off: a stale `TrainDone`
-    /// doubles as a speculation probe at its pop time (see
-    /// [`Engine::run`]), and cancelling it would change when twins launch.
-    inflight: Vec<Option<u64>>,
     /// Last task that ran on each GPU (for switch costs).
     prev_task: Vec<Option<usize>>,
     /// When the current switch+train occupation began, per GPU.
@@ -185,14 +178,14 @@ struct Engine<'a, 'b> {
     /// Jobs with a synchronization barrier currently in flight (for
     /// cross-job network contention).
     active_syncs: u32,
-    /// GPUs currently out of service.
-    failed: Vec<bool>,
-    /// Per-GPU occupancy generation, bumped on every failure: events
-    /// scheduled under an older generation are stale and ignored, which
-    /// keeps transient recovery sound (a recovered GPU must not be
-    /// confused by echoes of its pre-failure work).
+    /// Per-GPU occupancy generation, bumped on every failure: an
+    /// occupancy event scheduled under an older generation is stale and
+    /// ignored when it pops. That is the one way a failed GPU's in-flight
+    /// work is retired, and it keeps transient recovery sound (a recovered
+    /// GPU must not be confused by echoes of its pre-failure work).
     gen: Vec<u32>,
-    /// When each currently-failed GPU went down (for recovery latency).
+    /// When each currently-failed GPU went down (for recovery latency);
+    /// `Some` exactly while the GPU is out of service.
     fail_time: Vec<Option<SimTime>>,
     /// Straggler slowdown profile per GPU, compiled once from the plan's
     /// windows so hot-path lookups are a binary search instead of a scan.
@@ -221,7 +214,7 @@ struct Engine<'a, 'b> {
     gpus: Vec<GpuReport>,
     timelines: Option<Vec<Vec<UtilSpan>>>,
     now: SimTime,
-    /// Events popped and handled (stale/cancelled pops included) — the
+    /// Events popped and handled (stale pops included) — the
     /// denominator for events-per-second throughput reporting.
     events_processed: u64,
 }
@@ -267,7 +260,6 @@ impl<'a, 'b> Engine<'a, 'b> {
             changes: Vec::new(),
             assign_buf: Vec::new(),
             net_scratch: Vec::new(),
-            inflight: vec![None; n_gpus],
             prev_task: vec![None; n_gpus],
             occupied_since: vec![SimTime::ZERO; n_gpus],
             caches: w
@@ -282,7 +274,6 @@ impl<'a, 'b> Engine<'a, 'b> {
             completion: vec![None; n_jobs],
             jobs_done: 0,
             active_syncs: 0,
-            failed: vec![false; n_gpus],
             gen: vec![0; n_gpus],
             fail_time: vec![None; n_gpus],
             slow: (0..n_gpus)
@@ -358,7 +349,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 self.release_round(job, 0);
             }
             Event::SwitchDone { task, gpu, gen } => {
-                if self.failed[gpu] || gen != self.gen[gpu] {
+                if gen != self.gen[gpu] {
                     return; // stale: the GPU failed after scheduling this
                 }
                 if self.fetching[gpu] {
@@ -410,16 +401,13 @@ impl<'a, 'b> Engine<'a, 'b> {
                     cur.busy = realized;
                     cur.effective = realized.mul_f64(model.utilization(kind));
                 }
-                let seq = self
-                    .queue
+                self.queue
                     .push(self.now + realized, Event::TrainDone { task, gpu, gen });
-                self.inflight[gpu] = Some(seq);
             }
             Event::TrainDone { task, gpu, gen } => {
-                if self.failed[gpu] || gen != self.gen[gpu] {
+                if gen != self.gen[gpu] {
                     return; // stale: the GPU failed after scheduling this
                 }
-                self.inflight[gpu] = None;
                 let Some(cur) = self.current[gpu].take() else {
                     return;
                 };
@@ -489,10 +477,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                 }
             }
             Event::GpuFailure { gpu } => {
-                if self.failed[gpu] {
+                if self.fail_time[gpu].is_some() {
                     return; // plan validation forbids this; stay safe
                 }
-                self.failed[gpu] = true;
                 self.gen[gpu] += 1;
                 self.fail_time[gpu] = Some(self.now);
                 self.fm.gpu_failures += 1;
@@ -501,16 +488,6 @@ impl<'a, 'b> Engine<'a, 'b> {
                 }
                 if self.idle.remove(gpu) {
                     self.changes.push(Change::GpuBusy { gpu });
-                }
-                // Drop the GPU's pending occupancy event from the queue —
-                // but only when speculation is off: popping a stale
-                // `TrainDone` is also a speculation probe (see `run`), and
-                // removing it would change when twins launch. With
-                // speculation on, the generation check drops it at pop.
-                if let Some(seq) = self.inflight[gpu].take() {
-                    if self.cfg.faults.speculation.is_none() {
-                        self.queue.cancel(seq);
-                    }
                 }
                 if self.fetching[gpu] {
                     self.fetching[gpu] = false;
@@ -548,10 +525,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                 self.policy.on_gpu_failure(gpu, &requeued);
             }
             Event::GpuRecovery { gpu } => {
-                if !self.failed[gpu] {
+                let Some(down_at) = self.fail_time[gpu].take() else {
                     return;
-                }
-                self.failed[gpu] = false;
+                };
                 if self.idle.insert(gpu) {
                     self.changes.push(Change::GpuIdle { gpu });
                 }
@@ -559,9 +535,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 self.prev_task[gpu] = None;
                 self.caches[gpu] = SpeculativeCache::new(w.cluster.gpus()[gpu].kind);
                 self.fm.gpu_recoveries += 1;
-                if let Some(down_at) = self.fail_time[gpu].take() {
-                    self.fm.recovery_latency += self.now.saturating_since(down_at);
-                }
+                self.fm.recovery_latency += self.now.saturating_since(down_at);
                 if let Some(ts) = &self.cfg.trace {
                     ts.instant(SimInstant::GpuRecovery, Some(gpu), self.now);
                 }
@@ -648,8 +622,10 @@ impl<'a, 'b> Engine<'a, 'b> {
             {
                 continue;
             }
-            let running_on = (0..self.failed.len())
-                .find(|&g| !self.failed[g] && self.current[g].is_some_and(|c| c.task == task));
+            let running_on = self
+                .current
+                .iter()
+                .position(|c| c.is_some_and(|c| c.task == task));
             let Some(gpu) = running_on else {
                 continue;
             };
@@ -749,10 +725,8 @@ impl<'a, 'b> Engine<'a, 'b> {
             let sw = SimDuration::from_micros(500);
             self.gpus[gpu].switching += sw;
             self.occupied_since[gpu] = self.now;
-            let seq = self
-                .queue
+            self.queue
                 .push(self.now + sw, Event::SwitchDone { task, gpu, gen });
-            self.inflight[gpu] = Some(seq);
             return;
         }
 
@@ -797,10 +771,8 @@ impl<'a, 'b> Engine<'a, 'b> {
             self.gpus[gpu].cache_hits += 1;
         }
         self.occupied_since[gpu] = self.now;
-        let seq = self
-            .queue
+        self.queue
             .push(self.now + sw, Event::SwitchDone { task, gpu, gen });
-        self.inflight[gpu] = Some(seq);
     }
 
     /// Deterministic per-task noisy duration.

@@ -5,32 +5,17 @@
 //! of its inputs — the property the paper's simulator-vs-testbed validation
 //! (Fig. 12) depends on and that all our experiments inherit.
 //!
-//! The queue is *indexed*: the heap holds only `(time, seq, handle)` keys
-//! while the event payloads live in a slab of reusable slots. `push`
-//! returns an opaque handle, and [`EventQueue::cancel`] removes the slot
-//! in O(1) — the engine cancels a failed GPU's in-flight occupancy events
-//! instead of popping and re-checking them later. Because the (time, seq)
-//! key order is untouched by cancellation, the pop order of surviving
-//! events is identical to the un-indexed queue's — determinism is
-//! preserved bit for bit.
-//!
-//! Slot storage is recycled through a free list: popping or cancelling an
-//! event returns its slot for reuse, so the slab's footprint is bounded by
-//! the peak number of in-flight events rather than the total pushed over
-//! the run — the difference between O(window) and O(trace) memory on a
-//! streamed 100k-job simulation. Handles stay unambiguous across reuse
-//! because each slot carries a generation counter, bumped every time the
-//! slot is vacated: a stale handle (already fired or already cancelled)
-//! no longer matches and is a no-op, even if the slot now holds a new
-//! event. The ordering sequence number is a separate, never-reused
-//! monotone counter, so tie-breaking is untouched by slot recycling.
+//! The queue never removes an event before it fires. An occupancy event
+//! that a GPU failure made stale still pops, and the engine discards it by
+//! its stale occupancy generation (see [`Event::SwitchDone`]).
 
 use hare_cluster::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// What happened.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// What happened. The order derived here is never consulted: the queue's
+/// sequence number is unique, so it settles every comparison first.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
     /// A job's arrival time was reached.
     JobArrival {
@@ -80,41 +65,14 @@ pub enum Event {
     },
 }
 
-/// One slab slot: the payload plus the generation its current handle was
-/// minted under. The generation bumps whenever the slot is vacated, so
-/// handles from a previous occupancy can never touch the new one.
-#[derive(Debug)]
-struct Slot {
-    gen: u32,
-    event: Option<Event>,
-}
-
-/// Min-heap of timestamped events with deterministic tie-breaking, O(1)
-/// cancellation by handle, and slot reuse bounding memory by the peak
-/// in-flight count.
+/// Min-heap of timestamped events with deterministic tie-breaking.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// `(time, seq, handle)`: `seq` is the never-reused insertion order
-    /// (the determinism tie-break); `handle` locates the payload.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    /// Event payloads; vacated slots are recycled via `free`.
-    slots: Vec<Slot>,
-    /// Indices of vacant slots, ready for reuse.
-    free: Vec<u32>,
-    /// Next insertion-order sequence number (monotone, never reused).
+    /// `(time, seq, event)`: `seq` is the insertion order (the
+    /// determinism tie-break), unique per event.
+    heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
+    /// Next insertion-order sequence number.
     next_seq: u64,
-    /// Live (pushed, not yet popped or cancelled) events.
-    live: usize,
-}
-
-/// Pack a (generation, slot) pair into the opaque `u64` handle.
-fn handle_of(gen: u32, slot: usize) -> u64 {
-    (u64::from(gen) << 32) | slot as u64
-}
-
-/// Split a handle back into (generation, slot).
-fn parts_of(handle: u64) -> (u32, usize) {
-    ((handle >> 32) as u32, (handle & 0xffff_ffff) as usize)
 }
 
 impl EventQueue {
@@ -123,79 +81,25 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Schedule an event; the returned handle is for
-    /// [`EventQueue::cancel`].
-    pub fn push(&mut self, at: SimTime, event: Event) -> u64 {
-        let slot = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(Slot {
-                    gen: 0,
-                    event: None,
-                });
-                self.slots.len() - 1
-            }
-        };
-        let handle = handle_of(self.slots[slot].gen, slot);
-        self.slots[slot].event = Some(event);
-        let seq = self.next_seq;
+    /// Schedule an event.
+    pub fn push(&mut self, at: SimTime, event: Event) {
+        self.heap.push(Reverse((at, self.next_seq, event)));
         self.next_seq += 1;
-        self.heap.push(Reverse((at, seq, handle)));
-        self.live += 1;
-        handle
     }
 
-    /// Vacate a slot: take its payload (if live), bump the generation so
-    /// outstanding handles and heap keys go stale, and recycle the index.
-    fn vacate(&mut self, gen: u32, slot: usize) -> Option<Event> {
-        let s = self.slots.get_mut(slot)?;
-        if s.gen != gen {
-            return None;
-        }
-        let event = s.event.take()?;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot as u32);
-        self.live -= 1;
-        Some(event)
-    }
-
-    /// Cancel a scheduled event by its handle. Returns the event if it was
-    /// still pending (already-fired or already-cancelled handles are a
-    /// no-op returning `None`, even if the slot has since been reused).
-    pub fn cancel(&mut self, handle: u64) -> Option<Event> {
-        let (gen, slot) = parts_of(handle);
-        self.vacate(gen, slot)
-    }
-
-    /// Pop the earliest surviving event.
+    /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        while let Some(Reverse((t, _seq, handle))) = self.heap.pop() {
-            let (gen, slot) = parts_of(handle);
-            if let Some(event) = self.vacate(gen, slot) {
-                return Some((t, event));
-            }
-            // Stale generation: the event was cancelled (its slot may even
-            // hold a new occupant by now) — skip the dead key.
-        }
-        None
+        self.heap.pop().map(|Reverse((t, _, event))| (t, event))
     }
 
-    /// Events still queued (cancelled events excluded).
+    /// Events still queued.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of slab slots ever allocated — the queue's memory high-water
-    /// mark in slots. With the free list this tracks the *peak in-flight*
-    /// event count, not the total pushed; long-run memory assertions pin
-    /// that bound.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
+        self.heap.is_empty()
     }
 }
 
@@ -222,7 +126,8 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(5);
-        for job in 0..10 {
+        // Descending payloads: the events' own order must not decide ties.
+        for job in (0..10).rev() {
             q.push(t, Event::JobArrival { job });
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop())
@@ -231,40 +136,7 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order_across_slot_reuse() {
-        // Recycled slots must not perturb tie-breaking: insertion order is
-        // carried by the separate monotone sequence, not the slot index.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        for job in 0..4 {
-            q.push(t, Event::JobArrival { job });
-        }
-        // Drain two (freeing slots 0 and 1), then push more ties — the
-        // newcomers reuse low slot indices but must still pop last.
-        assert_eq!(
-            q.pop(),
-            Some((t, Event::JobArrival { job: 0 })),
-            "first tie"
-        );
-        assert_eq!(
-            q.pop(),
-            Some((t, Event::JobArrival { job: 1 })),
-            "second tie"
-        );
-        for job in 4..6 {
-            q.push(t, Event::JobArrival { job });
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::JobArrival { job } => job,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![2, 3, 4, 5]);
+        assert_eq!(order, (0..10).rev().collect::<Vec<_>>());
     }
 
     #[test]
@@ -283,80 +155,5 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn cancelled_events_are_skipped_and_uncounted() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_secs(1), Event::JobArrival { job: 1 });
-        let b = q.push(SimTime::from_secs(2), Event::JobArrival { job: 2 });
-        q.push(SimTime::from_secs(3), Event::JobArrival { job: 3 });
-        assert_eq!(q.cancel(b), Some(Event::JobArrival { job: 2 }));
-        assert_eq!(q.cancel(b), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 2);
-        assert_eq!(
-            q.pop(),
-            Some((SimTime::from_secs(1), Event::JobArrival { job: 1 }))
-        );
-        assert_eq!(q.cancel(a), None, "cancelling a fired event is a no-op");
-        assert_eq!(
-            q.pop(),
-            Some((SimTime::from_secs(3), Event::JobArrival { job: 3 }))
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn stale_handle_cannot_touch_a_reused_slot() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_secs(1), Event::JobArrival { job: 1 });
-        assert_eq!(
-            q.pop(),
-            Some((SimTime::from_secs(1), Event::JobArrival { job: 1 }))
-        );
-        // The next push reuses slot 0; the old handle must stay dead.
-        let b = q.push(SimTime::from_secs(2), Event::JobArrival { job: 2 });
-        assert_eq!((a & 0xffff_ffff), (b & 0xffff_ffff), "slot was recycled");
-        assert_ne!(a, b, "generations differ");
-        assert_eq!(q.cancel(a), None, "stale handle is a no-op after reuse");
-        assert_eq!(q.len(), 1, "the new occupant survives the stale cancel");
-        assert_eq!(
-            q.pop(),
-            Some((SimTime::from_secs(2), Event::JobArrival { job: 2 }))
-        );
-    }
-
-    #[test]
-    fn slab_memory_stays_bounded_over_a_long_streamed_run() {
-        // The unbounded-growth regression this module fixes: stream 100k
-        // "jobs" through the queue with a bounded in-flight window — the
-        // slab must track the window, not the total pushed. Cancellations
-        // are mixed in so tombstoned slots are reclaimed too.
-        const WINDOW: usize = 64;
-        const JOBS: usize = 100_000;
-        let mut q = EventQueue::new();
-        let mut handles = std::collections::VecDeque::new();
-        for job in 0..JOBS {
-            let h = q.push(SimTime::from_micros(job as u64), Event::JobArrival { job });
-            handles.push_back(h);
-            if handles.len() == WINDOW {
-                if job % 7 == 0 {
-                    // Cancel the newest instead of popping the oldest.
-                    let h = handles.pop_back().expect("window is full");
-                    assert!(q.cancel(h).is_some());
-                } else {
-                    handles.pop_front();
-                    assert!(q.pop().is_some());
-                }
-            }
-        }
-        while q.pop().is_some() {}
-        assert!(q.is_empty());
-        assert!(
-            q.slot_capacity() <= WINDOW + 1,
-            "slab grew past the in-flight window: {} slots for a {}-event window",
-            q.slot_capacity(),
-            WINDOW
-        );
     }
 }

@@ -361,11 +361,6 @@ pub struct ServeFaultPlan {
 }
 
 impl ServeFaultPlan {
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.silent_workers.is_empty() && self.crash.is_none()
-    }
-
     /// Check the plan against a cluster of `n_gpus` GPUs: indices in
     /// range, windows non-empty and per-GPU disjoint (permanent death
     /// last), silent deaths only when the lease machinery that can

@@ -1192,6 +1192,22 @@ impl ServeLoop {
             };
             r.list(slot).filter(|slots| slots.len() == n_gpus)
         })?;
+        // The loop makes a zombie only where the lease machinery will
+        // reclaim it: leases on and the worker dead during the service.
+        // Any other zombie would never leave, and recovery never drain.
+        let deaths = self.death_windows();
+        let unreclaimable = st.running.iter().zip(&deaths).position(|(slot, deaths)| {
+            slot.as_ref().is_some_and(|r| {
+                r.done_at == SimTime::MAX
+                    && !(self.cfg.lease.is_some() && dead_during(r.started, st.now, deaths))
+            })
+        });
+        if let Some(gpu) = unreclaimable {
+            return Err(RecoveryError::Corrupt {
+                line: 0,
+                why: format!("snapshot section \"run\", GPU {gpu}: a zombie nothing can reclaim"),
+            });
+        }
         st.lease_expired = r.section("ls", |r| r.flags("lease expired", n_gpus))?;
         st.pool = r.section("pool", |r| {
             r.list(|r| {

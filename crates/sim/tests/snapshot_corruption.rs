@@ -7,18 +7,23 @@
 //! recovered. Every rewrite must come back as a [`RecoveryError`]:
 //! malformed text is `Corrupt`, and a well-formed fingerprint of another
 //! configuration is `ConfigMismatch`. The scheduler-private `ss` section
-//! belongs to the scheduler and is not rewritten here.
+//! belongs to the scheduler and is not rewritten here. A zombie (a busy
+//! slot whose completion the loop suppressed) is `Corrupt` unless the
+//! lease machinery can reclaim it. Every recovery runs under a bounded
+//! wait, so one that hangs fails its test instead of stalling the suite.
 
 #![allow(clippy::unwrap_used)]
 
-use hare_cluster::{Cluster, SimTime};
+use hare_cluster::{Cluster, SimDuration, SimTime};
 use hare_sim::{
     crc32, LeaseConfig, PendingJob, PlanOutcome, QueueScheduler, RecoveryError, SchedulerCrash,
-    ServeConfig, ServeLoop, SilentWorkerFault, WalOptions,
+    ServeConfig, ServeLoop, ServeReport, SilentWorkerFault, WalOptions,
 };
 use hare_workload::{estimate_capacity_jobs_per_sec, OpenArrivalConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Dispatch in fair-queue order at a flat work price.
 struct Fifo;
@@ -44,22 +49,32 @@ impl QueueScheduler for Fifo {
 /// requeue count.
 const SNAPSHOT_EPOCH: u64 = 809;
 
-fn config(horizon_secs: u64) -> ServeConfig {
+/// The epoch whose closing snapshot holds a zombie under
+/// [`zombie_config`]: GPU 0's job completes at 1,077.7 s, after its worker
+/// fell silent, and the long lease keeps the zombie until about 2,500 s.
+const ZOMBIE_EPOCH: u64 = 278;
+
+/// Leases off, like `hare serve --load 1.3 --horizon 400 --seed 7`.
+fn unleased_config(load_factor: f64, horizon_secs: u64) -> ServeConfig {
     let cluster = Cluster::testbed15();
     let mut arrivals = OpenArrivalConfig {
-        load_factor: 1.6,
+        load_factor,
         seed: 7,
         ..OpenArrivalConfig::default()
     };
     let counts: Vec<_> = cluster.count_by_kind().into_iter().collect();
     arrivals.capacity_jobs_per_sec =
         estimate_capacity_jobs_per_sec(&counts, &arrivals, OpenArrivalConfig::CAPACITY_SAMPLES);
-    let mut cfg = ServeConfig {
+    ServeConfig {
         arrivals,
         horizon: SimTime::from_secs(horizon_secs),
-        lease: Some(LeaseConfig::default()),
         ..ServeConfig::default()
-    };
+    }
+}
+
+fn config(horizon_secs: u64) -> ServeConfig {
+    let mut cfg = unleased_config(1.6, horizon_secs);
+    cfg.lease = Some(LeaseConfig::default());
     cfg.faults.silent_workers = (0..4)
         .map(|gpu| SilentWorkerFault {
             gpu,
@@ -67,6 +82,23 @@ fn config(horizon_secs: u64) -> ServeConfig {
             until: Some(SimTime::from_secs(4_300)),
         })
         .collect();
+    cfg
+}
+
+/// A leased run in which GPU 0 falls silent for good at 1,000 s, under a
+/// lease that outlives the job it was serving: that job becomes a zombie
+/// and stays one across a snapshot.
+fn zombie_config() -> ServeConfig {
+    let mut cfg = unleased_config(1.6, 5_000);
+    cfg.lease = Some(LeaseConfig {
+        heartbeat: SimDuration::from_secs(10),
+        timeout: SimDuration::from_secs(1_500),
+    });
+    cfg.faults.silent_workers = vec![SilentWorkerFault {
+        gpu: 0,
+        from: SimTime::from_secs(1_000),
+        until: None,
+    }];
     cfg
 }
 
@@ -82,13 +114,11 @@ fn tmp_wal() -> PathBuf {
     p
 }
 
-/// The snapshot a WAL'd run of `cfg` writes at the end of epoch `epoch`,
-/// which must be one its size rule writes.
-fn snapshot_at(cfg: ServeConfig, epoch: u64) -> String {
+/// The last snapshot in the WAL of a run of `cfg` that crashes at the
+/// top of epoch `crash_at`.
+fn last_snapshot(cfg: ServeConfig, crash_at: u64) -> String {
     let mut cfg = cfg;
-    cfg.faults.crash = Some(SchedulerCrash {
-        at_epoch: epoch + 1,
-    });
+    cfg.faults.crash = Some(SchedulerCrash { at_epoch: crash_at });
     let path = tmp_wal();
     let wal = WalOptions::new(&path);
     let stop = AtomicBool::new(false);
@@ -98,12 +128,17 @@ fn snapshot_at(cfg: ServeConfig, epoch: u64) -> String {
     assert!(matches!(err, RecoveryError::InjectedCrash { .. }), "{err}");
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    let blob = text
-        .lines()
+    text.lines()
         .filter_map(|line| line.split_once(' ')?.1.strip_prefix("snap "))
         .next_back()
         .expect("the WAL holds a snapshot")
-        .to_string();
+        .to_string()
+}
+
+/// The snapshot a WAL'd run of `cfg` writes at the end of epoch `epoch`,
+/// which must be one its size rule writes.
+fn snapshot_at(cfg: ServeConfig, epoch: u64) -> String {
+    let blob = last_snapshot(cfg, epoch + 1);
     assert_eq!(
         value(&sections(&blob), "ei"),
         epoch.to_string(),
@@ -112,8 +147,10 @@ fn snapshot_at(cfg: ServeConfig, epoch: u64) -> String {
     blob
 }
 
-/// Recover from a WAL holding `blob` alone as a CRC-framed `snap` record.
-fn recover(blob: &str) -> Result<(), RecoveryError> {
+/// Recover under `cfg` from a WAL holding `blob` alone as a CRC-framed
+/// `snap` record. The recovery runs on its own thread and fails the test
+/// if it has not returned within a minute, instead of hanging it.
+fn recover_under(cfg: ServeConfig, blob: &str) -> Result<ServeReport, RecoveryError> {
     let path = tmp_wal();
     let payload = format!("snap {blob}");
     std::fs::write(
@@ -121,15 +158,29 @@ fn recover(blob: &str) -> Result<(), RecoveryError> {
         format!("{:08x} {payload}\n", crc32(payload.as_bytes())),
     )
     .unwrap();
-    let stop = AtomicBool::new(false);
-    let out = ServeLoop::new(Cluster::testbed15(), config(5_000)).recover(
-        &mut Fifo,
-        &WalOptions::new(&path),
-        &stop,
-        None,
-    );
+    let (tx, rx) = mpsc::channel();
+    let wal = WalOptions::new(&path);
+    let worker = std::thread::spawn(move || {
+        let stop = AtomicBool::new(false);
+        let out = ServeLoop::new(Cluster::testbed15(), cfg).recover(&mut Fifo, &wal, &stop, None);
+        tx.send(out.map(|(report, _)| report)).unwrap();
+    });
+    let out = match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(out) => out,
+        // The sender went away unused: the recovery panicked.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the recovery panicked"))
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("recovery did not return within 60 s"),
+    };
+    worker.join().unwrap();
     std::fs::remove_file(&path).unwrap();
-    out.map(|_| ())
+    out
+}
+
+/// Recover under [`config`]`(5_000)`, the configuration of [`snapshot`].
+fn recover(blob: &str) -> Result<(), RecoveryError> {
+    recover_under(config(5_000), blob).map(|_| ())
 }
 
 /// The snapshot's `key=value` sections, in order.
@@ -163,6 +214,26 @@ fn edit(blob: &str, key: &str, f: impl FnOnce(&str) -> String) -> String {
 /// admission instant, start tag, seq, priority, requeues.
 const PRIORITY: usize = 12;
 const REQUEUES: usize = 13;
+
+/// Fields of a busy `run` slot: the job record, then started and done_at.
+const DONE_AT: usize = REQUEUES + 2;
+
+/// A zombie's `done_at`, [`SimTime::MAX`] in microseconds: the loop parks
+/// a job whose worker died under it there until a lease reclaims it.
+const ZOMBIE: &str = "18446744073709551615";
+
+/// `blob` with its first busy `run` slot at or above GPU `from` turned
+/// into a zombie.
+fn with_zombie(blob: &str, from: usize) -> String {
+    edit(blob, "run", |v| {
+        let mut slots: Vec<String> = v.split(',').map(str::to_string).collect();
+        let gpu = (from..slots.len())
+            .find(|&g| slots[g] != "-")
+            .expect("a busy GPU");
+        slots[gpu] = set_field(&slots[gpu], DONE_AT, ZOMBIE);
+        slots.join(",")
+    })
+}
 
 /// `record` with its `i`-th `:`-joined field replaced by `v`.
 fn set_field(record: &str, i: usize, v: &str) -> String {
@@ -440,4 +511,34 @@ fn a_fingerprint_from_another_config_is_a_config_mismatch() {
     let err = recover(&edit(&blob, "fp", |_| value(&other, "fp").to_string()))
         .expect_err("another config's fingerprint");
     assert!(matches!(err, RecoveryError::ConfigMismatch { .. }), "{err}");
+}
+
+#[test]
+fn a_zombie_no_lease_can_reclaim_is_corrupt_not_a_hang() {
+    // GPUs 4 and up have no silent-death window, so no lease expiry or
+    // revived worker would ever take such a zombie off its GPU.
+    let err = recover(&with_zombie(&snapshot(), 4)).expect_err("a zombie on a GPU that never died");
+    assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
+}
+
+#[test]
+fn a_zombie_without_leases_is_corrupt_not_a_hang() {
+    let cfg = unleased_config(1.3, 400);
+    let blob = last_snapshot(cfg.clone(), 30);
+    let err = recover_under(cfg, &with_zombie(&blob, 0)).expect_err("a zombie with leases off");
+    assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
+}
+
+#[test]
+fn a_snapshot_holding_a_reclaimable_zombie_recovers_byte_identically() {
+    let blob = snapshot_at(zombie_config(), ZOMBIE_EPOCH);
+    let s = sections(&blob);
+    let slot = value(&s, "run").split(',').next().unwrap();
+    assert!(
+        slot.ends_with(&format!(":{ZOMBIE}")),
+        "GPU 0 holds a zombie: {slot}"
+    );
+    let clean = ServeLoop::new(Cluster::testbed15(), zombie_config()).run(&mut Fifo);
+    let recovered = recover_under(zombie_config(), &blob).unwrap();
+    assert_eq!(recovered.to_json(), clean.to_json());
 }

@@ -13,7 +13,9 @@
 //! 3. fault accounting is internally consistent (recoveries never exceed
 //!    failures, re-execution and lost work only exist when something
 //!    failed or speculated);
-//! 4. runs are bit-for-bit deterministic under identical plans.
+//! 4. runs are bit-for-bit deterministic under identical plans;
+//! 5. speculation armed at a threshold no straggler reaches changes
+//!    neither the report nor the number of events processed.
 
 use hare::baselines::{
     build_simulation, GavelFifo, HareOnline, ReplanBudget, RunOptions, SchedAllox, SchedHomo,
@@ -198,7 +200,12 @@ fn chaos() -> impl Strategy<Value = (u64, FaultPlan)> {
         )
 }
 
-fn run_one(w: &SimWorkload, plan: &FaultPlan, scheme: Scheme) -> Result<SimReport, SimError> {
+/// A run's report and the number of events its engine processed.
+fn run_counted(
+    w: &SimWorkload,
+    plan: &FaultPlan,
+    scheme: Scheme,
+) -> Result<(SimReport, u64), SimError> {
     let opts = RunOptions {
         noise: 0.0,
         ..RunOptions::default()
@@ -207,21 +214,30 @@ fn run_one(w: &SimWorkload, plan: &FaultPlan, scheme: Scheme) -> Result<SimRepor
     match scheme {
         Scheme::Hare => {
             let out = HareScheduler::default().schedule(&w.problem);
-            sim.run(&mut OfflineReplay::new("Hare", w, &out.schedule))
+            sim.run_counted(&mut OfflineReplay::new("Hare", w, &out.schedule))
         }
-        Scheme::GavelFifo => sim.run(&mut GavelFifo::new()),
-        Scheme::Srtf => sim.run(&mut Srtf::new()),
-        Scheme::SchedHomo => sim.run(&mut SchedHomo::new()),
-        Scheme::SchedAllox => sim.run(&mut SchedAllox::new()),
+        Scheme::GavelFifo => sim.run_counted(&mut GavelFifo::new()),
+        Scheme::Srtf => sim.run_counted(&mut Srtf::new()),
+        Scheme::SchedHomo => sim.run_counted(&mut SchedHomo::new()),
+        Scheme::SchedAllox => sim.run_counted(&mut SchedAllox::new()),
     }
 }
 
-fn run_online(w: &SimWorkload, plan: &FaultPlan) -> Result<SimReport, SimError> {
+fn run_one(w: &SimWorkload, plan: &FaultPlan, scheme: Scheme) -> Result<SimReport, SimError> {
+    run_counted(w, plan, scheme).map(|(report, _)| report)
+}
+
+/// Online Hare's report and event count.
+fn run_online_counted(w: &SimWorkload, plan: &FaultPlan) -> Result<(SimReport, u64), SimError> {
     let opts = RunOptions {
         noise: 0.0,
         ..RunOptions::default()
     };
-    build_simulation(Scheme::Hare, w, opts, plan).run(&mut HareOnline::new())
+    build_simulation(Scheme::Hare, w, opts, plan).run_counted(&mut HareOnline::new())
+}
+
+fn run_online(w: &SimWorkload, plan: &FaultPlan) -> Result<SimReport, SimError> {
+    run_online_counted(w, plan).map(|(report, _)| report)
 }
 
 /// Online Hare on a shoestring solver budget: every replan runs the
@@ -394,5 +410,30 @@ proptest! {
         let a = run_online(&w, &plan).expect("chaos run failed");
         let b = run_online(&w, &plan).expect("chaos run failed");
         assert_eq!(a, b, "online Hare diverged under an identical plan");
+    }
+
+    /// A speculation threshold no straggler reaches launches no twin, and
+    /// a failed GPU's in-flight events are retired the same way whether
+    /// speculation is armed or not: the report and the number of events
+    /// the engine processed both equal the speculation-off run's.
+    #[test]
+    fn a_speculation_that_never_fires_changes_nothing(case in chaos()) {
+        let (seed, plan) = case;
+        let w = workload(seed);
+        let off = FaultPlan { speculation: None, ..plan.clone() };
+        let idle = FaultPlan {
+            speculation: Some(SpeculationConfig { threshold: f64::MAX }),
+            ..plan
+        };
+        for scheme in Scheme::ALL {
+            let (a, a_events) = run_counted(&w, &off, scheme).expect("chaos run failed");
+            let (b, b_events) = run_counted(&w, &idle, scheme).expect("chaos run failed");
+            prop_assert_eq!(a.to_json(), b.to_json(), "{:?} report", scheme);
+            prop_assert_eq!(a_events, b_events, "{:?} event count", scheme);
+        }
+        let (a, a_events) = run_online_counted(&w, &off).expect("chaos run failed");
+        let (b, b_events) = run_online_counted(&w, &idle).expect("chaos run failed");
+        prop_assert_eq!(a.to_json(), b.to_json(), "online Hare report");
+        prop_assert_eq!(a_events, b_events, "online Hare event count");
     }
 }
