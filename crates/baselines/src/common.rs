@@ -71,8 +71,9 @@ pub struct GangPolicy<R> {
     waiting: BTreeSet<(usize, usize)>,
     /// Placed jobs that may have released tasks not yet started: a new
     /// round, a task requeued by a failure, or tasks waiting for a busy,
-    /// down or repaired gang member.
-    pending: BTreeSet<usize>,
+    /// down or repaired gang member. Ascending and duplicate-free, so
+    /// gangs continue in job order.
+    pending: Vec<usize>,
     /// Tasks requeued by failures since the last dispatch.
     requeued: Vec<usize>,
     /// GPUs currently down (fault injection).
@@ -110,7 +111,7 @@ impl<R: GangRule> GangPolicy<R> {
         match *change {
             Change::Released { job, .. } => {
                 if self.placed[job].is_some() {
-                    self.pending.insert(job);
+                    self.mark_pending(job);
                 } else {
                     self.waiting.insert((self.rank[job], job));
                     self.dirty = true;
@@ -123,13 +124,22 @@ impl<R: GangRule> GangPolicy<R> {
                     }
                     self.dirty = true;
                 }
-                self.pending.remove(&job);
+                if let Ok(i) = self.pending.binary_search(&job) {
+                    self.pending.remove(i);
+                }
             }
             Change::GpuIdle { gpu } | Change::GpuBusy { gpu } => {
                 if !self.reserved[gpu] {
                     self.dirty = true;
                 }
             }
+        }
+    }
+
+    /// Add a placed job to `pending`, keeping it sorted.
+    fn mark_pending(&mut self, job: usize) {
+        if let Err(i) = self.pending.binary_search(&job) {
+            self.pending.insert(i, job);
         }
     }
 
@@ -187,8 +197,11 @@ impl<R: GangRule> GangPolicy<R> {
     /// Run the rule over the waiting jobs and free GPUs and start the
     /// gangs it picks. Returns whether any gang started.
     fn admit(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) -> bool {
+        if self.waiting.is_empty() {
+            return false;
+        }
         let free = self.free(view.idle_gpus);
-        if self.waiting.is_empty() || free.is_empty() {
+        if free.is_empty() {
             return false;
         }
         let waiting: Vec<usize> = self.waiting.iter().map(|&(_, job)| job).collect();
@@ -228,7 +241,7 @@ impl<R: GangRule> Policy for GangPolicy<R> {
         for task in std::mem::take(&mut self.requeued) {
             let job = view.workload.problem.tasks[task].job;
             if self.placed[job].is_some() {
-                self.pending.insert(job);
+                self.mark_pending(job);
             }
         }
         if self.dirty {

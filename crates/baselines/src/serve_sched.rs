@@ -10,7 +10,7 @@
 //! relaxation → stale-plan → greedy) exercises as the
 //! [`hare_sim::BudgetController`] shrinks the fraction.
 
-use hare_cluster::{Cluster, SimDuration, SimTime};
+use hare_cluster::{Cluster, GpuKind, SimDuration, SimTime};
 use hare_core::{anytime_schedule, AnytimeOptions, JobInfo, SchedProblem, StalePlan};
 use hare_sim::{PendingJob, PlanOutcome, QueueScheduler};
 use hare_solver::SolveBudget;
@@ -21,25 +21,24 @@ use hare_solver::SolveBudget;
 /// back to back); `sync` is a negligible epsilon — the serve loop models
 /// no cross-GPU synchronization at job granularity.
 fn window_problem(window: &[&PendingJob], cluster: &Cluster) -> SchedProblem {
-    let gpus = cluster.gpus();
+    let n_gpus = cluster.gpu_count();
     let jobs = window
         .iter()
-        .map(|p| {
-            let total = p.spec.task_count() as f64;
-            JobInfo {
-                weight: p.spec.weight,
-                arrival: SimTime::ZERO,
-                rounds: 1,
-                sync_scale: 1,
-                train: gpus
-                    .iter()
-                    .map(|g| SimDuration::from_millis_f64(p.spec.task_ms(g.kind) * total))
-                    .collect(),
-                sync: vec![SimDuration::from_micros(1); gpus.len()],
-            }
+        .map(|p| JobInfo {
+            weight: p.spec.weight,
+            arrival: SimTime::ZERO,
+            rounds: 1,
+            sync_scale: 1,
+            train: cluster.per_kind(|kind| service(p, kind)),
+            sync: vec![SimDuration::from_micros(1); n_gpus],
         })
         .collect();
-    SchedProblem::new(gpus.len(), jobs)
+    SchedProblem::new(n_gpus, jobs)
+}
+
+/// A pending job's full sequential service on one GPU of `kind`.
+fn service(p: &PendingJob, kind: GpuKind) -> SimDuration {
+    SimDuration::from_millis_f64(p.spec.task_ms(kind) * p.spec.task_count() as f64)
 }
 
 /// The anytime-ladder queue scheduler: each decision solves the window's
@@ -123,14 +122,13 @@ impl QueueScheduler for SrtfServe {
         cluster: &Cluster,
         _budget_frac: f64,
     ) -> PlanOutcome {
+        let kinds = cluster.kinds_present();
         let priority = window
             .iter()
             .map(|p| {
-                let total = p.spec.task_count() as f64;
-                cluster
-                    .gpus()
+                kinds
                     .iter()
-                    .map(|g| SimDuration::from_millis_f64(p.spec.task_ms(g.kind) * total))
+                    .map(|&kind| service(p, kind))
                     .min()
                     .unwrap_or(SimDuration::ZERO)
                     .as_micros() as f64

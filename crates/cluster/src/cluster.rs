@@ -204,6 +204,18 @@ impl Cluster {
     pub fn gpus_of_kind(&self, kind: GpuKind) -> impl Iterator<Item = &Gpu> + '_ {
         self.gpus.iter().filter(move |g| g.kind == kind)
     }
+
+    /// One value per GPU, in id order, for a quantity that depends on a
+    /// GPU only through its kind: `f` runs once per kind present (in
+    /// order of first appearance) and its result is copied to that kind's
+    /// GPUs.
+    pub fn per_kind<T: Copy>(&self, mut f: impl FnMut(GpuKind) -> T) -> Vec<T> {
+        let mut by_kind: [Option<T>; GpuKind::ALL.len()] = [None; GpuKind::ALL.len()];
+        self.gpus
+            .iter()
+            .map(|g| *by_kind[g.kind as usize].get_or_insert_with(|| f(g.kind)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -274,6 +286,32 @@ mod tests {
         let c = Cluster::testbed15();
         assert_eq!(c.gpus_of_kind(GpuKind::V100).count(), 8);
         assert_eq!(c.gpus_of_kind(GpuKind::K80).count(), 1);
+    }
+
+    #[test]
+    fn per_kind_equals_per_gpu_evaluation_once_per_kind() {
+        let f = |k: GpuKind| k.generic_speedup() * 3.0 + k.name().len() as f64;
+        for c in [
+            Cluster::testbed15(),
+            Cluster::homogeneous(GpuKind::T4, 9),
+            Cluster::with_heterogeneity(Heterogeneity::High, 37),
+            Cluster::from_counts(
+                &[(GpuKind::K80, 3), (GpuKind::V100, 2), (GpuKind::M60, 1)],
+                2,
+            ),
+        ] {
+            let mut calls = Vec::new();
+            let got = c.per_kind(|k| {
+                calls.push(k);
+                f(k)
+            });
+            let want: Vec<f64> = c.gpus().iter().map(|g| f(g.kind)).collect();
+            assert_eq!(got, want);
+            calls.sort();
+            let mut present = c.kinds_present();
+            present.sort();
+            assert_eq!(calls, present, "one call per kind present");
+        }
     }
 
     #[test]

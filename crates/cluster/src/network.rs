@@ -7,7 +7,7 @@
 //! server side can also be made a bottleneck via [`NetworkModel::ps_shards`].
 
 use crate::gpu::MachineId;
-use crate::units::{Bandwidth, Bytes, SimDuration};
+use crate::units::{Bandwidth, Bytes, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// How a job's workers exchange gradients each round (Section 8 surveys
@@ -79,77 +79,75 @@ impl NetworkModel {
         self
     }
 
-    /// Synchronization time of worker `worker` in one training round,
-    /// under the configured [`SyncScheme`]. Allocates nothing, so a
-    /// barrier folds it over the round's workers.
+    /// When a training round's synchronization barrier completes, under
+    /// the configured [`SyncScheme`]: the latest over the round's workers
+    /// of train finish plus sync time. Allocates nothing.
     ///
-    /// `machines[i]` is the machine hosting worker `i`'s GPU.
-    /// `extra_flows` unrelated gradient flows contend on every NIC — the
-    /// cross-job congestion a busy cluster exhibits (the simulator passes
-    /// the number of other jobs currently synchronizing). Under NIC
-    /// degradation (fault injection), `machine_factors[m]` is the fraction
-    /// of machine `m`'s NIC bandwidth still delivered (missing entries =
-    /// 1.0), and `backbone` scales every inter-machine link — the PS side
-    /// and all cross-machine flows. Factors must lie in (0, 1]; a healthy
-    /// network is `&[]` and 1.0.
-    pub fn worker_sync_time(
+    /// `finished[i]` is when worker `i` finished training and
+    /// `machines[i]` the machine hosting its GPU. `extra_flows` unrelated
+    /// gradient flows contend on every NIC — the cross-job congestion a
+    /// busy cluster exhibits (the simulator passes the number of other
+    /// jobs currently synchronizing). Under NIC degradation (fault
+    /// injection), `machine_factors[m]` is the fraction of machine `m`'s
+    /// NIC bandwidth still delivered (missing entries = 1.0), and
+    /// `backbone` scales every inter-machine link — the PS side and all
+    /// cross-machine flows. Factors must lie in (0, 1]; a healthy network
+    /// is `&[]` and 1.0.
+    ///
+    /// PS scheme: each worker pushes and pulls `payload(param_bytes)` at
+    /// the minimum of its machine-NIC fair share (shared with its
+    /// colocated co-workers) and the PS-side fair share. A worker's time
+    /// depends only on its machine, so the shared terms are computed once
+    /// per round and each machine's transfer once, from its latest
+    /// finish. Ring all-reduce: every worker gets the same time, so the
+    /// barrier is the latest finish plus that time.
+    pub fn round_barrier(
         &self,
         param_bytes: Bytes,
+        finished: &[SimTime],
         machines: &[MachineId],
-        worker: usize,
         extra_flows: u32,
         machine_factors: &[f64],
         backbone: f64,
-    ) -> SimDuration {
-        let machine = machines[worker];
-        match self.scheme {
-            SyncScheme::ParameterServer => self.ps_sync_time(
-                param_bytes,
-                machines,
-                machine,
-                extra_flows,
-                machine_factors,
-                backbone,
-            ),
-            SyncScheme::RingAllReduce => self.allreduce_sync_time(
-                param_bytes,
-                machines,
-                extra_flows,
-                machine_factors,
-                backbone,
-            ),
+    ) -> SimTime {
+        debug_assert_eq!(finished.len(), machines.len());
+        if self.scheme == SyncScheme::RingAllReduce {
+            let last = *finished.iter().max().expect("non-empty round");
+            return last
+                + self.allreduce_sync_time(
+                    param_bytes,
+                    machines,
+                    extra_flows,
+                    machine_factors,
+                    backbone,
+                );
         }
-    }
-
-    /// PS scheme: the worker on `machine` pushes and pulls
-    /// `payload(param_bytes)`; its achievable rate is the minimum of its
-    /// machine-NIC fair share (shared with its colocated co-workers) and
-    /// the PS-side fair share.
-    fn ps_sync_time(
-        &self,
-        param_bytes: Bytes,
-        machines: &[MachineId],
-        machine: MachineId,
-        extra_flows: u32,
-        machine_factors: &[f64],
-        backbone: f64,
-    ) -> SimDuration {
-        let colocated = machines.iter().filter(|&&m| m == machine).count() as u32;
+        let payload = self.payload(param_bytes);
+        let nic = self.nic.mul_f64(self.efficiency);
         // PS-side aggregate: shards ride independent NICs, contended by
         // the other jobs' flows as well, throttled with the backbone.
-        let ps_side = degrade(
-            self.nic
-                .mul_f64(self.efficiency)
-                .mul_f64(self.ps_shards as f64),
-            backbone,
-        )
-        .shared(machines.len() as u32 + extra_flows);
-        let factor = nic_factor(machine_factors, machine) * backbone;
-        let worker_side =
-            degrade(self.nic.mul_f64(self.efficiency), factor).shared(colocated + extra_flows);
-        let rate = worker_side.min(ps_side);
-        // Push + pull.
-        rate.transfer_time(self.payload(param_bytes)) * 2
+        let ps_side = degrade(nic.mul_f64(self.ps_shards as f64), backbone)
+            .shared(machines.len() as u32 + extra_flows);
+        let mut done = SimTime::ZERO;
+        for (i, &machine) in machines.iter().enumerate() {
+            if machines[..i].contains(&machine) {
+                continue; // this machine's workers are already counted
+            }
+            let (mut colocated, mut latest) = (0u32, SimTime::ZERO);
+            for (&m, &t) in machines[i..].iter().zip(&finished[i..]) {
+                if m == machine {
+                    colocated += 1;
+                    latest = latest.max(t);
+                }
+            }
+            let factor = nic_factor(machine_factors, machine) * backbone;
+            let rate = degrade(nic, factor)
+                .shared(colocated + extra_flows)
+                .min(ps_side);
+            // Push + pull.
+            done = done.max(latest + rate.transfer_time(payload) * 2);
+        }
+        done
     }
 
     /// Ring all-reduce: each worker transfers `2(k-1)/k` of the payload.
@@ -219,9 +217,48 @@ fn degrade(bw: Bandwidth, factor: f64) -> Bandwidth {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn m(i: u32) -> MachineId {
         MachineId(i)
+    }
+
+    /// Synchronization time of worker `worker` in one round, computed
+    /// per worker from scratch: the oracle for
+    /// [`NetworkModel::round_barrier`], whose barrier must equal the
+    /// latest `finished[i]` plus this time (arguments as there).
+    fn worker_sync_time(
+        net: &NetworkModel,
+        param_bytes: Bytes,
+        machines: &[MachineId],
+        worker: usize,
+        extra_flows: u32,
+        machine_factors: &[f64],
+        backbone: f64,
+    ) -> SimDuration {
+        if net.scheme == SyncScheme::RingAllReduce {
+            return net.allreduce_sync_time(
+                param_bytes,
+                machines,
+                extra_flows,
+                machine_factors,
+                backbone,
+            );
+        }
+        let machine = machines[worker];
+        let colocated = machines.iter().filter(|&&m| m == machine).count() as u32;
+        let ps_side = degrade(
+            net.nic
+                .mul_f64(net.efficiency)
+                .mul_f64(net.ps_shards as f64),
+            backbone,
+        )
+        .shared(machines.len() as u32 + extra_flows);
+        let factor = nic_factor(machine_factors, machine) * backbone;
+        let worker_side =
+            degrade(net.nic.mul_f64(net.efficiency), factor).shared(colocated + extra_flows);
+        let rate = worker_side.min(ps_side);
+        rate.transfer_time(net.payload(param_bytes)) * 2
     }
 
     /// Every worker's sync time on a healthy, uncontended network.
@@ -239,13 +276,60 @@ mod tests {
         backbone: f64,
     ) -> Vec<SimDuration> {
         (0..machines.len())
-            .map(|i| net.worker_sync_time(bytes, machines, i, extra_flows, factors, backbone))
+            .map(|i| worker_sync_time(net, bytes, machines, i, extra_flows, factors, backbone))
             .collect()
     }
 
     /// The slowest worker's sync time.
     fn barrier(net: &NetworkModel, bytes: Bytes, machines: &[MachineId]) -> SimDuration {
         sync_times(net, bytes, machines).into_iter().max().unwrap()
+    }
+
+    /// A NIC factor: healthy (1.0) half the time, else degraded.
+    fn nic_fraction() -> impl Strategy<Value = f64> {
+        (any::<bool>(), 0.05f64..1.0).prop_map(|(healthy, f)| if healthy { 1.0 } else { f })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn round_barrier_is_the_latest_worker_finish_plus_sync(
+            round in prop::collection::vec((0u32..4, 0u64..5_000_000), 1..=8),
+            extra_flows in 0u32..6,
+            factors in prop::collection::vec(nic_fraction(), 0..5),
+            backbone in nic_fraction(),
+            mib in 1u64..2048,
+            shards in 1u32..6,
+            ring in any::<bool>(),
+        ) {
+            let scheme = if ring {
+                SyncScheme::RingAllReduce
+            } else {
+                SyncScheme::ParameterServer
+            };
+            let net = NetworkModel {
+                ps_shards: shards,
+                ..NetworkModel::default()
+            }
+            .with_scheme(scheme);
+            let machines: Vec<MachineId> = round.iter().map(|&(mc, _)| m(mc)).collect();
+            let finished: Vec<SimTime> =
+                round.iter().map(|&(_, us)| SimTime::from_micros(us)).collect();
+            let bytes = Bytes::mib(mib);
+            let want = (0..machines.len())
+                .map(|i| {
+                    finished[i]
+                        + worker_sync_time(
+                            &net, bytes, &machines, i, extra_flows, &factors, backbone,
+                        )
+                })
+                .max()
+                .unwrap();
+            let got =
+                net.round_barrier(bytes, &finished, &machines, extra_flows, &factors, backbone);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl SimDuration {
     /// Scale by a non-negative float, rounding to the nearest microsecond.
     pub fn mul_f64(self, k: f64) -> Self {
         debug_assert!(k >= 0.0 && k.is_finite(), "negative or non-finite scale");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
 
     /// Subtraction clamped at zero.
@@ -288,7 +288,7 @@ impl Bytes {
     /// Scale by a non-negative float, rounding to the nearest byte.
     pub fn mul_f64(self, k: f64) -> Bytes {
         debug_assert!(k >= 0.0 && k.is_finite());
-        Bytes((self.0 as f64 * k).round() as u64)
+        Bytes(round_to_u64(self.0 as f64 * k))
     }
 }
 
@@ -407,8 +407,23 @@ impl Bandwidth {
     /// Scale by a non-negative float (e.g. protocol efficiency factor).
     pub fn mul_f64(self, k: f64) -> Bandwidth {
         debug_assert!(k >= 0.0 && k.is_finite());
-        Bandwidth((self.0 as f64 * k).round() as u64)
+        Bandwidth(round_to_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64` without the software `round` call it compiles to:
+/// truncate, then add one when the remainder is at least a half. Equal for
+/// every f64. Below 2^53 the remainder `x - t` is exact (Sterbenz); from
+/// 2^53 up `x` is already integral, so the remainder is 0. NaN and
+/// negative values truncate to 0 with a remainder that is not `>= 0.5`, and
+/// values at or above 2^64 (+∞ included) saturate to `u64::MAX`, as the
+/// `as` cast does. The `mul_f64` scalings call it per task and per sync.
+/// The `from_*_f64` constructors keep `round()`: with this helper in
+/// them, the serve window builder's per-GPU loop measured slower.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl fmt::Display for Bandwidth {
@@ -537,6 +552,68 @@ mod tests {
     #[should_panic(expected = "zero-bandwidth")]
     fn zero_bandwidth_panics() {
         Bandwidth::bytes_per_sec(0).transfer_time(Bytes::new(1));
+    }
+
+    #[test]
+    fn round_to_u64_matches_round_at_the_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::NEG_INFINITY,
+            two(52) - 1.0,
+            two(52) + 1.0,
+            two(53),
+            two(63),
+            two(64),
+            two(65),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        // k + 0.5 and its two neighbouring floats, across the range where
+        // halves are representable.
+        for k in [
+            0.0,
+            1.0,
+            2.0,
+            3.0,
+            1e6,
+            12_345_678.0,
+            two(51),
+            two(52) - 1.0,
+        ] {
+            let half: f64 = k + 0.5;
+            xs.extend([
+                f64::from_bits(half.to_bits() - 1),
+                half,
+                f64::from_bits(half.to_bits() + 1),
+            ]);
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn round_to_u64_matches_round_on_any_bits(bits in proptest::arbitrary::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+
+        #[test]
+        fn round_to_u64_matches_round_on_products(v in 0u64..1 << 40, k in 0.0f64..4.0) {
+            let x = v as f64 * k;
+            proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
     }
 
     #[test]

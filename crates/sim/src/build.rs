@@ -27,27 +27,24 @@ impl SimWorkload {
     /// Build the preparation-stage output for a trace.
     ///
     /// Per job and GPU: expected task training time = profiled batch time ×
-    /// batches-per-task; expected sync time = one push + one pull of the
-    /// gradient payload over an uncontended NIC share (the scheduler cannot
-    /// know the actual colocation in advance — the simulator charges the
-    /// real, contended time).
+    /// batches-per-task, looked up once per GPU kind; expected sync time =
+    /// one push + one pull of the gradient payload over an uncontended NIC
+    /// share (the scheduler cannot know the actual colocation in advance —
+    /// the simulator charges the real, contended time).
     pub fn build(cluster: Cluster, specs: Vec<JobSpec>, db: &ProfileDb) -> SimWorkload {
         assert!(!specs.is_empty(), "empty trace");
         let net = *cluster.network();
         let jobs: Vec<JobInfo> = specs
             .iter()
             .map(|spec| {
-                let train: Vec<SimDuration> = cluster
-                    .gpus()
-                    .iter()
-                    .map(|g| {
-                        let profile = db.profile(spec.model, g.kind, spec.batch_size);
-                        profile.batch_time * spec.batches_per_task as u64
-                    })
-                    .collect();
+                // A profile depends on the GPU only through its kind.
+                let train: Vec<SimDuration> = cluster.per_kind(|kind| {
+                    let profile = db.profile(spec.model, kind, spec.batch_size);
+                    profile.batch_time * spec.batches_per_task as u64
+                });
                 let payload = net.payload(spec.model.spec().param_bytes);
                 let single_flow = net.nic.mul_f64(net.efficiency).transfer_time(payload) * 2;
-                let sync: Vec<SimDuration> = cluster.gpus().iter().map(|_| single_flow).collect();
+                let sync = vec![single_flow; cluster.gpu_count()];
                 JobInfo {
                     weight: spec.weight,
                     arrival: spec.arrival,
@@ -147,6 +144,32 @@ mod tests {
                 assert_eq!(job.train[pair[0]], job.train[pair[1]]);
             }
         }
+    }
+
+    #[test]
+    fn per_kind_lookups_equal_per_gpu_lookups_and_miss_alike() {
+        let cluster = Cluster::testbed15();
+        let specs = testbed_trace(7);
+        let db = ProfileDb::new(3);
+        let w = SimWorkload::build(cluster.clone(), specs.clone(), &db);
+        // The per-GPU evaluation on a fresh database with the same seed
+        // gives the same times and the same misses; only hits fall.
+        let per_gpu = ProfileDb::new(3);
+        for (job, spec) in specs.iter().enumerate() {
+            for (g, gpu) in cluster.gpus().iter().enumerate() {
+                let p = per_gpu.profile(spec.model, gpu.kind, spec.batch_size);
+                let want = p.batch_time * spec.batches_per_task as u64;
+                assert_eq!(w.problem.jobs[job].train[g], want, "job {job} gpu {g}");
+            }
+        }
+        let (hits, misses) = db.stats();
+        assert_eq!(misses, per_gpu.stats().1);
+        let kinds = cluster.kinds_present().len() as u64;
+        assert_eq!(
+            hits + misses,
+            specs.len() as u64 * kinds,
+            "one lookup per kind"
+        );
     }
 
     #[test]

@@ -311,17 +311,18 @@ impl<'a, 'b> Engine<'a, 'b> {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events_processed += 1;
-            self.handle(event);
+            let live = self.handle(event);
             // A switch completing changes nothing a policy can observe: the
             // GPU stays occupied (training starts), the ready set is
             // untouched, and a prior dispatch already ran this view to its
-            // fixpoint — so the dispatch offer is skipped. Shipped policies
-            // either always place when both sets are non-empty (the fixpoint
-            // then has one of them empty) or never read the clock and
-            // mutate idempotently on an unchanged view; the golden-fixture
-            // suite pins the equivalence. It logs no change either, so the
-            // next offer's change log is complete.
-            if !matches!(event, Event::SwitchDone { .. }) {
+            // fixpoint — so the dispatch offer is skipped. Neither does a
+            // stale occupancy pop, which moves only the clock. Shipped
+            // policies either always place when both sets are non-empty
+            // (the fixpoint then has one of them empty) or never read the
+            // clock and mutate idempotently on an unchanged view; the
+            // golden-fixture suite pins the equivalence. Neither event logs
+            // a change, so the next offer's change log is complete.
+            if live && !matches!(event, Event::SwitchDone { .. }) {
                 self.dispatch()?;
             }
             // A gradient landing is the moment a round can drop to "one
@@ -338,7 +339,10 @@ impl<'a, 'b> Engine<'a, 'b> {
         Ok((self.report(), events))
     }
 
-    fn handle(&mut self, event: Event) {
+    /// Apply one event. Returns false for a stale occupancy pop (its GPU
+    /// failed after it was scheduled), which changes nothing but the
+    /// clock.
+    fn handle(&mut self, event: Event) -> bool {
         let w = self.cfg.workload;
         match event {
             Event::JobArrival { job } => {
@@ -350,7 +354,7 @@ impl<'a, 'b> Engine<'a, 'b> {
             }
             Event::SwitchDone { task, gpu, gen } => {
                 if gen != self.gen[gpu] {
-                    return; // stale: the GPU failed after scheduling this
+                    return false; // stale: the GPU failed after scheduling this
                 }
                 if self.fetching[gpu] {
                     self.fetching[gpu] = false;
@@ -369,9 +373,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                 };
                 self.fm.straggler_delay += realized.saturating_sub(nominal);
                 self.gpus[gpu].busy += realized;
-                let model = w.task_model(task);
-                let kind = w.cluster.gpus()[gpu].kind;
-                self.gpus[gpu].effective_busy += realized.mul_f64(model.utilization(kind));
+                let utilization = w.task_model(task).utilization(w.cluster.gpus()[gpu].kind);
+                let effective = realized.mul_f64(utilization);
+                self.gpus[gpu].effective_busy += effective;
                 if let Some(ts) = &self.cfg.trace {
                     let job = w.problem.tasks[task].job;
                     ts.task_span(
@@ -392,24 +396,24 @@ impl<'a, 'b> Engine<'a, 'b> {
                     tl[gpu].push(UtilSpan {
                         from: self.now,
                         to: self.now + realized,
-                        level: model.utilization(kind),
+                        level: utilization,
                     });
                 }
                 if let Some(cur) = &mut self.current[gpu] {
                     debug_assert_eq!(cur.task, task);
                     cur.train_end = self.now + realized;
                     cur.busy = realized;
-                    cur.effective = realized.mul_f64(model.utilization(kind));
+                    cur.effective = effective;
                 }
                 self.queue
                     .push(self.now + realized, Event::TrainDone { task, gpu, gen });
             }
             Event::TrainDone { task, gpu, gen } => {
                 if gen != self.gen[gpu] {
-                    return; // stale: the GPU failed after scheduling this
+                    return false; // stale: the GPU failed after scheduling this
                 }
                 let Some(cur) = self.current[gpu].take() else {
-                    return;
+                    return true;
                 };
                 debug_assert_eq!(cur.task, task);
                 self.prev_task[gpu] = Some(task);
@@ -430,7 +434,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                     // dropped — the round cannot double-count.
                     self.fm.lost_work += cur.busy;
                     self.fm.dropped_gradients += 1;
-                    return;
+                    return true;
                 }
                 self.task_state[task] = TaskState::Done;
                 if self.reexec[task] {
@@ -478,7 +482,7 @@ impl<'a, 'b> Engine<'a, 'b> {
             }
             Event::GpuFailure { gpu } => {
                 if self.fail_time[gpu].is_some() {
-                    return; // plan validation forbids this; stay safe
+                    return true; // plan validation forbids this; stay safe
                 }
                 self.gen[gpu] += 1;
                 self.fail_time[gpu] = Some(self.now);
@@ -526,7 +530,7 @@ impl<'a, 'b> Engine<'a, 'b> {
             }
             Event::GpuRecovery { gpu } => {
                 let Some(down_at) = self.fail_time[gpu].take() else {
-                    return;
+                    return true;
                 };
                 if self.idle.insert(gpu) {
                     self.changes.push(Change::GpuIdle { gpu });
@@ -563,6 +567,7 @@ impl<'a, 'b> Engine<'a, 'b> {
                 }
             }
         }
+        true
     }
 
     /// Move a round's tasks into the ready set and log the release.
@@ -725,8 +730,10 @@ impl<'a, 'b> Engine<'a, 'b> {
             let sw = SimDuration::from_micros(500);
             self.gpus[gpu].switching += sw;
             self.occupied_since[gpu] = self.now;
+            // `now` never falls and `sw` is fixed, so these pushes arrive
+            // in time order and skip the heap.
             self.queue
-                .push(self.now + sw, Event::SwitchDone { task, gpu, gen });
+                .push_in_order(self.now + sw, Event::SwitchDone { task, gpu, gen });
             return;
         }
 

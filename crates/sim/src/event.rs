@@ -5,13 +5,20 @@
 //! of its inputs — the property the paper's simulator-vs-testbed validation
 //! (Fig. 12) depends on and that all our experiments inherit.
 //!
+//! Two lanes hold the events and share one sequence counter: a binary
+//! heap for any push, and a FIFO for pushes the caller knows arrive in
+//! time order ([`EventQueue::push_in_order`]; the engine's same-job
+//! switches, always `now + 500 µs`). A pop takes the smaller `(time, seq)`
+//! of the two heads, so the pop order is the one heap's by construction;
+//! the lane only saves the heap's sift on each of those events.
+//!
 //! The queue never removes an event before it fires. An occupancy event
 //! that a GPU failure made stale still pops, and the engine discards it by
 //! its stale occupancy generation (see [`Event::SwitchDone`]).
 
 use hare_cluster::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What happened. The order derived here is never consulted: the queue's
 /// sequence number is unique, so it settles every comparison first.
@@ -65,13 +72,15 @@ pub enum Event {
     },
 }
 
-/// Min-heap of timestamped events with deterministic tie-breaking.
+/// Min-queue of timestamped events with deterministic tie-breaking.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     /// `(time, seq, event)`: `seq` is the insertion order (the
     /// determinism tie-break), unique per event.
     heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
-    /// Next insertion-order sequence number.
+    /// In-order lane: ascending `(time, seq)` by construction.
+    lane: VecDeque<(SimTime, u64, Event)>,
+    /// Next insertion-order sequence number, shared by both lanes.
     next_seq: u64,
 }
 
@@ -87,19 +96,39 @@ impl EventQueue {
         self.next_seq += 1;
     }
 
+    /// Schedule an event whose time the caller knows is no earlier than
+    /// that of any earlier `push_in_order`: it joins the in-order lane
+    /// without a heap sift. An earlier time goes to the heap instead, so a
+    /// caller that breaks the order costs speed, never order.
+    pub fn push_in_order(&mut self, at: SimTime, event: Event) {
+        if self.lane.back().is_some_and(|&(last, _, _)| at < last) {
+            return self.push(at, event);
+        }
+        self.lane.push_back((at, self.next_seq, event));
+        self.next_seq += 1;
+    }
+
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|Reverse((t, _, event))| (t, event))
+        let lane_first = match (self.lane.front(), self.heap.peek()) {
+            (Some(&(lt, ls, _)), Some(Reverse((ht, hs, _)))) => (lt, ls) < (*ht, *hs),
+            (lane, _) => lane.is_some(),
+        };
+        if lane_first {
+            self.lane.pop_front().map(|(t, _, event)| (t, event))
+        } else {
+            self.heap.pop().map(|Reverse((t, _, event))| (t, event))
+        }
     }
 
     /// Events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -137,6 +166,88 @@ mod tests {
             })
             .collect();
         assert_eq!(order, (0..10).rev().collect::<Vec<_>>());
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BinaryHeap;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Interleaved `push`, `push_in_order` (in order, or early and so
+        /// falling back to the heap) and `pop` against one reference heap
+        /// of `(time, seq)`: the same events pop in the same order,
+        /// including ties at equal times across the two lanes.
+        #[test]
+        fn two_lanes_pop_in_the_one_heap_order(
+            ops in prop::collection::vec((0u32..4, 0u64..6), 1..300)
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let (mut seq, mut floor, mut lane_back) = (0usize, 0u64, 0u64);
+            for (op, dt) in ops {
+                match op {
+                    // Heap push anywhere at or after the clock.
+                    0 => {
+                        let at = floor + dt;
+                        q.push(SimTime::from_micros(at), Event::JobArrival { job: seq });
+                        reference.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
+                    // In-order push: a small step (often 0, a tie) past
+                    // the lane's last time, or before it (a fallback).
+                    1 | 2 => {
+                        let at = if op == 1 {
+                            lane_back.max(floor) + dt % 2
+                        } else {
+                            floor + dt
+                        };
+                        if at >= lane_back {
+                            lane_back = at;
+                        }
+                        q.push_in_order(SimTime::from_micros(at), Event::JobArrival { job: seq });
+                        reference.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
+                    _ => {
+                        let got = q.pop();
+                        let want = reference.pop();
+                        prop_assert_eq!(
+                            got.map(|(t, e)| (t.as_micros(), e)),
+                            want.map(|Reverse((t, job))| (t, Event::JobArrival { job }))
+                        );
+                        if let Some((t, _)) = got {
+                            floor = t.as_micros();
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.len());
+            }
+            while let Some(Reverse((t, job))) = reference.pop() {
+                let got = q.pop();
+                prop_assert_eq!(got, Some((SimTime::from_micros(t), Event::JobArrival { job })));
+            }
+            prop_assert!(q.is_empty() && q.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn in_order_lane_ties_with_the_heap_by_insertion_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.push_in_order(t, Event::JobArrival { job: 0 });
+        q.push(t, Event::JobArrival { job: 1 });
+        q.push_in_order(t, Event::JobArrival { job: 2 });
+        // Earlier than the lane's last entry: falls back to the heap.
+        q.push_in_order(SimTime::ZERO, Event::JobArrival { job: 3 });
+        q.push(t, Event::JobArrival { job: 4 });
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::JobArrival { job } => job,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, vec![3, 0, 1, 2, 4]);
     }
 
     #[test]

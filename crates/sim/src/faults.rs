@@ -592,9 +592,11 @@ impl FaultProfile {
 
     /// Draw a plan covering `[0, horizon)` for a cluster of `n_gpus` GPUs
     /// on `n_machines` machines. At least one GPU is always spared a
-    /// permanent failure, so generated plans cannot wedge a run for lack
-    /// of hardware. The result always passes
-    /// [`FaultPlan::validate`] for the same cluster shape.
+    /// permanent failure, but that does not keep a gang scheme running: a
+    /// plan may leave fewer GPUs than a job's `sync_scale` (`harsh()` over
+    /// 20,000 s on the testbed loses 12–14 of its 15), and a run that then
+    /// cannot place that job returns [`SimError::Deadlock`]. The result
+    /// always passes [`FaultPlan::validate`] for the same cluster shape.
     pub fn generate(
         &self,
         seed: u64,

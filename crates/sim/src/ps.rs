@@ -98,8 +98,8 @@ impl ParameterServer {
 
     /// A worker finished training a task of the current round at `at` on
     /// `machine`. When this was the round's last push, returns the sync
-    /// outcome and advances to the next round; the transfer times come
-    /// from [`NetworkModel::worker_sync_time`] with `extra_flows` other
+    /// outcome and advances to the next round; the barrier comes from
+    /// [`NetworkModel::round_barrier`] with `extra_flows` other
     /// jobs' gradient flows contending on the network (the engine passes
     /// the number of concurrently synchronizing jobs) and NIC degradation
     /// `machine_factors` / `backbone` (`&[]` and 1.0 for a healthy
@@ -127,23 +127,15 @@ impl ParameterServer {
 
         // All gradients of the round are in: each worker's sync spans
         // [train finish, finish + its transfer time], and the barrier is
-        // the slowest worker. The fold allocates nothing.
-        let done_at = self
-            .finished
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                t + net.worker_sync_time(
-                    self.param_bytes,
-                    &self.machines,
-                    i,
-                    extra_flows,
-                    machine_factors,
-                    backbone,
-                )
-            })
-            .max()
-            .expect("non-empty round");
+        // the slowest worker.
+        let done_at = net.round_barrier(
+            self.param_bytes,
+            &self.finished,
+            &self.machines,
+            extra_flows,
+            machine_factors,
+            backbone,
+        );
 
         let round = self.round;
         self.round += 1;

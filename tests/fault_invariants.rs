@@ -15,7 +15,8 @@
 //!    failed or speculated);
 //! 4. runs are bit-for-bit deterministic under identical plans;
 //! 5. speculation armed at a threshold no straggler reaches changes
-//!    neither the report nor the number of events processed.
+//!    neither the report nor the number of events processed;
+//! 6. every dispatch offer has a cause the policy can observe.
 
 use hare::baselines::{
     build_simulation, GavelFifo, HareOnline, ReplanBudget, RunOptions, SchedAllox, SchedHomo,
@@ -24,12 +25,16 @@ use hare::baselines::{
 use hare::cluster::{Cluster, SimDuration, SimTime};
 use hare::core::HareScheduler;
 use hare::sim::{
-    FaultPlan, GpuFault, NetworkFault, OfflineReplay, SimError, SimReport, SimWorkload,
-    SolverDegradation, SpeculationConfig, StorageFault, StorageFaultKind, StragglerWindow,
+    FaultPlan, FaultProfile, GpuFault, NetworkFault, OfflineReplay, Policy, SimError, SimReport,
+    SimView, SimWorkload, SolverDegradation, SpeculationConfig, StorageFault, StorageFaultKind,
+    StragglerWindow,
 };
 use hare::solver::SolveBudget;
-use hare::workload::{testbed_trace, ProfileDb};
+use hare::workload::{testbed_trace, JobId, JobSpec, ModelKind, ProfileDb};
 use proptest::prelude::*;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 /// The paper's testbed: 15 GPUs across 4 machines.
 const N_GPUS: usize = 15;
@@ -200,6 +205,20 @@ fn chaos() -> impl Strategy<Value = (u64, FaultPlan)> {
         )
 }
 
+/// A fresh policy for `scheme`; Hare replays its own offline plan.
+fn policy(w: &SimWorkload, scheme: Scheme) -> Box<dyn Policy> {
+    match scheme {
+        Scheme::Hare => {
+            let out = HareScheduler::default().schedule(&w.problem);
+            Box::new(OfflineReplay::new("Hare", w, &out.schedule))
+        }
+        Scheme::GavelFifo => Box::new(GavelFifo::new()),
+        Scheme::Srtf => Box::new(Srtf::new()),
+        Scheme::SchedHomo => Box::new(SchedHomo::new()),
+        Scheme::SchedAllox => Box::new(SchedAllox::new()),
+    }
+}
+
 /// A run's report and the number of events its engine processed.
 fn run_counted(
     w: &SimWorkload,
@@ -210,17 +229,7 @@ fn run_counted(
         noise: 0.0,
         ..RunOptions::default()
     };
-    let sim = build_simulation(scheme, w, opts, plan);
-    match scheme {
-        Scheme::Hare => {
-            let out = HareScheduler::default().schedule(&w.problem);
-            sim.run_counted(&mut OfflineReplay::new("Hare", w, &out.schedule))
-        }
-        Scheme::GavelFifo => sim.run_counted(&mut GavelFifo::new()),
-        Scheme::Srtf => sim.run_counted(&mut Srtf::new()),
-        Scheme::SchedHomo => sim.run_counted(&mut SchedHomo::new()),
-        Scheme::SchedAllox => sim.run_counted(&mut SchedAllox::new()),
-    }
+    build_simulation(scheme, w, opts, plan).run_counted(policy(w, scheme).as_mut())
 }
 
 fn run_one(w: &SimWorkload, plan: &FaultPlan, scheme: Scheme) -> Result<SimReport, SimError> {
@@ -257,6 +266,41 @@ fn run_online_tiny_budget(
     });
     let report = build_simulation(Scheme::Hare, w, opts, plan).run(&mut policy)?;
     Ok((report, policy))
+}
+
+/// Wraps a policy and counts the dispatch offers nothing observable
+/// caused: the first call at a new clock reading with an empty change log
+/// and no failure or recovery callback since the previous call.
+struct OfferProbe {
+    inner: Box<dyn Policy>,
+    last_now: Option<SimTime>,
+    notified: bool,
+    uncaused: u32,
+}
+
+impl Policy for OfferProbe {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn dispatch(&mut self, view: &SimView<'_>, out: &mut Vec<(usize, usize)>) {
+        if self.last_now != Some(view.now) && view.changes.is_empty() && !self.notified {
+            self.uncaused += 1;
+        }
+        self.last_now = Some(view.now);
+        self.notified = false;
+        self.inner.dispatch(view, out);
+    }
+
+    fn on_gpu_failure(&mut self, gpu: usize, requeued: &[usize]) {
+        self.notified = true;
+        self.inner.on_gpu_failure(gpu, requeued);
+    }
+
+    fn on_gpu_recovery(&mut self, gpu: usize) {
+        self.notified = true;
+        self.inner.on_gpu_recovery(gpu);
+    }
 }
 
 /// The recovery invariants every completed chaos run must satisfy.
@@ -435,5 +479,80 @@ proptest! {
         let (b, b_events) = run_online_counted(&w, &idle).expect("chaos run failed");
         prop_assert_eq!(a.to_json(), b.to_json(), "online Hare report");
         prop_assert_eq!(a_events, b_events, "online Hare event count");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine offers a dispatch only when something a policy can
+    /// observe changed. A stale occupancy pop (its GPU failed after the
+    /// event was scheduled) moves only the clock, so it is not offered.
+    #[test]
+    fn every_dispatch_offer_has_a_cause(case in chaos()) {
+        let (seed, plan) = case;
+        let w = workload(seed);
+        let opts = RunOptions {
+            noise: 0.0,
+            ..RunOptions::default()
+        };
+        for scheme in Scheme::ALL {
+            let mut probe = OfferProbe {
+                inner: policy(&w, scheme),
+                last_now: None,
+                notified: false,
+                uncaused: 0,
+            };
+            build_simulation(scheme, &w, opts, &plan)
+                .run(&mut probe)
+                .expect("chaos run failed");
+            prop_assert_eq!(probe.uncaused, 0, "{:?}", scheme);
+        }
+    }
+}
+
+/// A generated plan spares one GPU from permanent loss, which does not
+/// keep a gang scheme running: `harsh()` over 20,000 s on the testbed
+/// loses most of its GPUs for good, and a 6-wide job arriving after the
+/// losses can never be placed. Each gang baseline's run must end in the
+/// typed `SimError::Deadlock` within a bounded time, not a panic or a
+/// hang.
+#[test]
+fn a_generated_plan_leaving_too_few_gpus_is_a_typed_deadlock() {
+    let horizon = SimDuration::from_secs(20_000);
+    let plan = FaultProfile::harsh().generate(2, horizon, N_GPUS, 4);
+    let lost = plan
+        .gpu_faults
+        .iter()
+        .filter(|f| f.recover_after.is_none())
+        .count();
+    let wide = JobSpec::new(JobId(3), ModelKind::ResNet50, 2, 6).arriving_at(t(20_000));
+    assert!(
+        N_GPUS - lost < wide.sync_scale as usize,
+        "the plan must leave fewer GPUs than the wide job needs ({lost} lost)"
+    );
+    let mut trace = testbed_trace(2);
+    trace.truncate(3);
+    trace.push(wide);
+    let w = SimWorkload::build(Cluster::testbed15(), trace, &ProfileDb::with_noise(2, 0.0));
+    for scheme in [
+        Scheme::GavelFifo,
+        Scheme::Srtf,
+        Scheme::SchedHomo,
+        Scheme::SchedAllox,
+    ] {
+        let (w, plan) = (w.clone(), plan.clone());
+        let (tx, rx) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            let _ = tx.send(run_one(&w, &plan, scheme));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{scheme:?}: no result within 60 s"));
+        worker.join().expect("the run must not panic");
+        assert!(
+            matches!(result, Err(SimError::Deadlock { jobs_done, jobs: 4, .. }) if jobs_done < 4),
+            "{scheme:?}: {result:?}"
+        );
     }
 }
