@@ -30,8 +30,7 @@
 
 use hare_cluster::{SimDuration, SimTime};
 use hare_core::{
-    anytime_schedule, AnytimeOptions, HareScheduler, JobInfo, PlanProvenance, Rung, SchedProblem,
-    StalePlan,
+    anytime_schedule, AnytimeOptions, HareScheduler, JobInfo, Rung, SchedProblem, StalePlan,
 };
 use hare_sim::{ChromeTraceSink, Policy, SimView, SECS_PER_WORK_UNIT};
 use hare_solver::{SolveBudget, SolveTrace};
@@ -84,8 +83,6 @@ pub struct HareOnline {
     pending: Option<(SimTime, Vec<f64>)>,
     /// Replans won by each ladder rung (indexed as [`Rung::ALL`]).
     rung_hits: [u64; 4],
-    /// Provenance of the most recent budgeted replan.
-    last_provenance: Option<PlanProvenance>,
     /// Total simulated solver latency charged across all replans.
     solver_latency: SimDuration,
     /// Observability sink for replan/solver-phase spans; `None` (default)
@@ -136,12 +133,6 @@ impl HareOnline {
             *slot = (rung.name(), hits);
         }
         out
-    }
-
-    /// Provenance of the most recent budgeted replan (`None` before the
-    /// first replan or in legacy mode).
-    pub fn last_provenance(&self) -> Option<&PlanProvenance> {
-        self.last_provenance.as_ref()
     }
 
     /// Total simulated solver latency charged so far.
@@ -216,18 +207,12 @@ impl HareOnline {
                 };
                 let scaled = cfg.budget.scaled(view.solver_budget_frac);
                 let out = anytime_schedule(&sub, &cfg.options, &scaled, Some(&stale), solve_trace);
-                if let Some(i) = Rung::ALL.iter().position(|r| *r == out.provenance.chosen) {
+                if let Some(i) = Rung::ALL.iter().position(|r| *r == out.chosen) {
                     self.rung_hits[i] += 1;
                 }
-                let latency =
-                    SimDuration::from_secs_f64(out.provenance.work as f64 * SECS_PER_WORK_UNIT);
+                let latency = SimDuration::from_secs_f64(out.work as f64 * SECS_PER_WORK_UNIT);
                 self.solver_latency += latency;
-                self.forward_spans(
-                    view.now,
-                    latency,
-                    out.provenance.chosen.name(),
-                    out.provenance.work,
-                );
+                self.forward_spans(view.now, latency, out.chosen.name(), out.work);
                 // The plan is installed once its solve "finishes" on the
                 // simulation clock; dispatch keeps the old priorities
                 // until then.
@@ -236,7 +221,6 @@ impl HareOnline {
                     next[global_task] = out.h[i];
                 }
                 self.pending = Some((view.now + latency, next));
-                self.last_provenance = Some(out.provenance);
             }
         }
         self.replans += 1;
@@ -514,13 +498,6 @@ mod tests {
         // stale-plan or greedy rung.
         assert_eq!(hits[0].1 + hits[1].1, 0, "upper rungs impossible: {hits:?}");
         assert!(hits[2].1 + hits[3].1 > 0);
-        let prov = policy
-            .last_provenance()
-            .expect("budgeted replans record provenance");
-        assert!(matches!(
-            prov.chosen,
-            hare_core::Rung::StalePlan | hare_core::Rung::Greedy
-        ));
     }
 
     #[test]

@@ -92,8 +92,8 @@ impl QueueScheduler for LadderServe {
         let out = anytime_schedule(&sub, &self.options, &scaled, Some(&stale), None);
         PlanOutcome {
             priority: out.h,
-            work: out.provenance.work,
-            rung: out.provenance.chosen.name(),
+            work: out.work,
+            rung: out.chosen.name(),
         }
     }
 }

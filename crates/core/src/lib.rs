@@ -17,12 +17,9 @@ pub mod theory;
 pub use algorithm::{
     hare_schedule, relaxed_round_assign, AssignmentRule, HareOutput, HareScheduler, PriorityOrder,
 };
-pub use anytime::{
-    anytime_schedule, AnytimeOptions, AnytimeOutput, PlanProvenance, Rung, RungAttempt,
-    RungOutcome, StalePlan,
-};
+pub use anytime::{anytime_schedule, AnytimeOptions, AnytimeOutput, Rung, StalePlan};
 pub use gantt::render as render_gantt;
 pub use problem::{GpuIdx, JobIdx, JobInfo, SchedProblem, TaskIdx, TaskInfo};
 pub use schedule::Schedule;
-pub use sync::{find_gang_slot, Contribution, QuorumTracker, SyncMode};
+pub use sync::{find_gang_slot, SyncMode};
 pub use theory::{approx_ratio_bound, certify, TheoryReport};

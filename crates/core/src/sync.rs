@@ -8,7 +8,10 @@
 //!   but tasks may start at different times and even share a GPU
 //!   sequentially (Fig. 4(b)).
 //!
-//! The gang-slot helper implements the strict semantics for the baselines.
+//! The gang-slot helper implements the strict semantics for the baselines;
+//! the relaxed barrier is the simulator's parameter server
+//! (`hare_sim::ParameterServer`), which accepts exactly `|D_r|` gradients
+//! per round.
 
 use hare_cluster::SimTime;
 use serde::{Deserialize, Serialize};
@@ -20,85 +23,6 @@ pub enum SyncMode {
     Strict,
     /// Hare's relaxed scheme: fixed count, flexible placement.
     Relaxed,
-}
-
-/// Verdict of offering one gradient to a round's relaxed barrier.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Contribution {
-    /// The gradient entered the round's average.
-    Accepted {
-        /// True when this was the round's `|D_r|`-th gradient — the barrier
-        /// releases and the tracker resets for the next round.
-        completes_round: bool,
-    },
-    /// The round (or the whole job) already had its `|D_r|` contributions;
-    /// the gradient is discarded. This is the relaxed scheme acting as a
-    /// fault-tolerance mechanism: late copies from stragglers, recovered
-    /// GPUs or speculative re-execution cannot double-count.
-    Dropped,
-}
-
-/// The relaxed scale-fixed barrier of Section 2.2.3 as a counting quorum:
-/// each round accepts exactly `scale` (`|D_r|`) gradient contributions in
-/// arrival order and drops everything beyond — the *count* stays fixed (so
-/// convergence certainty is preserved) no matter how many physical
-/// executions faults and speculation produce.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuorumTracker {
-    scale: u32,
-    in_round: u32,
-    accepted: u64,
-    dropped: u64,
-}
-
-impl QuorumTracker {
-    /// A tracker for rounds of `scale` contributions.
-    pub fn new(scale: u32) -> Self {
-        assert!(scale > 0, "quorum of zero");
-        QuorumTracker {
-            scale,
-            in_round: 0,
-            accepted: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Offer one gradient. `round_open` is false once the consumer has no
-    /// round left to fill (job finished) — everything is then dropped.
-    pub fn offer(&mut self, round_open: bool) -> Contribution {
-        if !round_open {
-            self.dropped += 1;
-            return Contribution::Dropped;
-        }
-        debug_assert!(self.in_round < self.scale);
-        self.in_round += 1;
-        self.accepted += 1;
-        if self.in_round == self.scale {
-            self.in_round = 0;
-            Contribution::Accepted {
-                completes_round: true,
-            }
-        } else {
-            Contribution::Accepted {
-                completes_round: false,
-            }
-        }
-    }
-
-    /// Contributions accepted into the current (incomplete) round.
-    pub fn pending(&self) -> u32 {
-        self.in_round
-    }
-
-    /// Total gradients accepted across all rounds.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Total gradients dropped by the quorum.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 /// Find the earliest strict-gang slot: the earliest time `t >= ready` at
@@ -174,47 +98,5 @@ mod tests {
     #[should_panic(expected = "gang of 4")]
     fn oversized_gang_panics() {
         find_gang_slot(&[t(0); 3], 4, SimTime::ZERO);
-    }
-
-    #[test]
-    fn quorum_accepts_exactly_scale_per_round() {
-        let mut q = QuorumTracker::new(3);
-        assert_eq!(
-            q.offer(true),
-            Contribution::Accepted {
-                completes_round: false
-            }
-        );
-        assert_eq!(q.pending(), 1);
-        assert_eq!(
-            q.offer(true),
-            Contribution::Accepted {
-                completes_round: false
-            }
-        );
-        assert_eq!(
-            q.offer(true),
-            Contribution::Accepted {
-                completes_round: true
-            }
-        );
-        assert_eq!(q.pending(), 0);
-        assert_eq!(q.accepted(), 3);
-        assert_eq!(q.dropped(), 0);
-    }
-
-    #[test]
-    fn quorum_drops_after_job_closes() {
-        let mut q = QuorumTracker::new(1);
-        assert_eq!(
-            q.offer(true),
-            Contribution::Accepted {
-                completes_round: true
-            }
-        );
-        assert_eq!(q.offer(false), Contribution::Dropped);
-        assert_eq!(q.offer(false), Contribution::Dropped);
-        assert_eq!(q.accepted(), 1);
-        assert_eq!(q.dropped(), 2);
     }
 }

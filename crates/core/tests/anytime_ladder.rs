@@ -13,7 +13,7 @@
 
 use hare_cluster::{SimDuration, SimTime};
 use hare_core::{anytime_schedule, AnytimeOptions, JobInfo, SchedProblem, SyncMode};
-use hare_solver::SolveBudget;
+use hare_solver::{SolveBudget, SolveTrace};
 use proptest::prelude::*;
 
 /// Small random healthy problems: 2–4 GPUs, 1–3 jobs, ≤ 2 rounds × ≤ 2
@@ -75,14 +75,19 @@ proptest! {
     #[test]
     fn ladder_is_total_and_deterministic(p in problems()) {
         for budget in budgets() {
-            let a = anytime_schedule(&p, &opts(), &budget, None, None);
+            let trace = SolveTrace::new();
+            let a = anytime_schedule(&p, &opts(), &budget, None, Some(&trace));
             let b = anytime_schedule(&p, &opts(), &budget, None, None);
             prop_assert_eq!(&a, &b, "identical inputs must replay bit for bit");
-            // Totality: whatever the budget, the plan is valid and every
-            // attempt is accounted for (one per rung).
+            // Totality: whatever the budget, the plan is valid, and the
+            // ladder ends on the stale-plan rung (skipped: no previous
+            // plan) and the greedy rung, whose flat charge is in the work.
             prop_assert!(a.schedule.validate(&p, SyncMode::Relaxed).is_ok());
-            prop_assert!(a.provenance.objective.is_finite());
-            prop_assert_eq!(a.provenance.attempts.len(), 4);
+            prop_assert!(a.objective.is_finite());
+            prop_assert!(a.work >= p.n_tasks() as u64);
+            let spans: Vec<(&str, u64)> =
+                trace.drain().iter().map(|s| (s.phase, s.detail)).collect();
+            prop_assert_eq!(&spans[spans.len() - 2..], &[("stale-plan", 1), ("greedy", 0)]);
             prop_assert_eq!(a.h.len(), p.n_tasks());
         }
     }
@@ -92,7 +97,7 @@ proptest! {
         let mut prev = f64::INFINITY;
         for budget in budgets() {
             let out = anytime_schedule(&p, &opts(), &budget, None, None);
-            let obj = out.provenance.objective;
+            let obj = out.objective;
             // Each rung is all-or-nothing, so a larger budget only grows
             // the candidate set: the selected minimum cannot regress.
             prop_assert!(

@@ -2,112 +2,124 @@
 //!
 //! Native PyTorch (and PipeSwitch) frees a task's GPU memory *after* the
 //! task completes. Hare instead deletes each layer's intermediate data as
-//! soon as that layer's backward pass finishes. Two benefits, both modelled
-//! here:
-//!
-//! 1. **Security** — the content is wiped, not just unreferenced (the pool
-//!    accounts for this, see [`crate::pool::MemoryPool::wiped`]).
-//! 2. **Earlier preloading** — released memory can host the *next* task's
-//!    first layer groups while the predecessor is still finishing, hiding
-//!    transfer latency.
+//! soon as that layer's backward pass finishes. The content is wiped, not
+//! just unreferenced (the security benefit), and the released memory can
+//! host the *next* task's first layer groups while the predecessor is
+//! still finishing, hiding transfer latency. The second benefit is the one
+//! a switch's cost sees, and the one modelled here.
 
 use hare_cluster::{Bytes, SimDuration};
 use hare_workload::ModelKind;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of a training step spent in the backward pass (forward ≈ 1/3,
 /// backward ≈ 2/3 — the usual 1:2 rule of thumb for SGD training).
 pub const BACKWARD_FRAC: f64 = 2.0 / 3.0;
 
-/// The freed-bytes timeline of one task's backward pass under early
-/// cleaning. Offsets count backwards from task completion: an event at
-/// offset `d` means "by `d` before the task ends, these bytes are free".
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CleaningTimeline {
-    /// (offset before task end, cumulative bytes freed by then), ordered by
-    /// decreasing offset (earliest event first).
-    pub events: Vec<(SimDuration, Bytes)>,
-    /// Activation bytes freed in total by task end.
-    pub total_freed: Bytes,
-}
-
-/// Build the early-cleaning timeline for a task of `model` whose full step
-/// (forward + backward) takes `step_time`.
+/// How long before a predecessor task of `model`, whose full step
+/// (forward + backward) takes `step_time`, ends its early cleaning has
+/// freed `needed` bytes — the window during which the successor's preload
+/// can overlap the predecessor's tail. Zero if it never frees that much.
 ///
-/// The backward pass walks layer groups in reverse; each group's
-/// intermediate data is wiped as its backward completes, so the cumulative
-/// freed bytes grow linearly in group count across the backward window.
-pub fn timeline(model: ModelKind, step_time: SimDuration) -> CleaningTimeline {
+/// The backward pass walks the `G` layer groups in reverse and wipes each
+/// group's intermediate data as its backward completes: by
+/// `(G − g)·⌊backward/G⌋` before the step ends, `g·⌊activation/G⌋` bytes
+/// are free. The window is the offset of the first group `g` whose
+/// release covers `needed`.
+pub fn overlap_window(model: ModelKind, step_time: SimDuration, needed: Bytes) -> SimDuration {
     let spec = model.spec();
     let groups = spec.layer_groups.max(1) as u64;
-    let backward = step_time.mul_f64(BACKWARD_FRAC);
-    let per_group_bytes = Bytes::new(spec.activation_bytes.as_u64() / groups);
-    let per_group_time = backward / groups;
-
-    // Group g (1-based, in backward order) finishes at g * per_group_time
-    // into the backward pass, i.e. (groups - g) * per_group_time before end.
-    let events: Vec<(SimDuration, Bytes)> = (1..=groups)
-        .map(|g| {
-            let offset_before_end = per_group_time * (groups - g);
-            let freed = Bytes::new(per_group_bytes.as_u64() * g);
-            (offset_before_end, freed)
-        })
-        .collect();
-    let total_freed = events.last().map(|&(_, b)| b).unwrap_or(Bytes::ZERO);
-    CleaningTimeline {
-        events,
-        total_freed,
+    let per_group = spec.activation_bytes.as_u64() / groups;
+    let first = match (needed.as_u64(), per_group) {
+        (0, _) => 1,
+        (_, 0) => return SimDuration::ZERO,
+        (needed, per_group) => needed.div_ceil(per_group),
+    };
+    if first > groups {
+        return SimDuration::ZERO;
     }
-}
-
-impl CleaningTimeline {
-    /// How long before the predecessor ends `needed` bytes become free —
-    /// i.e. the window during which the successor's preload can overlap the
-    /// predecessor's tail. Zero if the timeline never frees that much.
-    pub fn overlap_window(&self, needed: Bytes) -> SimDuration {
-        // Events are ordered earliest-first (decreasing offset); take the
-        // earliest event that satisfies the requirement.
-        self.events
-            .iter()
-            .find(|&&(_, freed)| freed >= needed)
-            .map(|&(offset, _)| offset)
-            .unwrap_or(SimDuration::ZERO)
-    }
+    step_time.mul_f64(BACKWARD_FRAC) / groups * (groups - first)
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::transfer::pipeline;
+    use hare_cluster::GpuKind;
 
-    #[test]
-    fn timeline_frees_all_activations_by_end() {
-        let t = timeline(ModelKind::ResNet50, SimDuration::from_millis(60));
-        // Integer division may shave a few bytes per group; within a group.
-        let expected = ModelKind::ResNet50.spec().activation_bytes;
-        let lost = expected.as_u64() - t.total_freed.as_u64();
-        assert!(lost < ModelKind::ResNet50.spec().layer_groups as u64);
-        // Final event is at offset zero (task end).
-        assert_eq!(t.events.last().unwrap().0, SimDuration::ZERO);
+    /// The freed-bytes timeline scanned event by event: group `g`
+    /// (1-based, backward order) has freed `g` groups' bytes by
+    /// `(G − g)` group times before the step ends, and the window is the
+    /// earliest event that frees `needed`.
+    fn scanned_window(model: ModelKind, step_time: SimDuration, needed: Bytes) -> SimDuration {
+        let spec = model.spec();
+        let groups = spec.layer_groups.max(1) as u64;
+        let per_group_time = step_time.mul_f64(BACKWARD_FRAC) / groups;
+        let per_group_bytes = spec.activation_bytes.as_u64() / groups;
+        (1..=groups)
+            .map(|g| (per_group_time * (groups - g), per_group_bytes * g))
+            .find(|&(_, freed)| freed >= needed.as_u64())
+            .map(|(offset, _)| offset)
+            .unwrap_or(SimDuration::ZERO)
     }
 
     #[test]
-    fn events_are_monotone() {
-        let t = timeline(ModelKind::BertBase, SimDuration::from_millis(900));
-        for w in t.events.windows(2) {
-            assert!(w[0].0 >= w[1].0, "offsets must decrease");
-            assert!(w[0].1 <= w[1].1, "freed bytes must grow");
+    fn closed_form_matches_the_event_scan() {
+        for model in ModelKind::ALL {
+            let spec = model.spec();
+            let groups = spec.layer_groups.max(1) as u64;
+            let per_group = spec.activation_bytes.as_u64() / groups;
+            // Zero, every multiple of a group's bytes and its neighbours,
+            // and more than the model ever frees.
+            let mut needs = vec![0, 1, spec.activation_bytes.as_u64() + 1, u64::MAX];
+            for k in 1..=groups + 1 {
+                let exact = per_group * k;
+                needs.extend([exact.saturating_sub(1), exact, exact + 1]);
+            }
+            for step_us in [0, 1, 7, 999, 55_000, 143_750, 2_000_000, 86_400_000_000] {
+                let step = SimDuration::from_micros(step_us);
+                for &needed in &needs {
+                    let needed = Bytes::new(needed);
+                    assert_eq!(
+                        overlap_window(model, step, needed),
+                        scanned_window(model, step, needed),
+                        "{model}, step {step}, needed {needed}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
+    fn the_last_group_frees_at_the_step_end() {
+        let step = SimDuration::from_millis(60);
+        let spec = ModelKind::ResNet50.spec();
+        let groups = spec.layer_groups as u64;
+        let all = Bytes::new(spec.activation_bytes.as_u64() / groups * groups);
+        // Integer division may shave a few bytes per group; within a group.
+        assert!(spec.activation_bytes.as_u64() - all.as_u64() < groups);
+        assert_eq!(
+            overlap_window(ModelKind::ResNet50, step, all),
+            SimDuration::ZERO
+        );
+        let first = overlap_window(ModelKind::ResNet50, step, Bytes::ZERO);
+        assert_eq!(
+            first,
+            step.mul_f64(BACKWARD_FRAC) / groups * (groups - 1),
+            "the first group frees one group time into the backward pass"
+        );
+    }
+
+    #[test]
     fn overlap_window_scales_with_need() {
-        let t = timeline(ModelKind::Vgg19, SimDuration::from_millis(68));
-        let small = t.overlap_window(Bytes::mib(1));
-        let large = t.overlap_window(Bytes::mib(1000));
+        let step = SimDuration::from_millis(68);
+        let small = overlap_window(ModelKind::Vgg19, step, Bytes::mib(1));
+        let large = overlap_window(ModelKind::Vgg19, step, Bytes::mib(1000));
         assert!(small > large);
         // Needing more than is ever freed gives no overlap.
-        assert_eq!(t.overlap_window(Bytes::gib(10)), SimDuration::ZERO);
+        assert_eq!(
+            overlap_window(ModelKind::Vgg19, step, Bytes::gib(10)),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
@@ -116,21 +128,12 @@ mod tests {
         // resident before it can start; early cleaning frees that much long
         // before the predecessor finishes.
         let step = SimDuration::from_millis(68); // VGG19 on V100
-        let t = timeline(ModelKind::Vgg19, step);
-        let group =
-            crate::transfer::pipeline(ModelKind::ResNet50, hare_cluster::GpuKind::V100).group_bytes;
-        let window = t.overlap_window(group);
-        let xfer =
-            crate::transfer::pipeline(ModelKind::ResNet50, hare_cluster::GpuKind::V100).first_group;
+        let next = pipeline(ModelKind::ResNet50, GpuKind::V100);
+        let window = overlap_window(ModelKind::Vgg19, step, next.group_bytes);
         assert!(
-            window > xfer,
-            "window {window} should exceed first-group transfer {xfer}"
+            window > next.first_group,
+            "window {window} should exceed first-group transfer {}",
+            next.first_group
         );
-    }
-
-    #[test]
-    fn single_group_models_free_at_end_only() {
-        let t = timeline(ModelKind::GraphSage, SimDuration::from_millis(55));
-        assert_eq!(t.events.len(), 2); // GraphSAGE has 2 layer groups
     }
 }

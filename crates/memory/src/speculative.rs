@@ -7,10 +7,10 @@
 //!
 //! The paper's heuristic: give memory priority to the next task, and
 //! greedily keep the models of the latest completed tasks until they no
-//! longer fit. This module implements exactly that policy over a real
-//! [`MemoryPool`], producing per-switch hit/miss flags.
+//! longer fit. This module implements exactly that policy as byte
+//! accounting over the GPU's device memory, producing per-switch hit/miss
+//! flags.
 
-use crate::pool::{AllocId, MemoryPool, RegionKind};
 use hare_cluster::{Bytes, GpuKind};
 use hare_workload::{JobId, ModelKind};
 use serde::{Deserialize, Serialize};
@@ -51,9 +51,13 @@ impl CachePlan {
 #[derive(Clone, Debug)]
 pub struct SpeculativeCache {
     gpu: GpuKind,
-    pool: MemoryPool,
-    /// (job, model, weights allocation, last-used position).
-    cached: Vec<(JobId, ModelKind, AllocId, usize)>,
+    capacity: Bytes,
+    /// Bytes of the cached weights.
+    used: Bytes,
+    /// High-water mark of `used` plus the running task's activations.
+    peak: Bytes,
+    /// (job, model, last-used position) of every resident model.
+    cached: Vec<(JobId, ModelKind, usize)>,
     evictions: u32,
     clock: usize,
 }
@@ -63,7 +67,9 @@ impl SpeculativeCache {
     pub fn new(gpu: GpuKind) -> Self {
         SpeculativeCache {
             gpu,
-            pool: MemoryPool::new(gpu.spec().memory),
+            capacity: gpu.spec().memory,
+            used: Bytes::ZERO,
+            peak: Bytes::ZERO,
             cached: Vec::new(),
             evictions: 0,
             clock: 0,
@@ -82,91 +88,63 @@ impl SpeculativeCache {
         let pos = self.clock;
         self.clock += 1;
         let spec = task.model.spec();
-        let weights = spec.param_bytes;
-        let activations = spec.activation_bytes;
-
-        let hit = self
-            .cached
-            .iter()
-            .any(|&(j, m, _, _)| j == task.job && m == task.model);
+        let same = |&(j, m, _): &(JobId, ModelKind, usize)| j == task.job && m == task.model;
+        let hit = self.cached.iter().any(same);
 
         // Residency the task itself needs beyond what is already cached.
-        let mut need = activations;
+        let mut need = spec.activation_bytes;
         if !hit {
-            need += weights;
+            need += spec.param_bytes;
         }
 
         // Evict least-recently-used cached models (the paper keeps the
         // *latest completed*, so the oldest go first) until the task fits.
         // The running task's own cached weights are never evicted.
-        while self.pool.available() < need {
+        while self.capacity - self.used < need {
             let victim = self
                 .cached
                 .iter()
                 .enumerate()
-                .filter(|(_, &(j, m, _, _))| !(j == task.job && m == task.model))
-                .min_by_key(|(_, &(_, _, _, last))| last)
+                .filter(|(_, e)| !same(e))
+                .min_by_key(|(_, &(_, _, last))| last)
                 .map(|(i, _)| i);
-            match victim {
-                Some(i) => {
-                    let (_, _, alloc, _) = self.cached.remove(i);
-                    self.pool.free(alloc, true);
-                    self.evictions += 1;
-                }
-                None => panic!(
+            let Some(i) = victim else {
+                panic!(
                     "task {:?} working set exceeds {} memory ({} needed, {} free)",
                     task,
                     self.gpu,
                     need,
-                    self.pool.available()
-                ),
-            }
+                    self.capacity - self.used
+                );
+            };
+            let (_, model, _) = self.cached.remove(i);
+            self.used -= model.spec().param_bytes;
+            self.evictions += 1;
         }
 
-        // Bring in weights (on miss) and activations, run, drop activations.
-        // Evictions above may have shifted positions in `cached`, so a
-        // hit's entry must be re-resolved (it itself is never evicted).
-        let cache_idx = if hit {
-            Some(
-                self.cached
-                    .iter()
-                    .position(|&(j, m, _, _)| j == task.job && m == task.model)
-                    .expect("the running task's cached weights are never evicted"),
-            )
-        } else {
-            None
-        };
-        match cache_idx {
-            Some(i) => self.cached[i].3 = pos,
+        // Bring in the weights on a miss; they stay resident after the
+        // task completes (the speculation). The activations live only
+        // while the task runs: early cleaning frees them by its end.
+        match self.cached.iter_mut().find(|e| same(e)) {
+            Some(entry) => entry.2 = pos,
             None => {
-                let alloc = self
-                    .pool
-                    .alloc(task.job, RegionKind::Weights, weights)
-                    .expect("weights fit after eviction");
-                self.cached.push((task.job, task.model, alloc, pos));
+                self.used += spec.param_bytes;
+                self.cached.push((task.job, task.model, pos));
             }
         }
-        // Weights stay resident after completion (the speculation).
-        let act = self
-            .pool
-            .alloc(task.job, RegionKind::Activations, activations)
-            .expect("activations fit after eviction");
-        // Task runs here; early cleaning wipes activations by task end.
-        self.pool.free(act, true);
+        self.peak = self.peak.max(self.used + spec.activation_bytes);
         hit
     }
 
     /// A job finished entirely: drop its cached weights (no future reuse).
     pub fn retire_job(&mut self, job: JobId) {
-        let mut i = 0;
-        while i < self.cached.len() {
-            if self.cached[i].0 == job {
-                let (_, _, alloc, _) = self.cached.remove(i);
-                self.pool.free(alloc, true);
-            } else {
-                i += 1;
+        let used = &mut self.used;
+        self.cached.retain(|&(j, m, _)| {
+            if j == job {
+                *used -= m.spec().param_bytes;
             }
-        }
+            j != job
+        });
     }
 
     /// Evictions performed so far.
@@ -174,9 +152,10 @@ impl SpeculativeCache {
         self.evictions
     }
 
-    /// Peak device-memory usage so far.
+    /// Peak device-memory usage so far: the most that cached weights and
+    /// one running task's activations held at once.
     pub fn peak(&self) -> Bytes {
-        self.pool.peak()
+        self.peak
     }
 }
 
@@ -246,7 +225,7 @@ mod tests {
         let plan = plan_cache(&seq, GpuKind::M60);
         // First occurrence of each job always misses.
         assert!(!plan.hits[0] && !plan.hits[1] && !plan.hits[2]);
-        // The pool never exceeded capacity (plan_cache would have panicked),
+        // The cache never exceeded capacity (plan_cache would have panicked),
         // and peak stays within the M60.
         assert!(plan.peak <= GpuKind::M60.spec().memory);
     }

@@ -169,9 +169,10 @@ pub fn switch_time(policy: SwitchPolicy, req: &SwitchRequest) -> SwitchBreakdown
             // hosts the successor's first group(s); the preload overlaps the
             // predecessor's tail instead of the switch.
             let hidden = match req.prev {
-                Some(prev) => cleaning::timeline(prev.model, prev.step_time)
-                    .overlap_window(pipe.group_bytes)
-                    .min(pipe.first_group),
+                Some(prev) => {
+                    cleaning::overlap_window(prev.model, prev.step_time, pipe.group_bytes)
+                        .min(pipe.first_group)
+                }
                 None => SimDuration::ZERO,
             };
             let exposed = pipe.first_group - hidden;

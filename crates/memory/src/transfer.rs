@@ -18,14 +18,11 @@ pub fn full_transfer(model: ModelKind, gpu: GpuKind) -> SimDuration {
 /// A pipelined (grouped) transfer plan.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pipeline {
-    /// Number of layer groups.
-    pub groups: u32,
-    /// Size of one group (last group may be smaller; irrelevant for costs).
+    /// Size of one layer group (the last group may be smaller; irrelevant
+    /// for costs).
     pub group_bytes: Bytes,
     /// Transfer time of the first group — the exposed startup latency.
     pub first_group: SimDuration,
-    /// Total transfer time if nothing overlaps (equals the full transfer).
-    pub total: SimDuration,
 }
 
 /// Build the pipelined transfer plan for `model` on `gpu`.
@@ -34,10 +31,8 @@ pub fn pipeline(model: ModelKind, gpu: GpuKind) -> Pipeline {
     let groups = spec.layer_groups.max(1);
     let group_bytes = Bytes::new(spec.param_bytes.as_u64().div_ceil(groups as u64));
     Pipeline {
-        groups,
         group_bytes,
         first_group: gpu.spec().pcie.transfer_time(group_bytes),
-        total: full_transfer(model, gpu),
     }
 }
 
@@ -49,9 +44,11 @@ mod tests {
     fn pipelining_exposes_only_first_group() {
         for m in ModelKind::ALL {
             let p = pipeline(m, GpuKind::V100);
-            assert!(p.first_group < p.total || p.groups == 1);
+            let groups = m.spec().layer_groups;
+            let total = full_transfer(m, GpuKind::V100);
+            assert!(p.first_group < total || groups == 1);
             // First group is ~1/groups of the total.
-            let expected = p.total.as_millis_f64() / p.groups as f64;
+            let expected = total.as_millis_f64() / groups as f64;
             let got = p.first_group.as_millis_f64();
             assert!(
                 (got - expected).abs() / expected < 0.05,
@@ -78,7 +75,8 @@ mod tests {
     fn group_bytes_cover_params() {
         for m in ModelKind::ALL {
             let p = pipeline(m, GpuKind::T4);
-            assert!(Bytes::new(p.group_bytes.as_u64() * p.groups as u64) >= m.spec().param_bytes);
+            let groups = m.spec().layer_groups as u64;
+            assert!(Bytes::new(p.group_bytes.as_u64() * groups) >= m.spec().param_bytes);
         }
     }
 }

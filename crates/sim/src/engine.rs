@@ -4,7 +4,7 @@
 //!
 //! * realized task durations — the expected (profiled) time perturbed by
 //!   per-task noise at the Fig.-11-calibrated level,
-//! * task-switching latency from the `hare-memory` protocol state machines
+//! * task-switching latency from the `hare-memory` protocol cost models
 //!   (with a live speculative cache per GPU under the Hare protocol),
 //! * gradient-synchronization barriers from the per-job parameter servers
 //!   over the contended network model.
@@ -169,6 +169,8 @@ struct Engine<'a, 'b> {
     prev_task: Vec<Option<usize>>,
     /// When the current switch+train occupation began, per GPU.
     occupied_since: Vec<SimTime>,
+    /// Each GPU's speculative cache under the Hare runtime; empty under
+    /// the others, which never admit a task.
     caches: Vec<SpeculativeCache>,
     ps: Vec<ParameterServer>,
     arrived: Vec<bool>,
@@ -262,12 +264,15 @@ impl<'a, 'b> Engine<'a, 'b> {
             net_scratch: Vec::new(),
             prev_task: vec![None; n_gpus],
             occupied_since: vec![SimTime::ZERO; n_gpus],
-            caches: w
-                .cluster
-                .gpus()
-                .iter()
-                .map(|g| SpeculativeCache::new(g.kind))
-                .collect(),
+            caches: match cfg.switch_policy {
+                SwitchPolicy::Hare => w
+                    .cluster
+                    .gpus()
+                    .iter()
+                    .map(|g| SpeculativeCache::new(g.kind))
+                    .collect(),
+                _ => Vec::new(),
+            },
             ps,
             arrived: vec![false; n_jobs],
             synced_rounds: vec![0; n_jobs],
@@ -537,7 +542,9 @@ impl<'a, 'b> Engine<'a, 'b> {
                 }
                 // The executor restarted: no resident model, cold cache.
                 self.prev_task[gpu] = None;
-                self.caches[gpu] = SpeculativeCache::new(w.cluster.gpus()[gpu].kind);
+                if let Some(cache) = self.caches.get_mut(gpu) {
+                    *cache = SpeculativeCache::new(w.cluster.gpus()[gpu].kind);
+                }
                 self.fm.gpu_recoveries += 1;
                 self.fm.recovery_latency += self.now.saturating_since(down_at);
                 if let Some(ts) = &self.cfg.trace {

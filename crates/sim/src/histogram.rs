@@ -112,12 +112,15 @@ impl Histogram {
     /// Rebuild a histogram from `bounds`, per-bucket `counts`, and the
     /// finite-observation `sum` (the inverse of [`Histogram::counts`] +
     /// [`Histogram::sum`]; the total count is implied by the buckets).
-    /// `None` when the counts length does not match the bounds.
+    /// `None` when the counts length does not match the bounds or the
+    /// counts' total overflows.
     pub fn from_parts(bounds: &[f64], counts: Vec<u64>, sum: f64) -> Option<Histogram> {
         if counts.len() != bounds.len() + 1 {
             return None;
         }
-        let count = counts.iter().sum();
+        let count = counts
+            .iter()
+            .try_fold(0u64, |total, &n| total.checked_add(n))?;
         Some(Histogram {
             bounds: bounds.to_vec(),
             counts,

@@ -7,15 +7,16 @@
 //! colocated workers contend for their machine's NIC exactly as in the
 //! Fig.-18 bandwidth study.
 //!
-//! Round admission goes through the relaxed scale-fixed barrier
-//! ([`hare_core::QuorumTracker`]): exactly `sync_scale` gradients enter
-//! each round's average, and anything beyond — late copies from recovered
-//! GPUs, stragglers that lost a speculation race, pushes after the job's
-//! last round — is *dropped*, not an error. This is the paper's sync
-//! scheme acting as a fault-tolerance mechanism.
+//! Round admission is the relaxed scale-fixed barrier of Section 2.2.3 as
+//! a counting quorum: exactly `sync_scale` gradients enter each round's
+//! average, in arrival order, and a push after the job's last round — a
+//! late copy from a recovered GPU or a straggler that lost a speculation
+//! race — is *dropped*, not an error. The count stays fixed (so
+//! convergence certainty is preserved) no matter how many physical
+//! executions faults and speculation produce: the paper's sync scheme
+//! acting as a fault-tolerance mechanism.
 
 use hare_cluster::{Bytes, MachineId, NetworkModel, SimTime};
-use hare_core::{Contribution, QuorumTracker};
 use serde::{Deserialize, Serialize};
 
 /// Synchronization state of one job.
@@ -32,8 +33,10 @@ pub struct ParameterServer {
     /// Worker machine of each of this round's pushes, parallel to
     /// `finished`.
     machines: Vec<MachineId>,
-    /// Relaxed scale-fixed admission: `sync_scale` gradients per round.
-    quorum: QuorumTracker,
+    /// Gradients accepted into round averages.
+    accepted: u64,
+    /// Gradients dropped after the job's last round.
+    dropped: u64,
 }
 
 /// Completion record of one round's synchronization.
@@ -61,7 +64,8 @@ impl ParameterServer {
             round: 0,
             finished: Vec::with_capacity(sync_scale as usize),
             machines: Vec::with_capacity(sync_scale as usize),
-            quorum: QuorumTracker::new(sync_scale),
+            accepted: 0,
+            dropped: 0,
         }
     }
 
@@ -87,13 +91,13 @@ impl ParameterServer {
 
     /// Total gradients accepted into round averages so far.
     pub fn accepted(&self) -> u64 {
-        self.quorum.accepted()
+        self.accepted
     }
 
     /// Gradients dropped by the relaxed quorum (late duplicates, pushes
     /// after the final round).
     pub fn dropped(&self) -> u64 {
-        self.quorum.dropped()
+        self.dropped
     }
 
     /// A worker finished training a task of the current round at `at` on
@@ -103,8 +107,8 @@ impl ParameterServer {
     /// jobs' gradient flows contending on the network (the engine passes
     /// the number of concurrently synchronizing jobs) and NIC degradation
     /// `machine_factors` / `backbone` (`&[]` and 1.0 for a healthy
-    /// network). A push beyond the job's rounds is dropped by the quorum
-    /// and returns `None` (count via [`ParameterServer::dropped`]).
+    /// network). A push beyond the job's rounds is dropped and returns
+    /// `None` (count via [`ParameterServer::dropped`]).
     pub fn push_gradient(
         &mut self,
         at: SimTime,
@@ -114,14 +118,15 @@ impl ParameterServer {
         machine_factors: &[f64],
         backbone: f64,
     ) -> Option<SyncOutcome> {
-        let completes = match self.quorum.offer(self.round < self.rounds) {
-            Contribution::Dropped => return None,
-            Contribution::Accepted { completes_round } => completes_round,
-        };
+        if self.round >= self.rounds {
+            self.dropped += 1;
+            return None;
+        }
+        self.accepted += 1;
         self.finished.push(at);
         self.machines.push(machine);
         debug_assert!(self.finished.len() <= self.sync_scale as usize);
-        if !completes {
+        if self.finished.len() < self.sync_scale as usize {
             return None;
         }
 
@@ -224,6 +229,45 @@ mod tests {
         assert_eq!(ps.accepted(), 2);
         assert_eq!(ps.current_round(), 2);
         assert_eq!(ps.missing(), 0);
+    }
+
+    #[test]
+    fn each_round_takes_exactly_sync_scale_gradients() {
+        let mut ps = ParameterServer::new(0, 3, 2, Bytes::mib(1));
+        let n = net();
+        for round in 0..2 {
+            for pushed in 1..=3u32 {
+                let out = ps.push_gradient(SimTime::ZERO, MachineId(0), &n, 0, &[], 1.0);
+                // Only the round's third gradient closes it.
+                assert_eq!(out.map(|o| o.round), (pushed == 3).then_some(round));
+                assert_eq!(
+                    ps.missing(),
+                    if pushed == 3 {
+                        3 * (1 - round)
+                    } else {
+                        3 - pushed
+                    }
+                );
+            }
+        }
+        assert_eq!((ps.accepted(), ps.dropped()), (6, 0));
+    }
+
+    #[test]
+    fn pushes_after_the_last_round_are_dropped_and_counted() {
+        let mut ps = ParameterServer::new(0, 1, 1, Bytes::mib(1));
+        let n = net();
+        let out = ps
+            .push_gradient(SimTime::ZERO, MachineId(0), &n, 0, &[], 1.0)
+            .unwrap();
+        assert!(out.job_complete);
+        for _ in 0..2 {
+            assert!(ps
+                .push_gradient(SimTime::ZERO, MachineId(0), &n, 0, &[], 1.0)
+                .is_none());
+        }
+        assert_eq!((ps.accepted(), ps.dropped()), (1, 2));
+        assert_eq!(ps.current_round(), 1);
     }
 
     #[test]

@@ -1240,6 +1240,29 @@ impl ServeLoop {
             st.lease_lost = r.int("lease_lost")?;
             Some(())
         })?;
+        // The loop records one latency per decision, and one queue wait
+        // per dispatch, which takes a job the queue admitted or readmitted.
+        let (latencies, waits) = (st.latency_hist.count(), st.wait_hist.count());
+        let c = st.admission.counters();
+        let queued = c.admitted.saturating_add(c.readmitted);
+        let why = if latencies != st.decisions {
+            Some(format!(
+                "\"lh\": {latencies} latencies for {} decisions",
+                st.decisions
+            ))
+        } else if waits > queued {
+            Some(format!(
+                "\"wh\": {waits} queue waits for {queued} queued jobs"
+            ))
+        } else {
+            None
+        };
+        if let Some(why) = why {
+            return Err(RecoveryError::Corrupt {
+                line: 0,
+                why: format!("snapshot section {why}"),
+            });
+        }
         let hits = r.section("rh", |r| {
             r.list(|r| Some((r.text("rung")?.to_string(), r.int("hits")?)))
         })?;

@@ -312,6 +312,8 @@ impl<'a> Reader<'a> {
     pub fn hist(&mut self, bounds: &[f64]) -> Option<Histogram> {
         let counts = (0..=bounds.len()).map(|_| self.int("bucket count"));
         let counts = counts.collect::<Option<Vec<u64>>>()?;
-        Histogram::from_parts(bounds, counts, self.f64("sum")?)
+        let sum = self.f64("sum")?;
+        self.field.0 = "bucket total";
+        Histogram::from_parts(bounds, counts, sum)
     }
 }

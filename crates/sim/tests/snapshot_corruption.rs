@@ -9,8 +9,10 @@
 //! configuration is `ConfigMismatch`. The scheduler-private `ss` section
 //! belongs to the scheduler and is not rewritten here. A zombie (a busy
 //! slot whose completion the loop suppressed) is `Corrupt` unless the
-//! lease machinery can reclaim it. Every recovery runs under a bounded
-//! wait, so one that hangs fails its test instead of stalling the suite.
+//! lease machinery can reclaim it, and so is a latency or queue-wait
+//! histogram whose bucket counts overflow or disagree with the decision
+//! and admission counters. Every recovery runs under a bounded wait, so
+//! one that hangs fails its test instead of stalling the suite.
 
 #![allow(clippy::unwrap_used)]
 
@@ -467,7 +469,33 @@ fn snapshot() -> String {
 
 #[test]
 fn the_unmodified_snapshot_recovers() {
-    recover(&snapshot()).unwrap();
+    let clean = ServeLoop::new(Cluster::testbed15(), config(5_000)).run(&mut Fifo);
+    let recovered = recover_under(config(5_000), &snapshot()).unwrap();
+    assert_eq!(recovered.to_json(), clean.to_json());
+}
+
+#[test]
+fn every_histogram_bucket_at_u64_max_is_corrupt() {
+    // A bucket count no run reaches: the counts' total overflows, or it
+    // disagrees with the decision and queue counters.
+    let blob = snapshot();
+    let mut wrong = Vec::new();
+    for key in ["lh", "wh"] {
+        let fields = value(&sections(&blob), key).split(':').count();
+        // The bucket counts, then the sum.
+        for bucket in 0..fields - 1 {
+            let mutated = edit(&blob, key, |v| set_field(v, bucket, &u64::MAX.to_string()));
+            match recover(&mutated) {
+                Err(RecoveryError::Corrupt { .. }) => {}
+                other => wrong.push(format!("{key} bucket {bucket}: {other:?}")),
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "not rejected as Corrupt:\n{}",
+        wrong.join("\n")
+    );
 }
 
 #[test]

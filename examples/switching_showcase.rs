@@ -1,6 +1,6 @@
-//! Walkthrough of the fast-task-switching subsystem (Section 4): the
-//! device memory pool, early task cleaning, speculative memory management,
-//! and the resulting switch costs under the three runtimes.
+//! Walkthrough of the fast-task-switching subsystem (Section 4): early
+//! task cleaning, speculative memory management, and the resulting switch
+//! costs under the three runtimes.
 //!
 //! ```sh
 //! cargo run --release --example switching_showcase
@@ -8,53 +8,28 @@
 
 use hare::cluster::{GpuKind, SimDuration};
 use hare::memory::{
-    cleaning, plan_cache, switch_time, transfer, MemoryPool, PrevTask, RegionKind, SwitchPolicy,
-    SwitchRequest, TaskModelRef,
+    cleaning, plan_cache, switch_time, transfer, PrevTask, SwitchPolicy, SwitchRequest,
+    TaskModelRef,
 };
 use hare::workload::{JobId, ModelKind};
 
 fn main() {
     let gpu = GpuKind::V100;
 
-    // --- The memory pool -------------------------------------------------
-    let mut pool = MemoryPool::new(gpu.spec().memory);
-    let bert = ModelKind::BertBase.spec();
-    let weights = pool
-        .alloc(JobId(0), RegionKind::Weights, bert.param_bytes)
-        .unwrap();
-    let acts = pool
-        .alloc(JobId(0), RegionKind::Activations, bert.activation_bytes)
-        .unwrap();
-    println!(
-        "BERT resident on a {gpu}: {} used of {} ({} free)",
-        pool.used(),
-        pool.capacity(),
-        pool.available()
-    );
-    // PipeSwitch-style release: pointers only (content leaks!).
-    pool.free(acts, false);
-    // Hare-style early cleaning: wiped.
-    pool.free(weights, true);
-    println!(
-        "released: {} wiped (Hare), {} un-wiped pointer drops (PipeSwitch's leak surface)\n",
-        pool.wiped(),
-        pool.released_unwiped()
-    );
-
     // --- Early task cleaning ---------------------------------------------
+    let bert = ModelKind::BertBase.spec();
     let step = SimDuration::from_millis_f64(ModelKind::BertBase.batch_ms(gpu));
-    let tl = cleaning::timeline(ModelKind::BertBase, step);
     let next = transfer::pipeline(ModelKind::ResNet50, gpu);
     println!(
-        "early cleaning during one BERT step ({step}): frees {} across {} layer-group events",
-        tl.total_freed,
-        tl.events.len()
+        "early cleaning during one BERT step ({step}): wipes {} of activations \
+         across {} layer groups",
+        bert.activation_bytes, bert.layer_groups
     );
     println!(
         "the successor's first layer group ({}) can preload {} before the step ends \
          (its transfer takes {})\n",
         next.group_bytes,
-        tl.overlap_window(next.group_bytes),
+        cleaning::overlap_window(ModelKind::BertBase, step, next.group_bytes),
         next.first_group
     );
 

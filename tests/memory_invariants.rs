@@ -1,11 +1,10 @@
-//! Property-based tests on the fast-task-switching substrate: pool
-//! accounting, speculative-cache correctness, and switching-cost
+//! Property-based tests on the fast-task-switching substrate: the
+//! speculative cache's byte accounting and correctness, and switching-cost
 //! monotonicity across arbitrary task sequences.
 
 use hare::cluster::{Bytes, GpuKind, SimDuration};
 use hare::memory::{
-    plan_cache, switch_time, MemoryPool, PrevTask, RegionKind, SwitchPolicy, SwitchRequest,
-    TaskModelRef,
+    plan_cache, switch_time, PrevTask, SpeculativeCache, SwitchPolicy, SwitchRequest, TaskModelRef,
 };
 use hare::workload::{JobId, ModelKind};
 use proptest::prelude::*;
@@ -100,35 +99,44 @@ proptest! {
     }
 
     #[test]
-    fn pool_accounting_balances(ops in prop::collection::vec((1u64..2048, any::<bool>()), 1..50)) {
-        let mut pool = MemoryPool::new(Bytes::mib(4096));
-        let mut live = Vec::new();
-        let mut expected_used = 0u64;
-        for (mib, wipe) in ops {
-            if expected_used + mib <= 4096 {
-                let id = pool.alloc(JobId(0), RegionKind::Workspace, Bytes::mib(mib)).unwrap();
-                live.push((id, mib, wipe));
-                expected_used += mib;
-            } else if let Some((id, sz, w)) = live.pop() {
-                pool.free(id, w);
-                expected_used -= sz;
+    fn cache_peak_is_resident_weights_plus_running_activations(
+        ops in prop::collection::vec((0u32..6, models(), 0u8..8), 1..60),
+    ) {
+        for gpu in [GpuKind::V100, GpuKind::M60] {
+            let capacity = gpu.spec().memory;
+            let mut cache = SpeculativeCache::new(gpu);
+            // The reference: resident (job, model) pairs, least recently
+            // used first, and the fold of "resident weights + this task's
+            // activations" over every admitted task.
+            let mut resident: Vec<TaskModelRef> = Vec::new();
+            let weights = |r: &[TaskModelRef]| -> Bytes {
+                r.iter().map(|t| t.model.spec().param_bytes).sum()
+            };
+            let (mut peak, mut evictions) = (Bytes::ZERO, 0u32);
+            for &(job, model, op) in &ops {
+                let job = JobId(job);
+                if op == 0 {
+                    cache.retire_job(job);
+                    resident.retain(|t| t.job != job);
+                    continue;
+                }
+                let task = TaskModelRef { job, model };
+                let spec = model.spec();
+                let hit = resident.contains(&task);
+                let need = spec.activation_bytes + if hit { Bytes::ZERO } else { spec.param_bytes };
+                while capacity - weights(&resident) < need {
+                    let victim = resident.iter().position(|&t| t != task);
+                    resident.remove(victim.expect("a single task always fits"));
+                    evictions += 1;
+                }
+                resident.retain(|&t| t != task);
+                resident.push(task);
+                peak = peak.max(weights(&resident) + spec.activation_bytes);
+                prop_assert_eq!(cache.admit(task), hit);
+                prop_assert_eq!(cache.peak(), peak);
+                prop_assert_eq!(cache.evictions(), evictions);
+                prop_assert!(cache.peak() <= capacity);
             }
-            prop_assert_eq!(pool.used(), Bytes::mib(expected_used));
-            prop_assert_eq!(pool.available(), Bytes::mib(4096 - expected_used));
         }
-        // Drain and check wipe accounting covers everything released.
-        let mut wiped = pool.wiped();
-        let mut unwiped = pool.released_unwiped();
-        for (id, sz, w) in live {
-            pool.free(id, w);
-            if w {
-                wiped += Bytes::mib(sz);
-            } else {
-                unwiped += Bytes::mib(sz);
-            }
-        }
-        prop_assert_eq!(pool.wiped(), wiped);
-        prop_assert_eq!(pool.released_unwiped(), unwiped);
-        prop_assert_eq!(pool.used(), Bytes::ZERO);
     }
 }
